@@ -12,6 +12,7 @@ from .calibration import (
     CalibrationSpec,
     MultiBinCalibration,
     NullMaxima,
+    calibrate,
     calibrate_arl,
     calibrate_joint,
     calibrate_multi_bin,
@@ -29,7 +30,6 @@ from .detector import (
     load_state,
     multi_bin_run,
     run,
-    run_with_restarts,
     save_state,
     theorem_scale_config,
 )
@@ -58,24 +58,13 @@ from .experiments import (
     robustness_study,
     type_discrimination_study,
 )
-from .prechange import (
-    FractionTime,
-    IndexTime,
-    KnownPrechange,
-    PrechangeFit,
-    fit_ols,
-    predict,
-    standardize,
-    update_sequential,
-)
+from .prechange import KnownPrechange, PrechangeFit, fit_ols, standardize
 from .signal import (
     ChangeKind,
-    ChangeSpace,
     NoiseSpec,
     SignalParams,
     SyntheticSeries,
     change_index,
-    classify_change,
     eval_signal,
     eval_signal_array,
     generate_series,

@@ -26,7 +26,7 @@ import numpy as np
 from .detector import DetectorConfig
 from .engine import batch_residuals, batch_stats, chunked_replications, noise_matrix
 from .errors import CalibrationResolutionError
-from .prechange import IndexTime, KnownPrechange, TimeScale
+from .prechange import KnownPrechange, _check_time_unit
 from .signal import NoiseSpec
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "CalibrationSpec",
     "MultiBinCalibration",
     "NullMaxima",
+    "calibrate",
     "calibrate_arl",
     "calibrate_joint",
     "calibrate_multi_bin",
@@ -49,7 +50,8 @@ class CalibrationSpec:
     ``horizon`` is the nominal change position in monitoring steps for
     false-alarm targets, or the target average run length for ARL
     targets.  ``eta`` is the target type-I level.  Thresholds are left
-    to the calibration; only the bin sizes are specified here.
+    to the calibration; only the bin sizes are specified here.  Times
+    are observation indices divided by ``time_unit``.
     """
 
     replications: int
@@ -61,10 +63,11 @@ class CalibrationSpec:
     noise: NoiseSpec
     master_seed: int
     prechange: Optional[KnownPrechange] = None
-    time_scale: TimeScale = IndexTime()
+    time_unit: int = 1
     standardize: bool = False
 
     def __post_init__(self) -> None:
+        _check_time_unit(self.time_unit)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not (0.0 < self.eta < 1.0):
@@ -145,7 +148,7 @@ def _null_maxima_for_bins(
         resid = batch_residuals(
             x,
             spec.k,
-            time_scale=spec.time_scale,
+            time_unit=spec.time_unit,
             prechange=spec.prechange,
             standardize_first=spec.standardize,
         )[:, :t_mon]
@@ -274,26 +277,39 @@ def calibrate_joint(
 ETA_ARL = 1.0 - 1.0 / math.e
 
 
+def calibrate(
+    spec: CalibrationSpec,
+    which: str = "both",
+    arl: bool = False,
+    maxima: Optional[NullMaxima] = None,
+    retain_maxima: bool = False,
+) -> CalibrationResult:
+    """Calibrate ``which`` statistic ('jump', 'kink' or 'both') to a
+    false-alarm level, or with ``arl`` to an average run length equal
+    to ``spec.horizon``: single calibration for one statistic, joint
+    calibration for both.
+
+    Under the null the run length is roughly exponential, so an ARL
+    target is met by a crossing probability of 1 - 1/e over one
+    target-length window.
+    """
+    if arl:
+        spec = replace(spec, eta=ETA_ARL)
+    if which == "both":
+        result = calibrate_joint(spec, maxima=maxima, retain_maxima=retain_maxima)
+    else:
+        result = calibrate_single(spec, which, maxima=maxima, retain_maxima=retain_maxima)
+    return replace(result, method=f"arl-{result.method}") if arl else result
+
+
 def calibrate_arl(
     spec: CalibrationSpec,
     which: str = "both",
     maxima: Optional[NullMaxima] = None,
     retain_maxima: bool = False,
 ) -> CalibrationResult:
-    """Tune for an average run length equal to ``spec.horizon``: the
-    run length is roughly exponential under the null, so hitting a
-    crossing probability of 1 - 1/e over one target-length window
-    pins the mean."""
-    arl_spec = replace(spec, eta=ETA_ARL)
-    if maxima is None:
-        maxima = simulate_null_maxima(arl_spec)
-    if which == "both":
-        result = calibrate_joint(arl_spec, maxima=maxima, retain_maxima=retain_maxima)
-    else:
-        result = calibrate_single(
-            arl_spec, which, maxima=maxima, retain_maxima=retain_maxima
-        )
-    return replace(result, method=f"arl-{result.method}")
+    """Tune for an average run length equal to ``spec.horizon``."""
+    return calibrate(spec, which, arl=True, maxima=maxima, retain_maxima=retain_maxima)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,10 @@ from typing import List, Optional
 import numpy as np
 
 from . import fileformats as ff
-from .calibration import CalibrationSpec, calibrate_arl, calibrate_joint, calibrate_single
-from .detector import DetectorState
+from .calibration import CalibrationSpec, calibrate
+from .detector import run
 from .errors import FileFormatError, LinewatchError
-from .prechange import KnownPrechange, fit_ols, standardize
+from .prechange import KnownPrechange, standardize
 from .signal import change_index, generate_series
 from .tables import EXPERIMENTS
 
@@ -117,27 +117,24 @@ def _cmd_detect(args) -> int:
 
     if (args.known_alpha is None) != (args.known_beta is None):
         raise ValueError("--known-alpha and --known-beta must be given together")
+    known = None
     if args.known_alpha is not None:
-        prechange = KnownPrechange(args.known_alpha, args.known_beta)
-    else:
-        prechange = fit_ols(values[:k])
+        known = KnownPrechange(args.known_alpha, args.known_beta)
 
-    state = DetectorState(config, prechange, absolute_offset=k)
-    trace_rows = []
-    event = None
-    for i in range(k, values.size):
-        x = float(values[i])
-        snap, event = state.step(x)
-        if args.trace is not None:
-            resid = x - prechange.predict_at_index(i + 1)
-            trace_rows.append(
-                (i + 1, x, resid, snap.j_stat, snap.k_stat,
-                 event is not None, str(event.kind) if event else None)
-            )
-        if event is not None:
-            break
+    result = run(values, k, config, prechange=known,
+                 collect_trace=args.trace is not None)
+    event, prechange = result.event, result.prechange
     if args.trace is not None:
-        ff.write_trace(args.trace, trace_rows, config)
+        last = len(result.trace)
+        rows = []
+        for snap in result.trace:
+            index = k + snap.t
+            x = float(values[index - 1])
+            alarm = event is not None and snap.t == last
+            rows.append((index, x, x - prechange.predict_at_index(index),
+                         snap.j_stat, snap.k_stat, alarm,
+                         str(event.kind) if alarm else None))
+        ff.write_trace(args.trace, rows, config)
 
     alpha, beta = (
         (prechange.alpha_hat, prechange.beta_hat)
@@ -190,12 +187,7 @@ def _cmd_calibrate(args) -> int:
         raise FileFormatError(f"missing key {exc.args[0]!r}", path=path) from None
     except ValueError as exc:
         raise FileFormatError(str(exc), path=path) from exc
-    if mode == "arl":
-        result = calibrate_arl(spec, which=which)
-    elif which == "both":
-        result = calibrate_joint(spec)
-    else:
-        result = calibrate_single(spec, which)
+    result = calibrate(spec, which, arl=mode == "arl")
     ff.write_kv(args.out, "calibration", ff.calibration_to_kv(result))
     print(f"wrote: {args.out}")
     print(f"rho_jump: {result.rho_jump:.6g}")

@@ -28,11 +28,9 @@ import numpy as np
 
 from .errors import DetectorStoppedError
 from .prechange import (
-    FractionTime,
-    IndexTime,
     KnownPrechange,
     PrechangeFit,
-    TimeScale,
+    _check_time_unit,
     fit_ols,
     standardize,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "load_state",
     "multi_bin_run",
     "run",
-    "run_with_restarts",
     "save_state",
     "StatSnapshot",
     "theorem_scale_config",
@@ -118,7 +115,7 @@ class DetectorState:
     """Mutable runtime state; single writer, constant size.
 
     ``prechange`` supplies the fitted (or known) line and its time
-    scale; residuals are always computed against the absolute
+    unit; residuals are always computed against the absolute
     observation index ``absolute_offset + t``.
     """
 
@@ -231,7 +228,8 @@ class RunResult:
         return self.event.time if self.event is not None else self.horizon
 
 
-def _prepare(series, k, prechange, time_scale, standardize_flag):
+def _prepare(series, k, prechange, time_unit, standardize_flag):
+    _check_time_unit(time_unit)
     x = np.asarray(series, dtype=float)
     n = x.size
     if prechange is None:
@@ -245,7 +243,7 @@ def _prepare(series, k, prechange, time_scale, standardize_flag):
     if standardize_flag:
         x, scaling = standardize(x, k)
     if prechange is None:
-        prechange = fit_ols(x[:k], time_scale=time_scale)
+        prechange = fit_ols(x[:k], time_unit=time_unit)
     return x, n, prechange, scaling
 
 
@@ -254,18 +252,20 @@ def run(
     k: int,
     config: DetectorConfig,
     prechange: Optional[KnownPrechange] = None,
-    time_scale: TimeScale = IndexTime(),
+    time_unit: int = 1,
     standardize_first: bool = False,
     collect_trace: bool = False,
 ) -> RunResult:
     """Fit (or accept) the pre-change line on observations 1..k, then
     monitor k+1..end and stop at the first threshold crossing."""
-    x, n, pc, scaling = _prepare(series, k, prechange, time_scale, standardize_first)
+    x, n, pc, scaling = _prepare(series, k, prechange, time_unit, standardize_first)
     state = DetectorState(config, pc, absolute_offset=k)
     trace: Optional[List[StatSnapshot]] = [] if collect_trace else None
     event = None
-    for i in range(k, n):
-        snap, event = state.step(x[i])
+    # Python floats step faster than NumPy scalars and keep the
+    # statistics and the event plain floats
+    for value in x[k:].tolist():
+        snap, event = state.step(value)
         if trace is not None:
             trace.append(snap)
         if event is not None:
@@ -290,7 +290,7 @@ def multi_bin_run(
     k: int,
     configs: Sequence[Union[DetectorConfig, Tuple[int, float, float]]],
     prechange: Optional[KnownPrechange] = None,
-    time_scale: TimeScale = IndexTime(),
+    time_unit: int = 1,
     standardize_first: bool = False,
 ) -> MultiBinResult:
     """Monitor one stream at several bin sizes at once.
@@ -306,11 +306,11 @@ def multi_bin_run(
         c if isinstance(c, DetectorConfig) else DetectorConfig(c[0], c[0], c[1], c[2])
         for c in configs
     ]
-    x, n, pc, _ = _prepare(series, k, prechange, time_scale, standardize_first)
+    x, n, pc, _ = _prepare(series, k, prechange, time_unit, standardize_first)
     states = [DetectorState(c, pc, absolute_offset=k) for c in parsed]
-    for i in range(k, n):
+    for value in x[k:].tolist():
         for idx, st in enumerate(states):
-            _, event = st.step(x[i])
+            _, event = st.step(value)
             if event is not None:
                 return MultiBinResult(
                     event=event, scale_index=idx, horizon=n, prechange=pc
@@ -318,42 +318,13 @@ def multi_bin_run(
     return MultiBinResult(event=None, scale_index=None, horizon=n, prechange=pc)
 
 
-def run_with_restarts(
-    series: Sequence[float],
-    k: int,
-    config: DetectorConfig,
-    time_scale: TimeScale = IndexTime(),
-) -> List[DetectionEvent]:
-    """Convenience wrapper: refit on the next k observations after each
-    alarm and keep monitoring.  Segments shorter than k + 1 at the tail
-    are left unmonitored."""
-    x = np.asarray(series, dtype=float)
-    events: List[DetectionEvent] = []
-    start = 0
-    while x.size - start > k:
-        result = run(x[start:], k, config, time_scale=time_scale)
-        if result.event is None:
-            break
-        event = result.event
-        events.append(
-            DetectionEvent(
-                time=start + event.time,
-                kind=event.kind,
-                stat_value=event.stat_value,
-                threshold=event.threshold,
-            )
-        )
-        start += event.time
-    return events
-
-
 def theorem_scale_config(n: float, c: float, target: str = "both") -> DetectorConfig:
     """Bin sizes and thresholds from the rate-optimal presets.
 
     N_jump = ceil(1000 log(n) / (2 c^2)) with rho_jump = 4c/5, and
     N_kink = ceil((300/c^2)^(1/3) n^(2/3) log(n)^(1/3)) with
-    rho_kink = 4c/(5n).  These pair with FractionTime(n) residual
-    scaling.  ``target`` selects 'jump', 'kink' or 'both'.
+    rho_kink = 4c/(5n).  These pair with residuals on the time unit
+    ``time_unit = n``.  ``target`` selects 'jump', 'kink' or 'both'.
 
     Both statistics can fire only once the stream holds at least
     3 N_kink observations after the change (K spans three kink bins);
@@ -388,7 +359,7 @@ _SNAP_FMT = (
     "<8s"  # magic
     "qq"  # n_jump, n_kink (-1 = disabled)
     "dd"  # rho_jump, rho_kink
-    "Bq"  # time scale kind (0 index, 1 fraction), horizon n
+    "Bq"  # time kind (0 index, 1 fraction of horizon n), n
     "Bq"  # prechange kind (0 fit, 1 known), fit k
     "dddddddd"  # alpha, beta, mean_t, mean_x, s_tt, s_tx, s_xx, resid_sd
     "qq"  # t, absolute_offset
@@ -403,9 +374,8 @@ SNAPSHOT_SIZE = struct.calcsize(_SNAP_FMT)
 def save_state(state: DetectorState) -> bytes:
     """Serialize to the fixed-size binary snapshot (version LWSNAP01)."""
     cfg = state.config
-    ts = state.prechange.time_scale
-    ts_kind, ts_n = (1, ts.n) if isinstance(ts, FractionTime) else (0, 0)
     pc = state.prechange
+    ts_kind, ts_n = (0, 0) if pc.time_unit == 1 else (1, pc.time_unit)
     if isinstance(pc, PrechangeFit):
         pc_kind = 0
         pc_vals = (pc.k, pc.alpha_hat, pc.beta_hat, pc.mean_t, pc.mean_x,
@@ -449,7 +419,11 @@ def save_state(state: DetectorState) -> bytes:
 
 
 def load_state(blob: bytes) -> DetectorState:
-    """Rebuild a DetectorState from ``save_state`` output."""
+    """Rebuild a DetectorState from ``save_state`` output.
+
+    Raises ValueError naming the first field that no state of this
+    configuration can hold.
+    """
     if len(blob) != SNAPSHOT_SIZE:
         raise ValueError(f"snapshot must be {SNAPSHOT_SIZE} bytes, got {len(blob)}")
     fields = struct.unpack(_SNAP_FMT, blob)
@@ -460,24 +434,42 @@ def load_state(blob: bytes) -> DetectorState:
      t, offset, stopped, ev_time, ev_stat, ev_rho, ev_kind) = fields[:24]
     jump_raw = fields[24:31]
     kink_raw = fields[31:38]
-    ts: TimeScale = FractionTime(ts_n) if ts_kind == 1 else IndexTime()
+    if ts_kind not in (0, 1):
+        raise ValueError(f"corrupt snapshot: time kind {ts_kind} is not 0 or 1")
+    if ts_kind == 1 and ts_n < 1:
+        raise ValueError(f"corrupt snapshot: time unit {ts_n} is below 1")
+    if pc_kind not in (0, 1):
+        raise ValueError(f"corrupt snapshot: prechange kind {pc_kind} is not 0 or 1")
+    if t < 0:
+        raise ValueError(f"corrupt snapshot: clock t = {t} is negative")
+    time_unit = ts_n if ts_kind == 1 else 1
     if pc_kind == 0:
         pc: Union[PrechangeFit, KnownPrechange] = PrechangeFit(
-            alpha_hat=alpha, beta_hat=beta, k=pc_k, time_scale=ts,
+            alpha_hat=alpha, beta_hat=beta, k=pc_k, time_unit=time_unit,
             mean_t=mean_t, mean_x=mean_x, s_tt=s_tt, s_tx=s_tx, s_xx=s_xx,
             resid_sd=resid_sd,
         )
     else:
-        pc = KnownPrechange(alpha=alpha, beta=beta, time_scale=ts)
+        pc = KnownPrechange(alpha=alpha, beta=beta, time_unit=time_unit)
     config = DetectorConfig(
         None if nj < 0 else nj, None if nk < 0 else nk, rho_j, rho_k
     )
     state = DetectorState(config, pc, absolute_offset=offset)
     state.t = t
-    for raw, bins in ((jump_raw, state.jump_bins), (kink_raw, state.kink_bins)):
+    for name, raw, bins in (("jump", jump_raw, state.jump_bins),
+                            ("kink", kink_raw, state.kink_bins)):
         if bins is not None:
+            if raw[0] != t % bins.bin_size:
+                raise ValueError(
+                    f"corrupt snapshot: {name} bin position r = {raw[0]} "
+                    f"is not t mod N = {t % bins.bin_size}"
+                )
             bins.r, bins.s1, bins.s2, bins.s3, bins.w1, bins.w2, bins.w3 = raw
     if stopped:
+        if ev_time != offset + t:
+            raise ValueError(
+                f"corrupt snapshot: event time {ev_time} is not offset + t = {offset + t}"
+            )
         state.stopped = DetectionEvent(
             time=ev_time,
             kind=ChangeKind.KINK if ev_kind else ChangeKind.JUMP,

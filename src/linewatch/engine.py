@@ -28,8 +28,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .detector import DetectorConfig
-from .prechange import IndexTime, KnownPrechange, TimeScale
-from .signal import NoiseSpec, SignalParams, eval_signal_array, replication_seed
+from .prechange import KnownPrechange, _check_time_unit
+from .signal import NoiseSpec, replication_seed
 
 __all__ = [
     "batch_alarms",
@@ -38,7 +38,6 @@ __all__ = [
     "chunked_replications",
     "default_threads",
     "noise_matrix",
-    "signal_matrix",
     "window_geometry",
 ]
 
@@ -131,13 +130,15 @@ def batch_alarms(
 def batch_residuals(
     x: np.ndarray,
     k: int,
-    time_scale: TimeScale = IndexTime(),
+    time_unit: int = 1,
     prechange: Optional[KnownPrechange] = None,
     standardize_first: bool = False,
 ) -> np.ndarray:
     """Residuals of the monitored segment for a (replications, k + T)
-    observation matrix; the pre-change line is fitted per row on the
-    first k columns unless ``prechange`` is given."""
+    observation matrix at times index / ``time_unit``; the pre-change
+    line is fitted per row on the first k columns unless ``prechange``
+    is given."""
+    _check_time_unit(time_unit)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     total = x.shape[1]
     if total <= k:
@@ -148,7 +149,7 @@ def batch_residuals(
         if np.any(sd == 0.0):
             raise ValueError("zero historical variance in some replication")
         x = (x - mean) / sd
-    times_all = np.array([time_scale.at(i) for i in range(1, total + 1)])
+    times_all = np.arange(1, total + 1) / time_unit
     if prechange is None:
         if k < 2:
             raise ValueError("need k >= 2 to fit the pre-change line")
@@ -179,11 +180,6 @@ def noise_matrix(
     return out
 
 
-def signal_matrix(theta: SignalParams, n: int, rows: int) -> np.ndarray:
-    """The deterministic signal broadcast over replications."""
-    return np.broadcast_to(eval_signal_array(theta, n), (rows, n))
-
-
 def chunked_replications(
     replications: int,
     T: int,
@@ -210,16 +206,9 @@ def chunked_replications(
             future.result()
 
 
-def config_stats(
-    resid: np.ndarray, config: DetectorConfig
-) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """J, K trajectories under a detector configuration."""
-    return batch_stats(resid, config.n_jump, config.n_kink)
-
-
 def config_alarms(
     resid: np.ndarray, config: DetectorConfig
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(alarm step, kind) per replication row under a configuration."""
-    j, k = config_stats(resid, config)
+    j, k = batch_stats(resid, config.n_jump, config.n_kink)
     return batch_alarms(j, k, config.rho_jump, config.rho_kink)

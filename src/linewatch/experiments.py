@@ -19,7 +19,7 @@ import numpy as np
 from .calibration import CalibrationSpec, calibrate_arl, calibrate_single
 from .detector import DetectorConfig
 from .engine import batch_residuals, chunked_replications, config_alarms, noise_matrix
-from .prechange import FractionTime, IndexTime, KnownPrechange, TimeScale
+from .prechange import KnownPrechange, _check_time_unit
 from .signal import (
     ChangeKind,
     NoiseSpec,
@@ -51,7 +51,8 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 @dataclass(frozen=True)
 class Scenario:
     """One simulation setting: signal, horizon, history, noise,
-    detector configuration, replication count and master seed."""
+    detector configuration, replication count and master seed.
+    Residual times are observation indices divided by ``time_unit``."""
 
     theta: SignalParams
     n: int
@@ -61,10 +62,11 @@ class Scenario:
     replications: int
     master_seed: int
     standardize: bool = False
-    time_scale: TimeScale = IndexTime()
+    time_unit: int = 1
     prechange: Optional[KnownPrechange] = None
 
     def __post_init__(self) -> None:
+        _check_time_unit(self.time_unit)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.n <= self.k:
@@ -107,7 +109,7 @@ class Scenario:
             "replications": str(self.replications),
             "master_seed": str(self.master_seed),
             "standardize": str(self.standardize),
-            "time_scale": repr(self.time_scale),
+            "time_unit": str(self.time_unit),
         }
 
 
@@ -138,27 +140,6 @@ class MetricsReport:
     arl_censored: Optional[int] = None
     arl_cap: Optional[int] = None
 
-    def rows(self) -> List[Tuple[str, str]]:
-        """Flat key/value view, settings first; deterministic order."""
-        out = [("setting." + k, v) for k, v in self.settings.items()]
-        for name in (
-            "replications",
-            "fa_prob",
-            "fa_halfwidth",
-            "n_false_alarm",
-            "n_detected",
-            "n_missed",
-            "edd",
-            "edd_halfwidth",
-            "type_accuracy",
-            "arl",
-            "arl_halfwidth",
-            "arl_censored",
-            "arl_cap",
-        ):
-            out.append((name, repr(getattr(self, name))))
-        return out
-
 
 def _binomial_halfwidth(p: float, n: int) -> float:
     return Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
@@ -184,7 +165,7 @@ def simulate_alarms(scenario: Scenario) -> Tuple[np.ndarray, np.ndarray]:
         resid = batch_residuals(
             x,
             s.k,
-            time_scale=s.time_scale,
+            time_unit=s.time_unit,
             prechange=s.prechange,
             standardize_first=s.standardize,
         )
@@ -236,8 +217,6 @@ def null_run_lengths(
     replications: int,
     master_seed: int,
     standardize: bool = False,
-    time_scale: TimeScale = IndexTime(),
-    prechange: Optional[KnownPrechange] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Alarm times (monitoring steps) on no-change streams, censored at
     ``cap``; returns (lengths, censored mask)."""
@@ -248,10 +227,7 @@ def null_run_lengths(
 
     def worker(lo: int, hi: int) -> None:
         x = noise_matrix(noise, master_seed, lo, hi, total)
-        resid = batch_residuals(
-            x, k, time_scale=time_scale, prechange=prechange,
-            standardize_first=standardize,
-        )
+        resid = batch_residuals(x, k, standardize_first=standardize)
         alarm[lo:hi], _ = config_alarms(resid, config)
 
     chunked_replications(replications, total, worker)
@@ -268,14 +244,11 @@ def estimate_arl(
     replications: int,
     master_seed: int,
     standardize: bool = False,
-    time_scale: TimeScale = IndexTime(),
-    prechange: Optional[KnownPrechange] = None,
 ) -> MetricsReport:
     """Mean null run length; censored runs contribute the cap, which
     biases the estimate downward (the censored count is reported)."""
     lengths, censored = null_run_lengths(
-        config, noise, k, cap, replications, master_seed,
-        standardize=standardize, time_scale=time_scale, prechange=prechange,
+        config, noise, k, cap, replications, master_seed, standardize=standardize
     )
     settings = {
         "k": str(k),
@@ -290,7 +263,6 @@ def estimate_arl(
         "replications": str(replications),
         "master_seed": str(master_seed),
         "standardize": str(standardize),
-        "time_scale": repr(time_scale),
     }
     return MetricsReport(
         settings=settings,
@@ -358,7 +330,8 @@ def rate_check(
     with desk-scale constants (the theoretical constants exceed any
     tractable stream length).  Thresholds are Monte Carlo calibrated
     per horizon to a fixed false-alarm level on the pre-change stretch,
-    and the history is k = ceil(c * n) with FractionTime residuals.
+    and the history is k = ceil(c * n) with residuals on the time unit
+    ``time_unit = n``.
     """
     if len(n_grid) < 2:
         raise ValueError("n_grid needs at least two horizons")
@@ -394,7 +367,7 @@ def rate_check(
             n_kink=bins[1],
             noise=NoiseSpec("gaussian", 1.0),
             master_seed=derive_seed(master_seed, n, 0),
-            time_scale=FractionTime(n),
+            time_unit=n,
         )
         cal = calibrate_single(spec, str(kind))
         config = cal.to_config()
@@ -406,7 +379,7 @@ def rate_check(
             config=config,
             replications=replications,
             master_seed=derive_seed(master_seed, n, 1),
-            time_scale=FractionTime(n),
+            time_unit=n,
         )
         report = estimate_metrics(scenario)
         threshold = config.rho_jump if kind is ChangeKind.JUMP else config.rho_kink

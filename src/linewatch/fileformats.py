@@ -33,7 +33,6 @@ import numpy as np
 from .calibration import CalibrationResult
 from .detector import DetectorConfig
 from .errors import FileFormatError
-from .experiments import MetricsReport
 from .signal import NoiseSpec, SignalParams
 
 FORMAT_VERSION = 1
@@ -47,11 +46,8 @@ __all__ = [
     "parse_series",
     "read_kv",
     "read_series",
-    "report_rows_csv",
-    "report_text",
     "scenario_params_from_kv",
     "write_kv",
-    "write_report_csv",
     "write_series",
     "write_trace",
 ]
@@ -283,22 +279,6 @@ def write_trace(path: str, rows: Sequence[Tuple], config: DetectorConfig) -> Non
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def report_rows_csv(report: MetricsReport) -> str:
-    lines = [_header("report"), "key,value"]
-    lines += [f"{key},{value}" for key, value in report.rows()]
-    return "\n".join(lines) + "\n"
-
-
-def write_report_csv(report: MetricsReport, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(report_rows_csv(report))
-
-
-def report_text(report: MetricsReport) -> str:
-    """Aligned two-column rendering of a metrics report."""
-    return format_table(["key", "value"], report.rows())
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

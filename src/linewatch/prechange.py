@@ -1,61 +1,36 @@
-"""Least-squares fit of the pre-change line with O(1) sequential updates.
+"""Least-squares fit of the pre-change line.
 
 The fit is ordinary simple linear regression of observation on time.
-Two time scales are supported: raw 1-based observation indices
-(``IndexTime``) and fractions of a fixed horizon (``FractionTime(n)``),
-the latter used by the rate-scaling experiments.  Every fit records
-its scale so the two cannot be mixed accidentally.
+Time is the 1-based observation index divided by an integer
+``time_unit``: 1 (the default) keeps raw indices, and a horizon n
+gives fractions of that horizon, as the rate-scaling experiments use.
+Every fit records its unit so the two cannot be mixed accidentally.
 
-Sufficient statistics are held in centered form (running means plus
-centered second moments) to avoid cancellation on long histories.
+The fit is held in centered form (means plus centered second moments)
+to avoid cancellation on long histories.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateScaleError, InsufficientDataError, SingularDesignError
 
 __all__ = [
-    "FractionTime",
-    "IndexTime",
     "KnownPrechange",
     "PrechangeFit",
-    "TimeScale",
     "fit_ols",
-    "predict",
     "standardize",
-    "update_sequential",
 ]
 
 
-@dataclass(frozen=True)
-class IndexTime:
-    """Design abscissa is the raw observation index."""
-
-    def at(self, index: int) -> float:
-        return float(index)
-
-
-@dataclass(frozen=True)
-class FractionTime:
-    """Design abscissa is index / n for a fixed horizon n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"horizon n must be >= 1, got {self.n}")
-
-    def at(self, index: int) -> float:
-        return index / self.n
-
-
-TimeScale = Union[IndexTime, FractionTime]
+def _check_time_unit(time_unit: int) -> None:
+    if time_unit < 1:
+        raise ValueError(f"time unit must be >= 1, got {time_unit}")
 
 
 @dataclass(frozen=True)
@@ -63,15 +38,15 @@ class PrechangeFit:
     """OLS line through the first k observations.
 
     ``mean_t``/``mean_x`` and the centered moments ``s_tt``/``s_tx``/
-    ``s_xx`` are the sufficient statistics; ``suff_stats`` exposes them
-    as raw power sums.  ``resid_sd`` is sqrt(RSS / (k - 2)) for k >= 3
-    and 0.0 for the exactly-determined two-point fit.
+    ``s_xx`` are the sufficient statistics.  ``resid_sd`` is
+    sqrt(RSS / (k - 2)) for k >= 3 and 0.0 for the exactly-determined
+    two-point fit.
     """
 
     alpha_hat: float
     beta_hat: float
     k: int
-    time_scale: TimeScale
+    time_unit: int
     mean_t: float
     mean_x: float
     s_tt: float
@@ -79,20 +54,11 @@ class PrechangeFit:
     s_xx: float
     resid_sd: float
 
-    @property
-    def suff_stats(self) -> Tuple[int, float, float, float, float]:
-        """(count, sum_t, sum_t2, sum_x, sum_tx) in the fit's time scale."""
-        sum_t = self.k * self.mean_t
-        sum_t2 = self.s_tt + self.k * self.mean_t * self.mean_t
-        sum_x = self.k * self.mean_x
-        sum_tx = self.s_tx + self.k * self.mean_t * self.mean_x
-        return (self.k, sum_t, sum_t2, sum_x, sum_tx)
-
     def predict(self, t: float) -> float:
         return self.alpha_hat + self.beta_hat * t
 
     def predict_at_index(self, index: int) -> float:
-        return self.predict(self.time_scale.at(index))
+        return self.alpha_hat + self.beta_hat * (index / self.time_unit)
 
 
 @dataclass(frozen=True)
@@ -101,16 +67,44 @@ class KnownPrechange:
 
     alpha: float
     beta: float
-    time_scale: TimeScale = IndexTime()
+    time_unit: int = 1
+
+    def __post_init__(self) -> None:
+        _check_time_unit(self.time_unit)
 
     def predict(self, t: float) -> float:
         return self.alpha + self.beta * t
 
     def predict_at_index(self, index: int) -> float:
-        return self.predict(self.time_scale.at(index))
+        return self.alpha + self.beta * (index / self.time_unit)
 
 
-def _finish(k, time_scale, mean_t, mean_x, s_tt, s_tx, s_xx) -> PrechangeFit:
+def fit_ols(
+    values: Sequence[float],
+    time_unit: int = 1,
+    start_index: int = 1,
+) -> PrechangeFit:
+    """Fit the pre-change line to ``values`` observed at consecutive
+    indices ``start_index, start_index + 1, ...``, at times
+    index / ``time_unit``."""
+    _check_time_unit(time_unit)
+    x = np.asarray(values, dtype=float)
+    k = x.size
+    if k < 2:
+        raise InsufficientDataError(f"need at least 2 observations, got {k}")
+    try:
+        t = np.arange(start_index, start_index + k) / time_unit
+    except OverflowError:
+        raise SingularDesignError(
+            f"time unit {time_unit} is beyond float range; slope is not identifiable"
+        ) from None
+    mean_t = float(t.mean())
+    mean_x = float(x.mean())
+    dt = t - mean_t
+    dx = x - mean_x
+    s_tt = float(dt @ dt)
+    s_tx = float(dt @ dx)
+    s_xx = float(dx @ dx)
     if s_tt <= 0.0:
         raise SingularDesignError(
             "design times are all equal; slope is not identifiable"
@@ -126,7 +120,7 @@ def _finish(k, time_scale, mean_t, mean_x, s_tt, s_tx, s_xx) -> PrechangeFit:
         alpha_hat=alpha,
         beta_hat=beta,
         k=k,
-        time_scale=time_scale,
+        time_unit=time_unit,
         mean_t=mean_t,
         mean_x=mean_x,
         s_tt=s_tt,
@@ -134,52 +128,6 @@ def _finish(k, time_scale, mean_t, mean_x, s_tt, s_tx, s_xx) -> PrechangeFit:
         s_xx=s_xx,
         resid_sd=resid_sd,
     )
-
-
-def fit_ols(
-    values: Sequence[float],
-    time_scale: TimeScale = IndexTime(),
-    start_index: int = 1,
-) -> PrechangeFit:
-    """Fit the pre-change line to ``values`` observed at consecutive
-    indices ``start_index, start_index + 1, ...`` mapped through
-    ``time_scale``."""
-    x = np.asarray(values, dtype=float)
-    k = x.size
-    if k < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {k}")
-    idx = np.arange(start_index, start_index + k)
-    t = np.array([time_scale.at(int(i)) for i in idx])
-    mean_t = float(t.mean())
-    mean_x = float(x.mean())
-    dt = t - mean_t
-    dx = x - mean_x
-    s_tt = float(dt @ dt)
-    s_tx = float(dt @ dx)
-    s_xx = float(dx @ dx)
-    return _finish(k, time_scale, mean_t, mean_x, s_tt, s_tx, s_xx)
-
-
-def update_sequential(fit: PrechangeFit, x_new: float, t_new: float) -> PrechangeFit:
-    """Fold one more (t, x) point into the fit in constant time.
-
-    The returned fit equals a batch refit over the extended sample
-    (bivariate Welford update of the centered moments).
-    """
-    k = fit.k + 1
-    dt = t_new - fit.mean_t
-    dx = x_new - fit.mean_x
-    mean_t = fit.mean_t + dt / k
-    mean_x = fit.mean_x + dx / k
-    s_tt = fit.s_tt + dt * (t_new - mean_t)
-    s_tx = fit.s_tx + dt * (x_new - mean_x)
-    s_xx = fit.s_xx + dx * (x_new - mean_x)
-    return _finish(k, fit.time_scale, mean_t, mean_x, s_tt, s_tx, s_xx)
-
-
-def predict(fit: Union[PrechangeFit, KnownPrechange], t: float) -> float:
-    """Fitted value alpha + beta * t in the fit's time scale."""
-    return fit.predict(t)
 
 
 def standardize(

@@ -17,12 +17,10 @@ import numpy as np
 
 __all__ = [
     "ChangeKind",
-    "ChangeSpace",
     "NoiseSpec",
     "SignalParams",
     "SyntheticSeries",
     "change_index",
-    "classify_change",
     "eval_signal",
     "eval_signal_array",
     "generate_series",
@@ -70,24 +68,6 @@ class SignalParams:
     @property
     def kink_size(self) -> float:
         return abs(self.beta_plus - self.beta_minus)
-
-    def in_space(self, space: "ChangeSpace") -> bool:
-        """Membership in the detectable-change parameter space."""
-        d0 = space.delta0
-        if not (d0 <= self.tau <= 1.0 - d0):
-            return False
-        return max(self.jump_size, self.kink_size) >= d0
-
-
-@dataclass(frozen=True)
-class ChangeSpace:
-    """Minimum detectable change magnitude delta0, in (0, 1/2)."""
-
-    delta0: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.delta0 < 0.5):
-            raise ValueError(f"delta0 must lie in (0, 1/2), got {self.delta0}")
 
 
 @dataclass(frozen=True)
@@ -161,18 +141,6 @@ def eval_signal_array(theta: SignalParams, n: int) -> np.ndarray:
     pre = theta.beta_minus * (t - theta.tau) + theta.alpha_minus
     post = theta.beta_plus * (t - theta.tau) + theta.alpha_plus
     return np.where(t <= theta.tau, pre, post)
-
-
-def classify_change(
-    theta: SignalParams, space: ChangeSpace
-) -> Optional[ChangeKind]:
-    """Jump if the intercepts differ by >= delta0, else kink if the
-    slopes do, else None."""
-    if theta.jump_size >= space.delta0:
-        return ChangeKind.JUMP
-    if theta.kink_size >= space.delta0:
-        return ChangeKind.KINK
-    return None
 
 
 def change_index(theta: SignalParams, n: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from .calibration import CalibrationSpec, calibrate_arl, calibrate_joint, calibrate_single
+from .calibration import CalibrationSpec, calibrate, calibrate_joint
 from .detector import DetectorConfig
 from .experiments import (
     RobustnessTemplate,
@@ -85,14 +85,6 @@ def _edd_cells(
     return cells
 
 
-def _calibrate_mode(spec: CalibrationSpec, mode: str, arl: bool):
-    if arl:
-        return calibrate_arl(spec, which={"both": "both", "jump": "jump", "kink": "kink"}[mode])
-    if mode == "both":
-        return calibrate_joint(spec)
-    return calibrate_single(spec, mode)
-
-
 def table2(
     calib_replications: int = 10000,
     replications: int = 200,
@@ -115,7 +107,7 @@ def table2(
                 n_kink=n_bin if mode in ("kink", "both") else None,
                 noise=_GAUSS, master_seed=derive_seed(seed, 0),
             )
-            cal = _calibrate_mode(spec, mode, arl=False)
+            cal = calibrate(spec, mode)
             config = cal.to_config()
             fa_rep = estimate_metrics(
                 _fa_scenario(k, horizon, config, replications, derive_seed(seed, 3))
@@ -150,7 +142,7 @@ def table3(
                 n_kink=n_bin if mode in ("kink", "both") else None,
                 noise=_GAUSS, master_seed=derive_seed(seed, 0),
             )
-            cal = _calibrate_mode(spec, mode, arl=True)
+            cal = calibrate(spec, mode, arl=True)
             config = cal.to_config()
             arl_rep = estimate_arl(
                 config, _GAUSS, k, 10 * target, replications, derive_seed(seed, 4)

@@ -17,7 +17,6 @@ from linewatch import (
     CalibrationSpec,
     DetectorConfig,
     DetectorState,
-    FractionTime,
     KnownPrechange,
     NoiseSpec,
     RobustnessTemplate,
@@ -149,9 +148,8 @@ def test_04_ols_estimator_variances():
     rng = np.random.default_rng(404)
     alphas = np.empty(reps)
     betas = np.empty(reps)
-    scale = FractionTime(n)
     for i in range(reps):
-        fit = fit_ols(rng.standard_normal(k), scale)
+        fit = fit_ols(rng.standard_normal(k), time_unit=n)
         alphas[i] = fit.alpha_hat
         betas[i] = fit.beta_hat
     var_alpha_expected = (4 * k + 2) / (k**2 - k)
@@ -255,8 +253,8 @@ def test_06_table3_arl_reproduction():
 
 def test_07_type_discrimination():
     # First-to-fire attribution where the method separates the types: at
-    # the theorem-scale presets for n = 1e6, c = 1 (FractionTime(n)
-    # residuals, k = n/10, change at tau = 1/2, so the 500,000
+    # the theorem-scale presets for n = 1e6, c = 1 (residuals on the
+    # time unit n, k = n/10, change at tau = 1/2, so the 500,000
     # post-change steps cover 3 N_kink) the jump bins (N ~ log n) are
     # far shorter than the kink bins (N ~ n^(2/3) log(n)^(1/3)).  A jump
     # of 1 then crosses rho_jump long before K moves, while a kink of
@@ -269,12 +267,11 @@ def test_07_type_discrimination():
     n, c, reps = 10**6, 1.0, 50
     config = theorem_scale_config(n, c)
     k, tau = n // 10, 0.5
-    scale = FractionTime(n)
     scenarios = [
         Scenario(SignalParams(tau, 0.0, c, 0.0, 0.0), n, k, GAUSS,
-                 config, reps, 4242, time_scale=scale),
+                 config, reps, 4242, time_unit=n),
         Scenario(SignalParams(tau, 0.0, 0.0, 0.0, c), n, k, GAUSS,
-                 config, reps, 4243, time_scale=scale),
+                 config, reps, 4243, time_unit=n),
     ]
     rows = {str(r.true_kind): r for r in type_discrimination_study(scenarios)}
     ok = all(

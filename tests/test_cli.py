@@ -5,6 +5,7 @@ import pytest
 
 from linewatch import (
     DetectorConfig,
+    KnownPrechange,
     NoiseSpec,
     SignalParams,
     change_index,
@@ -88,6 +89,33 @@ def test_detect_trace_reruns_byte_identical(tmp_path, capsys):
     main(["detect", "--input", data, "--config", cfg, "--k", "500", "--trace", t2])
     capsys.readouterr()
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
+def test_detect_sigma_with_known_line_matches_run(tmp_path, capsys):
+    scen = _write_scenario(tmp_path)
+    data = str(tmp_path / "jump.csv")
+    main(["simulate", "--scenario", scen, "--out", data])
+    cfg = _write_config(tmp_path, n_jump="10", n_kink="none", rho_jump="1.0",
+                        rho_kink="inf")
+    capsys.readouterr()
+    s, a, b = 1.25, 0.1, 1e-4
+    code = main(["detect", "--input", data, "--config", cfg, "--k", "500",
+                 "--sigma", str(s), "--known-alpha", str(a), "--known-beta", str(b)])
+    out = capsys.readouterr().out
+    assert code == 0
+    values, _ = read_series(data)
+    expected = run(values / s, 500, DetectorConfig(10, None, rho_jump=1.0),
+                   prechange=KnownPrechange(a, b))
+    assert expected.detected
+    assert f"alarm_index: {expected.event.time}\n" in out
+    assert f"kind: {expected.event.kind}\n" in out
+    assert f"statistic: {expected.event.stat_value:.6g}\n" in out
+    assert "scale_mean: 0\n" in out
+    assert f"scale_sd: {s:.6g}\n" in out
+    code = main(["detect", "--input", data, "--config", cfg, "--k", "500",
+                 "--sigma", str(s), "--standardize"])
+    capsys.readouterr()
+    assert code == 2
 
 
 def test_simulate_round_trip_recovers_values(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,15 +12,15 @@ from linewatch import (
     KnownPrechange,
     NoiseSpec,
     SignalParams,
+    fit_ols,
     generate_series,
     load_state,
     multi_bin_run,
     run,
-    run_with_restarts,
     save_state,
     theorem_scale_config,
 )
-from linewatch.detector import SNAPSHOT_SIZE
+from linewatch.detector import _SNAP_FMT, SNAPSHOT_SIZE
 
 from oracles import first_crossing_alarm, window_stats, window_stats_fsum
 
@@ -192,6 +193,17 @@ def test_stopping_time_invariant_to_suffix():
             assert (not r2.detected) or r2.event.time > 120
 
 
+def test_run_reports_plain_floats():
+    series = np.zeros(60)
+    series[40:] = 5.0
+    config = DetectorConfig(2, 2, 1.0, 0.5)
+    result = run(series, 20, config, collect_trace=True)
+    assert type(result.event.stat_value) is float
+    assert all(type(s.j_stat) is float and type(s.k_stat) is float
+               for s in result.trace)
+    assert type(multi_bin_run(series, 20, [config]).event.stat_value) is float
+
+
 def test_trace_collection():
     series = np.zeros(50)
     config = DetectorConfig(2, 2, 1.0, 1.0)
@@ -216,26 +228,67 @@ def test_snapshot_roundtrip_bitexact_and_fixed_size():
 
 
 def test_snapshot_resume_continues_identically():
+    # a known line on raw indices, and a line fitted on the first 40
+    # observations with times as fractions of the horizon 400
     rng = np.random.default_rng(8)
     xs = rng.standard_normal(400)
     config = DetectorConfig(5, 7, 5.0, 5.0)
-    a = DetectorState(config, KnownPrechange(0.0, 0.0), absolute_offset=0)
-    for x in xs[:250]:
-        a.step(float(x))
-    b = load_state(save_state(a))
-    for x in xs[250:]:
-        sa, ea = a.step(float(x))
-        sb, eb = b.step(float(x))
-        assert sa == sb and ea == eb
+    cases = [(KnownPrechange(0.0, 0.0), 0), (fit_ols(xs[:40], time_unit=400), 40)]
+    for prechange, offset in cases:
+        a = DetectorState(config, prechange, absolute_offset=offset)
+        for x in xs[offset:250]:
+            a.step(float(x))
+        blob = save_state(a)
+        b = load_state(blob)
+        assert b.prechange == a.prechange and save_state(b) == blob
+        for x in xs[250:]:
+            sa, ea = a.step(float(x))
+            sb, eb = b.step(float(x))
+            assert sa == sb and ea == eb
+
+
+def _stopped_snapshot_fields():
+    config = DetectorConfig(3, 4, rho_jump=1.0)
+    state = DetectorState(config, KnownPrechange(0.0, 0.0, time_unit=10),
+                          absolute_offset=5)
+    event = None
+    while event is None:
+        _, event = state.step(0.5 if state.t < 20 else 3.0)
+    return list(struct.unpack(_SNAP_FMT, save_state(state)))
+
+
+# (field index in the snapshot record, corrupt value as a function of
+# the valid fields, the field the error must name)
+_CORRUPTIONS = [
+    (5, lambda f: 2, "time kind"),
+    (6, lambda f: 0, "time unit"),
+    (7, lambda f: 2, "prechange kind"),
+    (17, lambda f: -1, "clock t"),
+    (24, lambda f: (f[24] + 1) % 3, "jump bin position"),
+    (31, lambda f: (f[31] + 1) % 4, "kink bin position"),
+    (20, lambda f: f[20] + 1, "event time"),
+]
+
+
+@pytest.mark.parametrize("index, corrupt, field", _CORRUPTIONS,
+                         ids=[c[2].replace(" ", "_") for c in _CORRUPTIONS])
+def test_load_state_rejects_corrupt_fields(index, corrupt, field):
+    fields = _stopped_snapshot_fields()
+    assert load_state(struct.pack(_SNAP_FMT, *fields)).stopped is not None
+    fields[index] = corrupt(fields)
+    with pytest.raises(ValueError, match=field):
+        load_state(struct.pack(_SNAP_FMT, *fields))
 
 
 def test_snapshot_preserves_fitted_prechange_and_event():
     series = np.concatenate([np.zeros(30), np.full(20, 4.0)])
     config = DetectorConfig(2, None, rho_jump=0.5)
-    result = run(series + 0.001 * np.arange(50), 20, config)
+    data = series + 0.001 * np.arange(50)
+    result = run(data, 20, config)
     assert result.detected
     state = DetectorState(config, result.prechange, absolute_offset=20)
-    state.stopped = result.event
+    for x in data[20:result.event.time].tolist():
+        state.step(x)
     clone = load_state(save_state(state))
     assert clone.stopped == result.event
     assert clone.prechange.alpha_hat == result.prechange.alpha_hat
@@ -324,17 +377,6 @@ def test_multi_bin_union_false_alarm_rate_dominates():
         hits_a += a.detected
         hits_b += b.detected
     assert hits_union >= max(hits_a, hits_b)
-
-
-def test_run_with_restarts_finds_two_changes():
-    xs = np.zeros(600)
-    xs[200:] += 3.0
-    xs[430:] += 3.0
-    config = DetectorConfig(4, None, rho_jump=1.0)
-    events = run_with_restarts(xs, 100, config)
-    assert len(events) == 2
-    assert 200 < events[0].time <= 220
-    assert 430 < events[1].time <= 450
 
 
 def test_run_validates_lengths():

@@ -14,7 +14,7 @@ from linewatch.engine import (
     noise_matrix,
     window_geometry,
 )
-from linewatch.prechange import FractionTime, IndexTime, fit_ols
+from linewatch.prechange import fit_ols
 from linewatch.signal import replication_seed
 
 from oracles import first_crossing_alarm
@@ -88,7 +88,7 @@ def test_batch_residuals_match_fit_ols():
     k = 40
     resid = batch_residuals(x, k)
     for row in range(6):
-        fit = fit_ols(x[row, :k], IndexTime())
+        fit = fit_ols(x[row, :k])
         t = np.arange(k + 1, 121)
         expected = x[row, k:] - (fit.alpha_hat + fit.beta_hat * t)
         assert np.allclose(resid[row], expected, rtol=1e-9, atol=1e-10)
@@ -98,9 +98,9 @@ def test_batch_residuals_fraction_time():
     rng = np.random.default_rng(3)
     n, k = 150, 50
     x = rng.standard_normal((3, n))
-    resid = batch_residuals(x, k, time_scale=FractionTime(n))
+    resid = batch_residuals(x, k, time_unit=n)
     for row in range(3):
-        fit = fit_ols(x[row, :k], FractionTime(n))
+        fit = fit_ols(x[row, :k], time_unit=n)
         t = np.arange(k + 1, n + 1) / n
         expected = x[row, k:] - (fit.alpha_hat + fit.beta_hat * t)
         assert np.allclose(resid[row], expected, rtol=1e-9, atol=1e-10)
@@ -127,7 +127,7 @@ def test_batch_residuals_standardize_matches_manual():
         mean = x[row, :k].mean()
         sd = x[row, :k].std(ddof=1)
         z = (x[row] - mean) / sd
-        fit = fit_ols(z[:k], IndexTime())
+        fit = fit_ols(z[:k])
         t = np.arange(k + 1, 101)
         expected = z[k:] - (fit.alpha_hat + fit.beta_hat * t)
         assert np.allclose(resid[row], expected, rtol=1e-9, atol=1e-10)

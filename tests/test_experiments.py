@@ -20,7 +20,6 @@ from linewatch import (
     type_discrimination_study,
 )
 from linewatch.engine import config_alarms, noise_matrix
-from linewatch.fileformats import report_rows_csv
 from linewatch.signal import eval_signal_array
 
 GAUSS = NoiseSpec("gaussian", 1.0)
@@ -62,10 +61,10 @@ def test_scenario_validation():
 
 def test_report_is_byte_deterministic():
     sc = _jump_scenario(reps=40, seed=11)
-    a = report_rows_csv(estimate_metrics(sc))
-    b = report_rows_csv(estimate_metrics(sc))
+    a = estimate_metrics(sc)
+    b = estimate_metrics(sc)
     assert a == b
-    c = report_rows_csv(estimate_metrics(_jump_scenario(reps=40, seed=12)))
+    c = estimate_metrics(_jump_scenario(reps=40, seed=12))
     assert a != c
 
 

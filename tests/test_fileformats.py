@@ -109,17 +109,3 @@ def test_format_table_alignment():
     lines = text.splitlines()
     assert len(lines) == 4
     assert len(set(map(len, lines))) == 1  # all rows equal width
-
-
-def test_report_text_is_aligned_and_embeds_settings():
-    from linewatch import DetectorConfig, Scenario, SignalParams, estimate_metrics
-    from linewatch.fileformats import report_text
-
-    theta = SignalParams(0.6, 0.0, 2.0, 0.0, 0.0)
-    sc = Scenario(theta, 100, 40, NoiseSpec("gaussian", 0.0),
-                  DetectorConfig(2, None, rho_jump=0.5), 3, 0)
-    text = report_text(estimate_metrics(sc))
-    lines = text.splitlines()
-    assert len(set(map(len, lines))) == 1
-    assert any("setting.master_seed" in ln for ln in lines)
-    assert any(ln.strip().startswith("edd") for ln in lines)

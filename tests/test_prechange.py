@@ -1,19 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from linewatch import (
     DegenerateScaleError,
-    FractionTime,
-    IndexTime,
     InsufficientDataError,
     KnownPrechange,
     SingularDesignError,
     fit_ols,
-    predict,
     standardize,
-    update_sequential,
 )
 
 from oracles import normal_equations_fit
@@ -22,14 +16,14 @@ from oracles import normal_equations_fit
 def test_exact_line_is_interpolated():
     t = np.arange(1, 21)
     x = 3.0 + 0.5 * t
-    fit = fit_ols(x, IndexTime())
+    fit = fit_ols(x)
     assert fit.alpha_hat == pytest.approx(3.0, abs=1e-12)
     assert fit.beta_hat == pytest.approx(0.5, abs=1e-12)
     assert fit.resid_sd <= 1e-12
 
 
 def test_two_point_line():
-    fit = fit_ols([1.0, 2.0], IndexTime())
+    fit = fit_ols([1.0, 2.0])
     assert fit.alpha_hat == pytest.approx(0.0, abs=1e-12)
     assert fit.beta_hat == pytest.approx(1.0, abs=1e-12)
     assert fit.resid_sd == 0.0
@@ -40,7 +34,7 @@ def test_against_normal_equations_oracle():
     for trial in range(25):
         k = int(rng.integers(3, 400))
         x = rng.normal(size=k) * rng.uniform(0.1, 5.0) + rng.normal() * 3.0
-        fit = fit_ols(x, IndexTime())
+        fit = fit_ols(x)
         alpha, beta = normal_equations_fit(np.arange(1, k + 1), x)
         assert fit.alpha_hat == pytest.approx(alpha, rel=1e-10, abs=1e-10)
         assert fit.beta_hat == pytest.approx(beta, rel=1e-10, abs=1e-10)
@@ -50,7 +44,7 @@ def test_fraction_time_fit_matches_oracle():
     rng = np.random.default_rng(4)
     n, k = 1000, 57
     x = rng.normal(size=k)
-    fit = fit_ols(x, FractionTime(n))
+    fit = fit_ols(x, time_unit=n)
     alpha, beta = normal_equations_fit(np.arange(1, k + 1) / n, x)
     assert fit.alpha_hat == pytest.approx(alpha, rel=1e-9, abs=1e-9)
     assert fit.beta_hat == pytest.approx(beta, rel=1e-9, abs=1e-9)
@@ -62,70 +56,27 @@ def test_insufficient_and_degenerate_errors():
     # a horizon so large that consecutive fractions underflow to the
     # same float collapses the design onto a single abscissa
     with pytest.raises(SingularDesignError):
-        fit_ols([1.0, 2.0, 3.0], FractionTime(10**320))
-
-
-def test_update_with_collinear_point_keeps_coefficients():
-    fit = fit_ols([1.0, 2.0], IndexTime())  # the line x = t
-    updated = update_sequential(fit, 3.0, 3.0)
-    assert updated.alpha_hat == pytest.approx(0.0, abs=1e-12)
-    assert updated.beta_hat == pytest.approx(1.0, abs=1e-12)
-    assert updated.k == 3
-
-
-def test_sequential_equals_batch_on_every_prefix():
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=120) + 0.3 * np.arange(120)
-    fit = fit_ols(x[:2], IndexTime())
-    for j in range(3, 121):
-        fit = update_sequential(fit, float(x[j - 1]), float(j))
-        batch = fit_ols(x[:j], IndexTime())
-        assert fit.alpha_hat == pytest.approx(batch.alpha_hat, rel=1e-9, abs=1e-9)
-        assert fit.beta_hat == pytest.approx(batch.beta_hat, rel=1e-9, abs=1e-9)
-        assert fit.resid_sd == pytest.approx(batch.resid_sd, rel=1e-8, abs=1e-9)
-
-
-def test_update_with_predicted_value_shrinks_resid_sd():
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=50)
-    fit = fit_ols(x, IndexTime())
-    t_new = 51.0
-    updated = update_sequential(fit, fit.predict(t_new), t_new)
-    refit = fit_ols(np.append(x, fit.predict(t_new)), IndexTime())
-    assert math.copysign(1, updated.beta_hat) == math.copysign(1, fit.beta_hat)
-    assert updated.resid_sd <= fit.resid_sd + 1e-12
-    assert updated.resid_sd == pytest.approx(refit.resid_sd, rel=1e-9, abs=1e-12)
+        fit_ols([1.0, 2.0, 3.0], time_unit=10**320)
 
 
 def test_predict_examples():
-    assert predict(KnownPrechange(1.0, 0.0), 123.0) == 1.0
-    assert predict(KnownPrechange(0.0, 2.0), 3.0) == 6.0
-    fit = fit_ols(np.random.default_rng(2).normal(size=30), IndexTime())
+    assert KnownPrechange(1.0, 0.0).predict(123.0) == 1.0
+    assert KnownPrechange(0.0, 2.0).predict(3.0) == 6.0
+    fit = fit_ols(np.random.default_rng(2).normal(size=30))
     assert fit.predict(11.0) - fit.predict(10.0) == pytest.approx(fit.beta_hat)
 
 
 def test_normal_equation_invariants():
     rng = np.random.default_rng(12)
     x = rng.normal(size=80) * 2.0 + 0.1 * np.arange(80)
-    fit = fit_ols(x, IndexTime())
+    fit = fit_ols(x)
     t = np.arange(1, 81)
     resid = x - (fit.alpha_hat + fit.beta_hat * t)
     assert abs(resid.sum()) < 1e-9
     # shift equivariance
-    shifted = fit_ols(x + 5.0, IndexTime())
+    shifted = fit_ols(x + 5.0)
     assert shifted.alpha_hat == pytest.approx(fit.alpha_hat + 5.0, rel=1e-9)
     assert shifted.beta_hat == pytest.approx(fit.beta_hat, rel=1e-9, abs=1e-12)
-
-
-def test_suff_stats_satisfy_normal_equations():
-    rng = np.random.default_rng(13)
-    x = rng.normal(size=40)
-    fit = fit_ols(x, IndexTime())
-    count, sum_t, sum_t2, sum_x, sum_tx = fit.suff_stats
-    lhs1 = count * fit.alpha_hat + sum_t * fit.beta_hat
-    lhs2 = sum_t * fit.alpha_hat + sum_t2 * fit.beta_hat
-    assert lhs1 == pytest.approx(sum_x, rel=1e-9, abs=1e-9)
-    assert lhs2 == pytest.approx(sum_tx, rel=1e-9, abs=1e-9)
 
 
 def test_standardize_degenerate_history():

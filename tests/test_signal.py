@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from linewatch import (
-    ChangeKind,
-    ChangeSpace,
     NoiseSpec,
     SignalParams,
     change_index,
-    classify_change,
     eval_signal,
     eval_signal_array,
     generate_series,
@@ -52,43 +49,6 @@ def test_continuity_at_tau_iff_intercepts_match():
         left = eval_signal(theta, 500, n)
         right = theta.beta_plus * (500 / n - theta.tau) + theta.alpha_plus
         assert math.isclose(left, right, abs_tol=1e-12) == continuous
-
-
-def test_classify_change_examples():
-    space = ChangeSpace(0.1)
-    assert classify_change(SignalParams(0.5, 0, 1, 0, 0), space) is ChangeKind.JUMP
-    assert classify_change(SignalParams(0.5, 0, 0, 0, 0.5), space) is ChangeKind.KINK
-    assert classify_change(SignalParams(0.5, 0, 0.05, 0, 0.05), space) is None
-
-
-def test_classify_change_partitions():
-    rng = np.random.default_rng(7)
-    space = ChangeSpace(0.2)
-    for _ in range(200):
-        theta = SignalParams(
-            float(rng.uniform(0.2, 0.8)),
-            float(rng.normal()),
-            float(rng.normal()),
-            float(rng.normal()),
-            float(rng.normal()),
-        )
-        kinds = [classify_change(theta, space)]
-        assert len(kinds) == 1  # exactly one label per theta
-        if theta.jump_size >= space.delta0:
-            assert kinds[0] is ChangeKind.JUMP
-        elif theta.kink_size >= space.delta0:
-            assert kinds[0] is ChangeKind.KINK
-        else:
-            assert kinds[0] is None
-
-
-def test_change_space_validation():
-    with pytest.raises(ValueError):
-        ChangeSpace(0.0)
-    with pytest.raises(ValueError):
-        ChangeSpace(0.5)
-    assert SignalParams(0.5, 0, 1, 0, 0).in_space(ChangeSpace(0.3))
-    assert not SignalParams(0.1, 0, 1, 0, 0).in_space(ChangeSpace(0.3))
 
 
 def test_generate_noiseless_equals_signal():
