@@ -442,6 +442,10 @@ def load_state(blob: bytes) -> DetectorState:
         raise ValueError(f"corrupt snapshot: prechange kind {pc_kind} is not 0 or 1")
     if t < 0:
         raise ValueError(f"corrupt snapshot: clock t = {t} is negative")
+    if stopped not in (0, 1):
+        raise ValueError(f"corrupt snapshot: stopped flag {stopped} is not 0 or 1")
+    if ev_kind not in (0, 1):
+        raise ValueError(f"corrupt snapshot: event kind {ev_kind} is not 0 or 1")
     time_unit = ts_n if ts_kind == 1 else 1
     if pc_kind == 0:
         pc: Union[PrechangeFit, KnownPrechange] = PrechangeFit(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .calibration import CalibrationSpec, calibrate_arl, calibrate_single
 from .detector import DetectorConfig
-from .engine import batch_residuals, chunked_replications, config_alarms, noise_matrix
+from .engine import first_alarms
 from .prechange import KnownPrechange, _check_time_unit
 from .signal import (
     ChangeKind,
@@ -155,24 +155,18 @@ def simulate_alarms(scenario: Scenario) -> Tuple[np.ndarray, np.ndarray]:
     """(alarm step, kind code) per replication; step is n - k + 1 when
     the run never alarms.  Kind codes: 0 none, 1 jump, 2 kink."""
     s = scenario
-    signal = eval_signal_array(s.theta, s.n)
-    alarm = np.empty(s.replications, dtype=np.int64)
-    kind = np.empty(s.replications, dtype=np.int8)
-
-    def worker(lo: int, hi: int) -> None:
-        x = noise_matrix(s.noise, s.master_seed, lo, hi, s.n)
-        x += signal
-        resid = batch_residuals(
-            x,
-            s.k,
-            time_unit=s.time_unit,
-            prechange=s.prechange,
-            standardize_first=s.standardize,
-        )
-        alarm[lo:hi], kind[lo:hi] = config_alarms(resid, s.config)
-
-    chunked_replications(s.replications, s.n, worker)
-    return alarm, kind
+    return first_alarms(
+        s.noise,
+        s.master_seed,
+        s.replications,
+        s.k,
+        s.n,
+        s.config,
+        signal=eval_signal_array(s.theta, s.n),
+        time_unit=s.time_unit,
+        prechange=s.prechange,
+        standardize_first=s.standardize,
+    )
 
 
 def estimate_metrics(scenario: Scenario) -> MetricsReport:
@@ -222,15 +216,10 @@ def null_run_lengths(
     ``cap``; returns (lengths, censored mask)."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    total = k + cap
-    alarm = np.empty(replications, dtype=np.int64)
-
-    def worker(lo: int, hi: int) -> None:
-        x = noise_matrix(noise, master_seed, lo, hi, total)
-        resid = batch_residuals(x, k, standardize_first=standardize)
-        alarm[lo:hi], _ = config_alarms(resid, config)
-
-    chunked_replications(replications, total, worker)
+    alarm, _ = first_alarms(
+        noise, master_seed, replications, k, k + cap, config,
+        standardize_first=standardize,
+    )
     censored = alarm > cap
     lengths = np.where(censored, cap, alarm)
     return lengths, censored

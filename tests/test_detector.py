@@ -267,6 +267,8 @@ _CORRUPTIONS = [
     (24, lambda f: (f[24] + 1) % 3, "jump bin position"),
     (31, lambda f: (f[31] + 1) % 4, "kink bin position"),
     (20, lambda f: f[20] + 1, "event time"),
+    (19, lambda f: 9, "stopped flag"),
+    (23, lambda f: 7, "event kind"),
 ]
 
 

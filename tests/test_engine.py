@@ -1,18 +1,23 @@
-"""The batch engine must agree with the streaming detector: same
-statistics (up to float summation order), same alarms, same fits."""
+"""The batch engine must agree with the streaming detector: the same
+statistics bit for bit, the same alarms, the same fits; and the
+early-exit driver must give the full-horizon reference's alarms."""
 
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linewatch import DetectorConfig, DetectorState, KnownPrechange, NoiseSpec
 from linewatch.engine import (
+    BatchBins,
     batch_alarms,
     batch_residuals,
     batch_stats,
     config_alarms,
+    first_alarms,
     noise_matrix,
-    window_geometry,
 )
 from linewatch.prechange import fit_ols
 from linewatch.signal import replication_seed
@@ -32,14 +37,6 @@ def _streaming_stats(res, n_jump, n_kink):
     return np.array(js, dtype=float), np.array(ks, dtype=float)
 
 
-def test_window_geometry_bounds():
-    m, start = window_geometry(100, 7)
-    t = np.arange(1, 101)
-    assert np.array_equal(m, 2 * 7 + (t % 7) + 1)
-    assert (start >= 0).all()
-    assert np.array_equal(np.maximum(t - m, 0), start)
-
-
 def test_batch_stats_equal_streaming():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -49,8 +46,44 @@ def test_batch_stats_equal_streaming():
         res = rng.standard_normal(length)
         j, k = batch_stats(res[None, :], n_jump, n_kink)
         sj, sk = _streaming_stats(res, n_jump, n_kink)
-        assert np.allclose(j[0], sj, rtol=1e-9, atol=1e-10)
-        assert np.allclose(k[0], sk, rtol=1e-9, atol=1e-10)
+        assert np.array_equal(j[0], sj)
+        assert np.array_equal(k[0], sk)
+
+
+def test_batch_stats_equal_streaming_on_a_long_offset_stream():
+    # whole-stream cumulative sums drift from the bins as T grows; the
+    # bin-blocked kernel must not
+    rng = np.random.default_rng(10)
+    res = rng.standard_normal(200_000) + 0.3
+    j, k = batch_stats(res[None, :], 10, 10)
+    sj, sk = _streaming_stats(res, 10, 10)
+    assert np.array_equal(j[0], sj)
+    assert np.array_equal(k[0], sk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_jump=st.integers(1, 40),
+    n_kink=st.integers(1, 40),
+    length=st.integers(1, 300),
+    cuts=st.lists(st.integers(0, 300), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_stats_in_pieces_equal_one_pass_and_streaming(
+    n_jump, n_kink, length, cuts, seed
+):
+    res = np.random.default_rng(seed).standard_normal((2, length)) + 0.3
+    j, k = batch_stats(res, n_jump, n_kink)
+    bins = BatchBins()
+    edges = [0] + sorted(c for c in cuts if c < length) + [length]
+    pieces = [batch_stats(res[:, a:b], n_jump, n_kink, bins)
+              for a, b in zip(edges[:-1], edges[1:])]
+    assert bins.t == length
+    assert np.array_equal(np.concatenate([p[0] for p in pieces], axis=1), j)
+    assert np.array_equal(np.concatenate([p[1] for p in pieces], axis=1), k)
+    sj, sk = _streaming_stats(res[1], n_jump, n_kink)
+    assert np.array_equal(j[1], sj)
+    assert np.array_equal(k[1], sk)
 
 
 def test_batch_alarms_match_scan_oracle():
@@ -104,6 +137,14 @@ def test_batch_residuals_fraction_time():
         t = np.arange(k + 1, n + 1) / n
         expected = x[row, k:] - (fit.alpha_hat + fit.beta_hat * t)
         assert np.allclose(resid[row], expected, rtol=1e-9, atol=1e-10)
+
+
+def test_batch_residuals_known_line_keeps_its_time_unit():
+    line = KnownPrechange(0.0, 1.0, time_unit=10)
+    resid = batch_residuals(np.zeros((1, 12)), 5, prechange=line)
+    expected = [-line.predict_at_index(i) for i in range(6, 13)]
+    assert np.array_equal(resid[0], expected)
+    assert resid[0, 0] == -0.6
 
 
 def test_batch_residuals_invariant_to_prechange_line():
@@ -162,3 +203,56 @@ def test_config_alarms_match_streaming_run():
         else:
             assert alarm[0] == stream_alarm
             assert kind[0] == stream_kind
+
+
+def _reference_alarms(noise, seed, reps, k, total, config, signal=None, **kw):
+    x = noise_matrix(noise, seed, 0, reps, total)
+    if signal is not None:
+        x += signal
+    return config_alarms(batch_residuals(x, k, **kw), config)
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec("gaussian", 1.5),
+                                   NoiseSpec("student_t", df=3.0)],
+                         ids=["gaussian", "student_t"])
+@pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
+@pytest.mark.parametrize("line, time_unit", [
+    (None, 1),
+    (None, 2500),
+    (KnownPrechange(0.1, 0.0005), 1),
+    (KnownPrechange(0.0, 0.5, time_unit=2500), 2500),
+], ids=["fitted_index", "fitted_fraction", "known_index", "known_fraction"])
+def test_first_alarms_equal_full_horizon_reference(noise, standardize, line, time_unit):
+    k, total = 150, 2500
+    signal = np.where(np.arange(total) >= 1400, 0.8, 0.0)
+    for config in (DetectorConfig(8, 20, 0.9, 0.1), DetectorConfig(10, 10, 0.9, 0.08),
+                   DetectorConfig(None, 15, rho_kink=0.09),
+                   DetectorConfig(5, 9, 60.0, 60.0)):  # never alarms
+        kw = dict(time_unit=time_unit, prechange=line, standardize_first=standardize)
+        got = first_alarms(noise, 3, 23, k, total, config, signal=signal, **kw)
+        want = _reference_alarms(noise, 3, 23, k, total, config, signal, **kw)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("step", [512, 513, 1536, 1537])
+def test_first_alarms_at_segment_edges(step):
+    # a spike at monitoring step `step` fires every row there; 512 and
+    # 1536 end the first two segments, 513 and 1537 start the next ones
+    k, total = 1000, 1000 + 2000
+    signal = np.zeros(total)
+    signal[k + step - 1] = 1e3
+    config = DetectorConfig(4, 6, 5.0, 5.0)
+    noise = NoiseSpec("gaussian", 1.0)
+    got = first_alarms(noise, 8, 12, k, total, config, signal=signal)
+    want = _reference_alarms(noise, 8, 12, k, total, config, signal)
+    assert np.array_equal(got[0], np.full(12, step))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_first_alarms_without_alarm_report_horizon_plus_one():
+    config = DetectorConfig(3, 3, math.inf, math.inf)
+    alarm, kind = first_alarms(NoiseSpec("gaussian", 1.0), 1, 5, 20, 900, config)
+    assert np.array_equal(alarm, np.full(5, 881))
+    assert not kind.any()

@@ -124,3 +124,14 @@ def test_replication_seed_is_deterministic():
     c = np.random.default_rng(replication_seed(5, 3)).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec("gaussian", 2.0), NoiseSpec("student_t", df=3.0)],
+                         ids=["gaussian", "student_t"])
+def test_noise_draw_in_pieces_equals_one_draw(noise):
+    # the early-exit Monte Carlo driver draws each replication's stream
+    # segment by segment and relies on this
+    whole = noise.draw(np.random.default_rng(21), 10_000)
+    rng = np.random.default_rng(21)
+    pieces = [noise.draw(rng, size) for size in (1, 999, 37, 5000, 3963)]
+    assert np.array_equal(np.concatenate(pieces), whole)
