@@ -15,6 +15,10 @@ residual by its 1-based position within its bin.  K is the linearly
 weighted residual mean with weights 1..M across the window; d is
 sum(i^2, i=1..M).  An alarm fires when |J| >= rho_jump (checked first)
 or |K| >= rho_kink.  State size is a constant independent of t.
+
+``run`` and ``multi_bin_run`` replay a recorded series on the batch
+kernel (``engine.segment_alarms``), whose statistics equal ``step``'s
+bit for bit, and stop with the segment that first alarms.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .engine import batch_alarms, batch_stats, segment_alarms
 from .errors import DetectorStoppedError
 from .prechange import (
     KnownPrechange,
@@ -229,6 +234,7 @@ class RunResult:
 
 
 def _prepare(series, k, prechange, time_unit, standardize_flag):
+    """(residuals of observations k+1.., n, line, scaling) for a run."""
     _check_time_unit(time_unit)
     x = np.asarray(series, dtype=float)
     n = x.size
@@ -244,7 +250,44 @@ def _prepare(series, k, prechange, time_unit, standardize_flag):
         x, scaling = standardize(x, k)
     if prechange is None:
         prechange = fit_ols(x[:k], time_unit=time_unit)
-    return x, n, prechange, scaling
+    # predict_at_index's operations over the whole array; NumPy divides
+    # as Python does only while the unit is an exact float
+    index, unit = np.arange(k + 1, n + 1), prechange.time_unit
+    times = index / unit if unit <= 2**53 else np.array([i / unit for i in index.tolist()])
+    return x[k:] - prechange.predict(times), n, prechange, scaling
+
+
+def _event(k, step, code, stat, config):
+    """The event of a ``batch_alarms`` step and code (0 for none)."""
+    if code == 0:
+        return None
+    kind, rho = ((ChangeKind.JUMP, config.rho_jump) if code == 1
+                 else (ChangeKind.KINK, config.rho_kink))
+    return DetectionEvent(int(k) + int(step), kind, abs(float(stat)), rho)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # silent on inf - inf, as step() is
+def _first_event(resid, k, config):
+    """The first crossing on the residuals of observations k+1.., or
+    None; the kernel stops with the segment that alarms."""
+    (step,), (code,), (stat,) = segment_alarms(
+        1, resid.size, config, lambda t0, length, _: resid[None, t0:t0 + length])
+    return _event(k, step, code, stat, config)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # silent on inf - inf, as step() is
+def _traced_event(resid, k, config):
+    """(first crossing or None, snapshots up to it) from one kernel pass
+    over the whole series."""
+    j, kk = batch_stats(resid[None, :], config.n_jump, config.n_kink)
+    (step,), (code,) = batch_alarms(j, kk, config.rho_jump, config.rho_kink)
+    stop = min(int(step), resid.size)
+    cols = [s[0, :stop].tolist() if s is not None else [None] * stop for s in (j, kk)]
+    cols += [[2 * m + t % m + 1 for t in range(1, stop + 1)] if m else [None] * stop
+             for m in (config.n_jump, config.n_kink)]
+    trace = [StatSnapshot(t, *row) for t, row in enumerate(zip(*cols), start=1)]
+    stat = cols[0 if code == 1 else 1][stop - 1] if code else None
+    return _event(k, step, code, stat, config), trace
 
 
 def run(
@@ -257,19 +300,13 @@ def run(
     collect_trace: bool = False,
 ) -> RunResult:
     """Fit (or accept) the pre-change line on observations 1..k, then
-    monitor k+1..end and stop at the first threshold crossing."""
-    x, n, pc, scaling = _prepare(series, k, prechange, time_unit, standardize_first)
-    state = DetectorState(config, pc, absolute_offset=k)
-    trace: Optional[List[StatSnapshot]] = [] if collect_trace else None
-    event = None
-    # Python floats step faster than NumPy scalars and keep the
-    # statistics and the event plain floats
-    for value in x[k:].tolist():
-        snap, event = state.step(value)
-        if trace is not None:
-            trace.append(snap)
-        if event is not None:
-            break
+    monitor k+1..end on the batch kernel and stop at the first threshold
+    crossing; event and trace equal ``DetectorState.step``'s bit for bit."""
+    resid, n, pc, scaling = _prepare(series, k, prechange, time_unit, standardize_first)
+    if collect_trace:
+        event, trace = _traced_event(resid, k, config)
+    else:
+        event, trace = _first_event(resid, k, config), None
     return RunResult(event=event, horizon=n, prechange=pc, trace=trace, scaling=scaling)
 
 
@@ -296,7 +333,8 @@ def multi_bin_run(
     """Monitor one stream at several bin sizes at once.
 
     ``configs`` entries are DetectorConfig or (N, rho_jump, rho_kink)
-    tuples.  Memory grows with the number of scales only.  The first
+    tuples.  The scales run one after another, as in ``run``, each up
+    to the best alarm so far; memory is that of one segment.  The first
     crossing wins; at the same observation, earlier list entries take
     precedence (and jump before kink within a scale).
     """
@@ -306,16 +344,14 @@ def multi_bin_run(
         c if isinstance(c, DetectorConfig) else DetectorConfig(c[0], c[0], c[1], c[2])
         for c in configs
     ]
-    x, n, pc, _ = _prepare(series, k, prechange, time_unit, standardize_first)
-    states = [DetectorState(c, pc, absolute_offset=k) for c in parsed]
-    for value in x[k:].tolist():
-        for idx, st in enumerate(states):
-            _, event = st.step(value)
-            if event is not None:
-                return MultiBinResult(
-                    event=event, scale_index=idx, horizon=n, prechange=pc
-                )
-    return MultiBinResult(event=None, scale_index=None, horizon=n, prechange=pc)
+    resid, n, pc, _ = _prepare(series, k, prechange, time_unit, standardize_first)
+    event = scale = None
+    for idx, config in enumerate(parsed):
+        # a later scale must alarm strictly before the best so far
+        found = _first_event(resid[:None if event is None else event.time - k - 1], k, config)
+        if found is not None:
+            event, scale = found, idx
+    return MultiBinResult(event=event, scale_index=scale, horizon=n, prechange=pc)
 
 
 def theorem_scale_config(n: float, c: float, target: str = "both") -> DetectorConfig:

@@ -18,11 +18,13 @@ and their rounding error depends on N, not on the stream length.
 
 ``batch_stats`` can carry the bins (``BatchBins``) from the end of one
 piece of a stream to the start of the next, so a stream advanced piece
-by piece gives the same statistics as one pass.  ``first_alarms`` uses
-that to stop Monte Carlo replications at their first alarm: it draws
-and monitors the horizon in doubling segments and retires each row
-once it has crossed.  Generator draws are split-invariant, so the rows
-see the same noise as one full-horizon draw.
+by piece gives the same statistics as one pass.  ``segment_alarms``
+uses that to monitor rows in doubling segments and retire each row
+once it has crossed: ``detector.run`` replays one series up to its
+first alarm on it, and ``first_alarms`` stops Monte Carlo replications
+at theirs, drawing only the segments a row still needs.  Generator
+draws are split-invariant, so the rows see the same noise as one
+full-horizon draw.
 
 Replication fan-out is chunked; chunks may be dispatched to a thread
 pool (LINEWATCH_THREADS) and write disjoint output slices, so results
@@ -34,13 +36,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .detector import DetectorConfig
 from .prechange import KnownPrechange, _check_time_unit
 from .signal import NoiseSpec, replication_seed
+
+if TYPE_CHECKING:
+    from .detector import DetectorConfig
 
 __all__ = [
     "BatchBins",
@@ -51,6 +55,7 @@ __all__ = [
     "default_threads",
     "first_alarms",
     "noise_matrix",
+    "segment_alarms",
 ]
 
 _CHUNK_ELEMENTS = 4_000_000
@@ -213,7 +218,7 @@ def batch_alarms(
     none = T + 1
 
     def first_crossing(stat, rho):
-        if stat is None or not np.isfinite(rho):
+        if stat is None:
             rows = (j if j is not None else k).shape[0]
             return np.full(rows, none, dtype=np.int64)
         hit = np.abs(stat) >= rho
@@ -328,6 +333,41 @@ def chunked_replications(
             future.result()
 
 
+def segment_alarms(
+    rows: int,
+    T: int,
+    config: DetectorConfig,
+    residuals: Callable[[int, int, np.ndarray], np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alarm step, kind, |statistic| at the alarm, NaN if none) per row
+    of ``rows`` streams of T steps, as ``batch_alarms`` gives on their
+    full-horizon statistics.  ``residuals(t0, length, active)`` gives
+    steps t0 + 1 .. t0 + length of the rows ``active`` not yet alarmed,
+    in segments of ``_FIRST_SEGMENT``, twice that, ... steps."""
+    alarm = np.full(rows, T + 1, dtype=np.int64)
+    kind = np.zeros(rows, dtype=np.int8)
+    value = np.full(rows, np.nan)
+    active = np.arange(rows)
+    bins = BatchBins()
+    length = _FIRST_SEGMENT
+    while active.size and bins.t < T:
+        t0 = bins.t
+        length = min(length, T - t0)
+        j, kk = batch_stats(residuals(t0, length, active), config.n_jump, config.n_kink, bins)
+        step, code = batch_alarms(j, kk, config.rho_jump, config.rho_kink)
+        for crossed, stat in ((1, j), (2, kk)):
+            at = np.flatnonzero(code == crossed)
+            if at.size:
+                value[active[at]] = np.abs(stat[at, step[at] - 1])
+        hit = step <= length
+        alarm[active[hit]] = t0 + step[hit]
+        kind[active[hit]] = code[hit]
+        active = active[~hit]
+        bins.select(~hit)
+        length *= 2
+    return alarm, kind, value
+
+
 def first_alarms(
     noise: NoiseSpec,
     master_seed: int,
@@ -341,14 +381,15 @@ def first_alarms(
     standardize_first: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(alarm step, kind) per replication of ``total`` observations
-    (noise plus ``signal``, history k), as ``config_alarms`` gives on the
-    ``batch_residuals`` of the full ``noise_matrix``, but each row stops
-    drawing and monitoring at its first alarm."""
+    (noise plus ``signal``, history k), as ``batch_alarms`` gives on the
+    full-horizon statistics of the ``batch_residuals`` of the full
+    ``noise_matrix``, but each row stops drawing and monitoring at its
+    first alarm."""
     if total <= k:
         raise ValueError(f"stream length {total} must exceed history {k}")
     T = total - k
-    alarm = np.full(replications, T + 1, dtype=np.int64)
-    kind = np.zeros(replications, dtype=np.int8)
+    alarm = np.empty(replications, dtype=np.int64)
+    kind = np.empty(replications, dtype=np.int8)
     if signal is None:
         signal = np.zeros(total)
 
@@ -360,35 +401,15 @@ def first_alarms(
             hist[row] = noise.draw(rng, k)
         hist += signal[:k]
         line = _Line(hist, time_unit, prechange, standardize_first)
-        active = np.arange(hi - lo)
-        bins = BatchBins()
-        length = _FIRST_SEGMENT
-        while active.size and bins.t < T:
-            t0 = bins.t
-            length = min(length, T - t0)
+
+        def residuals(t0, length, active):
             x = np.empty((active.size, length))
             for row, i in enumerate(active):
                 x[row] = noise.draw(rngs[i], length)
             x += signal[k + t0:k + t0 + length]
-            resid = line.residuals(x, k + t0 + 1, active)
-            j, kk = batch_stats(resid, config.n_jump, config.n_kink, bins)
-            step, code = batch_alarms(j, kk, config.rho_jump, config.rho_kink)
-            hit = step <= length
-            alarm[lo + active[hit]] = t0 + step[hit]
-            kind[lo + active[hit]] = code[hit]
-            active = active[~hit]
-            bins.select(~hit)
-            length *= 2
+            return line.residuals(x, k + t0 + 1, active)
+
+        alarm[lo:hi], kind[lo:hi], _ = segment_alarms(hi - lo, T, config, residuals)
 
     chunked_replications(replications, total, worker)
     return alarm, kind
-
-
-def config_alarms(
-    resid: np.ndarray, config: DetectorConfig
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(alarm step, kind) per replication row under a configuration,
-    over the whole residual matrix at once: the full-horizon reference
-    that ``first_alarms`` is tested against."""
-    j, k = batch_stats(resid, config.n_jump, config.n_kink)
-    return batch_alarms(j, k, config.rho_jump, config.rho_kink)

@@ -26,7 +26,7 @@ tau), beta_minus/beta_plus (signal units per unit fraction), n, seed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -230,32 +230,67 @@ def read_series(path: str) -> Tuple[np.ndarray, Optional[np.ndarray]]:
 
 
 def parse_series(raw: str, path: str = "<data>") -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    values: List[float] = []
-    times: List[float] = []
-    n_cols: Optional[int] = None
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    """``read_series`` on the text of a file.
+
+    One ``np.loadtxt`` pass reads the lines after the header; it accepts
+    only lines that ``_parse_rows`` reads to the same bits.  Other text
+    (a ``#`` line among the data, ``1_000``, a malformed row) goes to
+    ``_parse_rows``, which reads it or raises the located error.
+    """
+    lines = raw.splitlines()
+    found = _preamble(lines, path)
+    data = None
+    if found is not None:
+        try:
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                              skiprows=found[0])
+        except ValueError:  # the line parser locates every failure
+            pass
+    if data is None or data.shape[1] != found[1]:
+        data = _parse_rows(lines, path)
+    return data[:, -1].copy(), (data[:, 0].copy() if data.shape[1] == 2 else None)
+
+
+def _preamble(lines, path: str) -> Optional[Tuple[int, int]]:
+    """(lines before the first data row, its column count), or None.
+    Only the first row that is neither blank nor a comment can be a
+    header: one with no number among as many fields as the data."""
+    header = None
+    for count, line in enumerate(lines):
+        fields = [f.strip() for f in line.strip().split(",")]
+        if fields == [""] or fields[0].startswith("#"):
+            continue
+        if header is None and not any(map(_is_number, fields)):
+            header = (count + 1, len(fields))
+            continue
+        n_cols = len(fields)
+        if n_cols not in (1, 2):
+            raise FileFormatError(f"expected 1 or 2 columns, found {n_cols}",
+                                  path=path, line=count + 1)
+        if header is not None and header[1] != n_cols:
+            raise FileFormatError(f"header has {header[1]} columns, the data {n_cols}",
+                                  path=path, line=header[0])
+        return count, n_cols
+    return None
+
+
+def _parse_rows(lines: Sequence[str], path: str) -> np.ndarray:
+    """The line-by-line parser behind ``parse_series``: (rows, columns)
+    from the text's ``str.splitlines``."""
+    found = _preamble(lines, path)
+    if found is None:
+        raise FileFormatError("no data rows found", path=path)
+    start, n_cols = found
+    fields_read = []  # one flat list: no list per row to build and convert
+    for lineno, line in enumerate(lines[start:], start=start + 1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
         fields = [f.strip() for f in text.split(",")]
-        if n_cols is None and not all(_is_number(f) for f in fields):
-            continue  # header row
-        if n_cols is None:
-            n_cols = len(fields)
-            if n_cols not in (1, 2):
-                raise FileFormatError(
-                    f"expected 1 or 2 columns, found {n_cols}", path=path, line=lineno
-                )
-        if len(fields) != n_cols or not all(_is_number(f) for f in fields):
+        if len(fields) != n_cols or not all(map(_is_number, fields)):
             raise FileFormatError(f"malformed row {text!r}", path=path, line=lineno)
-        if n_cols == 1:
-            values.append(float(fields[0]))
-        else:
-            times.append(float(fields[0]))
-            values.append(float(fields[1]))
-    if not values:
-        raise FileFormatError("no data rows found", path=path)
-    return np.array(values), (np.array(times) if times else None)
+        fields_read.extend(map(float, fields))
+    return np.array(fields_read).reshape(-1, n_cols)
 
 
 def write_trace(path: str, rows: Sequence[Tuple], config: DetectorConfig) -> None:

@@ -3,15 +3,21 @@
 These deliberately avoid the incremental bookkeeping and the cumsum
 tricks of the library: statistics are evaluated directly from an
 explicitly stored window, and regression coefficients come from
-solving the 2x2 normal equations.
+solving the 2x2 normal equations.  The exceptions are ``step_run`` and
+``step_multi_bin_run``: they monitor one ``DetectorState.step`` per
+observation, the streaming reference that the batch-kernel ``run`` and
+``multi_bin_run`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
+
+from linewatch import DetectorState, fit_ols, standardize
+from linewatch.engine import batch_alarms, batch_stats
 
 
 def window_stats(
@@ -91,3 +97,47 @@ def first_crossing_alarm(
         if k is not None and abs(k[t]) >= rho_kink:
             return t + 1, "kink"
     return None, None
+
+
+def _step_states(series, k, configs, prechange, time_unit, standardize_first):
+    x = np.asarray(series, dtype=float)
+    if standardize_first:
+        x, _ = standardize(x, k)
+    if prechange is None:
+        prechange = fit_ols(x[:k], time_unit=time_unit)
+    return x[k:].tolist(), [DetectorState(c, prechange, absolute_offset=k) for c in configs]
+
+
+def step_run(series, k, config, prechange=None, time_unit=1, standardize_first=False):
+    """(event, trace) of monitoring ``series[k:]`` one step at a time,
+    stopping at the first alarm."""
+    values, (state,) = _step_states(series, k, [config], prechange, time_unit,
+                                    standardize_first)
+    trace: List = []
+    for value in values:
+        snap, event = state.step(value)
+        trace.append(snap)
+        if event is not None:
+            return event, trace
+    return None, trace
+
+
+def step_multi_bin_run(series, k, configs, prechange=None, time_unit=1,
+                       standardize_first=False):
+    """(event, index of its config) of stepping every config per
+    observation; at one observation the earlier config wins."""
+    values, states = _step_states(series, k, configs, prechange, time_unit,
+                                  standardize_first)
+    for value in values:
+        for idx, state in enumerate(states):
+            _, event = state.step(value)
+            if event is not None:
+                return event, idx
+    return None, None
+
+
+def config_alarms(resid, config):
+    """(alarm step, kind) per replication row of a residual matrix, from
+    its full-horizon statistics: the reference for ``first_alarms``."""
+    j, k = batch_stats(resid, config.n_jump, config.n_kink)
+    return batch_alarms(j, k, config.rho_jump, config.rho_kink)

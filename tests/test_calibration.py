@@ -221,7 +221,8 @@ def test_arl_5000_threshold_matches_published_value():
 def test_multi_bin_arl_calibration_hits_target_band():
     # scales {2, 40} tuned for an average run length of 500: the
     # resulting multi-bin detector's empirical ARL over 500 null runs
-    from linewatch.engine import batch_residuals, config_alarms
+    from linewatch.engine import batch_residuals
+    from oracles import config_alarms
 
     k = 500
     spec = CalibrationSpec(

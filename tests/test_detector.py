@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linewatch import (
     ChangeKind,
@@ -22,7 +24,13 @@ from linewatch import (
 )
 from linewatch.detector import _SNAP_FMT, SNAPSHOT_SIZE
 
-from oracles import first_crossing_alarm, window_stats, window_stats_fsum
+from oracles import (
+    first_crossing_alarm,
+    step_multi_bin_run,
+    step_run,
+    window_stats,
+    window_stats_fsum,
+)
 
 
 def _step_trace(residuals, n_jump, n_kink, rho_j=math.inf, rho_k=math.inf):
@@ -392,3 +400,93 @@ def test_run_validates_lengths():
         prechange=KnownPrechange(0.0, 0.0),
     )
     assert not result.detected
+
+
+def _bits(value):
+    """A float's bits, any NaN counting as one value; None stays None."""
+    if value is None:
+        return None
+    assert type(value) is float
+    return "nan" if math.isnan(value) else value.hex()
+
+
+def _assert_run_equals_steps(series, k, config, **kwargs):
+    result = run(series, k, config, collect_trace=True, **kwargs)
+    event, trace = step_run(series, k, config, **kwargs)
+    assert result.event == event
+    if event is not None:
+        assert _bits(result.event.stat_value) == _bits(event.stat_value)
+        assert type(result.event.time) is int
+    assert len(result.trace) == len(trace)
+    for got, want in zip(result.trace, trace):
+        assert (got.t, got.window_jump, got.window_kink) == (
+            want.t, want.window_jump, want.window_kink)
+        assert _bits(got.j_stat) == _bits(want.j_stat)
+        assert _bits(got.k_stat) == _bits(want.k_stat)
+    return result
+
+
+@st.composite
+def _monitoring_cases(draw):
+    """(series, k, configs, run keyword arguments) over bin sizes 1..40
+    with a statistic possibly off or never alarming, known or fitted
+    lines, time units, standardization, and NaN or +-inf observations."""
+    bin_size = st.integers(1, 40)
+    configs = []
+    for _ in range(draw(st.integers(1, 3))):
+        n_jump = draw(st.one_of(st.none(), bin_size))
+        n_kink = draw(bin_size if n_jump is None else st.one_of(st.none(), bin_size))
+        configs.append(DetectorConfig(
+            n_jump, n_kink,
+            draw(st.sampled_from([0.8, 1.5, 3.0, math.inf])),
+            draw(st.sampled_from([0.1, 0.4, 1.0, math.inf])),
+        ))
+    known = draw(st.booleans())
+    k = draw(st.integers(0 if known else 2, 40))
+    kwargs = {"time_unit": draw(st.sampled_from([1, 7, 1000]))}
+    if known:
+        kwargs["prechange"] = KnownPrechange(
+            draw(st.sampled_from([0.0, -1.5])), draw(st.sampled_from([0.0, 0.3, 1e16])),
+            time_unit=draw(st.sampled_from([1, 50, 2**53 + 1, 10**400])))
+    if k >= 3:
+        kwargs["standardize_first"] = draw(st.booleans())
+    steps = draw(st.integers(1, 1800))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = rng.standard_normal(k + steps)
+    change = k + draw(st.integers(0, steps))
+    series[change:] += draw(st.sampled_from([0.0, 1.0, 4.0]))
+    for _ in range(draw(st.integers(0, 3))):
+        series[k + draw(st.integers(0, steps - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    return series, k, configs, kwargs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_monitoring_cases())
+def test_run_and_multi_bin_run_equal_stepping(case):
+    series, k, configs, kwargs = case
+    _assert_run_equals_steps(series, k, configs[0], **kwargs)
+    result = multi_bin_run(series, k, configs, **kwargs)
+    event, scale = step_multi_bin_run(series, k, configs, **kwargs)
+    assert (result.event, result.scale_index) == (event, scale)
+
+
+@pytest.mark.parametrize("alarm_step", [512, 513, 1536, 1537, None])
+@pytest.mark.parametrize("n_jump, n_kink, rho_jump, rho_kink", [
+    (1, 7, 1.0, math.inf),  # J alarms
+    (None, 1, math.inf, 1.0),  # K alarms
+    (3, 3, math.inf, math.inf),  # only an infinite statistic alarms
+])
+def test_run_equals_stepping_at_segment_edges(alarm_step, n_jump, n_kink, rho_jump, rho_kink):
+    """Alarms on both sides of the 512- and 1024-step segment ends."""
+    series = np.zeros(2000)
+    if alarm_step is not None:
+        series[alarm_step - 1] = math.inf if rho_jump == rho_kink else 100.0
+    config = DetectorConfig(n_jump, n_kink, rho_jump, rho_kink)
+    line = KnownPrechange(0.0, 0.0)
+    result = _assert_run_equals_steps(series, 0, config, prechange=line)
+    assert result.alarm_time == (2000 if alarm_step is None else alarm_step)
+    multi = multi_bin_run(series, 0, [DetectorConfig(5, 5, 50.0, 50.0), config],
+                          prechange=line)
+    assert (multi.event, multi.scale_index) == step_multi_bin_run(
+        series, 0, [DetectorConfig(5, 5, 50.0, 50.0), config], prechange=line)

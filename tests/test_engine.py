@@ -15,14 +15,13 @@ from linewatch.engine import (
     batch_alarms,
     batch_residuals,
     batch_stats,
-    config_alarms,
     first_alarms,
     noise_matrix,
 )
 from linewatch.prechange import fit_ols
 from linewatch.signal import replication_seed
 
-from oracles import first_crossing_alarm
+from oracles import config_alarms, first_crossing_alarm
 
 
 def _streaming_stats(res, n_jump, n_kink):

@@ -19,8 +19,10 @@ from linewatch import (
     robustness_study,
     type_discrimination_study,
 )
-from linewatch.engine import config_alarms, noise_matrix
+from linewatch.engine import noise_matrix
 from linewatch.signal import eval_signal_array
+
+from oracles import config_alarms
 
 GAUSS = NoiseSpec("gaussian", 1.0)
 
