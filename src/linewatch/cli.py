@@ -125,16 +125,7 @@ def _cmd_detect(args) -> int:
                  collect_trace=args.trace is not None)
     event, prechange = result.event, result.prechange
     if args.trace is not None:
-        last = len(result.trace)
-        rows = []
-        for snap in result.trace:
-            index = k + snap.t
-            x = float(values[index - 1])
-            alarm = event is not None and snap.t == last
-            rows.append((index, x, x - prechange.predict_at_index(index),
-                         snap.j_stat, snap.k_stat, alarm,
-                         str(event.kind) if alarm else None))
-        ff.write_trace(args.trace, rows, config)
+        ff.write_trace(args.trace, values, k, result, config)
 
     alpha, beta = (
         (prechange.alpha_hat, prechange.beta_hat)

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from itertools import repeat
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -81,7 +82,7 @@ class DetectorConfig:
                 raise ValueError(f"{name} must be > 0 (inf allowed), got {rho}")
 
 
-@dataclass
+@dataclass(slots=True)
 class BinTriple:
     """Rolling bins: s = residual sums, w = within-bin weighted sums."""
 
@@ -105,9 +106,12 @@ class DetectionEvent:
     threshold: float
 
 
-@dataclass(frozen=True)
-class StatSnapshot:
-    """Statistic values after one step; windows lie in [2N+1, 3N]."""
+class StatSnapshot(NamedTuple):
+    """Statistic values after one step; windows lie in [2N+1, 3N].
+
+    An immutable named tuple: its fields are read-only, and it is
+    iterable and equal to the plain tuple of its fields.
+    """
 
     t: int
     j_stat: Optional[float]
@@ -143,69 +147,51 @@ class DetectorState:
         return self.stopped is None
 
     def step(self, x_t: float) -> Tuple[StatSnapshot, Optional[DetectionEvent]]:
-        """Fold in one observation; constant work and memory."""
+        """Fold in one observation; constant work and memory.
+
+        Returns the immutable ``StatSnapshot`` of this step and the
+        event, or None while nothing crosses.
+        """
         if self.stopped is not None:
             raise DetectorStoppedError(
                 f"detector stopped at index {self.stopped.time}"
             )
-        self.t += 1
-        t = self.t
+        t = self.t = self.t + 1
         abs_index = self.absolute_offset + t
         res = x_t - self.prechange.predict_at_index(abs_index)
-
-        j_stat = k_stat = None
-        window_jump = window_kink = None
+        j_stat = k_stat = window_jump = window_kink = None
 
         b = self.jump_bins
         if b is not None:
-            r = t % b.bin_size
+            r = b.r = t % b.bin_size
             if r == 0:
                 b.s1, b.s2, b.s3 = b.s2, b.s3, 0.0
-            b.s3 += res
-            b.r = r
-            m = 2 * b.bin_size + r + 1
-            j_stat = (b.s1 + b.s2 + b.s3) / m
-            window_jump = m
+            s3 = b.s3 = b.s3 + res
+            m = window_jump = 2 * b.bin_size + r + 1
+            j_stat = (b.s1 + b.s2 + s3) / m
 
         b = self.kink_bins
         if b is not None:
             n = b.bin_size
-            r = t % n
+            r = b.r = t % n
             if r == 0:
                 b.s1, b.s2, b.s3 = b.s2, b.s3, 0.0
                 b.w1, b.w2, b.w3 = b.w2, b.w3, 0.0
-            b.s3 += res
-            b.w3 += (r + 1) * res
-            b.r = r
-            m = 2 * n + r + 1
+            s3 = b.s3 = b.s3 + res
+            w3 = b.w3 = b.w3 + (r + 1) * res
+            m = window_kink = 2 * n + r + 1
             d = m * (m + 1) * (2 * m + 1) / 6.0
-            k_stat = (b.w1 + b.w2 + b.w3 + n * b.s2 + 2 * n * b.s3) / d
-            window_kink = m
+            k_stat = (b.w1 + b.w2 + w3 + n * b.s2 + 2 * n * s3) / d
 
-        event = None
-        if j_stat is not None and abs(j_stat) >= self.config.rho_jump:
-            event = DetectionEvent(
-                time=abs_index,
-                kind=ChangeKind.JUMP,
-                stat_value=abs(j_stat),
-                threshold=self.config.rho_jump,
-            )
-        elif k_stat is not None and abs(k_stat) >= self.config.rho_kink:
-            event = DetectionEvent(
-                time=abs_index,
-                kind=ChangeKind.KINK,
-                stat_value=abs(k_stat),
-                threshold=self.config.rho_kink,
-            )
-        if event is not None:
-            self.stopped = event
-        snap = StatSnapshot(
-            t=t,
-            j_stat=j_stat,
-            k_stat=k_stat,
-            window_jump=window_jump,
-            window_kink=window_kink,
-        )
+        snap = tuple.__new__(StatSnapshot, (t, j_stat, k_stat, window_jump, window_kink))
+        config = self.config
+        if j_stat is not None and abs(j_stat) >= config.rho_jump:
+            kind, stat, rho = ChangeKind.JUMP, j_stat, config.rho_jump
+        elif k_stat is not None and abs(k_stat) >= config.rho_kink:
+            kind, stat, rho = ChangeKind.KINK, k_stat, config.rho_kink
+        else:
+            return snap, None
+        event = self.stopped = DetectionEvent(abs_index, kind, abs(stat), rho)
         return snap, event
 
 
@@ -215,7 +201,8 @@ class RunResult:
 
     ``event`` is None when nothing crossed; ``alarm_time`` then equals
     the horizon so downstream risk computations can map no-detection to
-    the end of the stream.
+    the end of the stream.  With a trace, ``residuals`` holds those of
+    observations k+1..n against the pre-change line.
     """
 
     event: Optional[DetectionEvent]
@@ -223,6 +210,7 @@ class RunResult:
     prechange: Union[PrechangeFit, KnownPrechange]
     trace: Optional[List[StatSnapshot]] = None
     scaling: Optional[Tuple[float, float]] = None
+    residuals: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @property
     def detected(self) -> bool:
@@ -282,10 +270,11 @@ def _traced_event(resid, k, config):
     j, kk = batch_stats(resid[None, :], config.n_jump, config.n_kink)
     (step,), (code,) = batch_alarms(j, kk, config.rho_jump, config.rho_kink)
     stop = min(int(step), resid.size)
+    clock = np.arange(1, stop + 1)
     cols = [s[0, :stop].tolist() if s is not None else [None] * stop for s in (j, kk)]
-    cols += [[2 * m + t % m + 1 for t in range(1, stop + 1)] if m else [None] * stop
+    cols += [(2 * m + clock % m + 1).tolist() if m else [None] * stop
              for m in (config.n_jump, config.n_kink)]
-    trace = [StatSnapshot(t, *row) for t, row in enumerate(zip(*cols), start=1)]
+    trace = list(map(tuple.__new__, repeat(StatSnapshot), zip(clock.tolist(), *cols)))
     stat = cols[0 if code == 1 else 1][stop - 1] if code else None
     return _event(k, step, code, stat, config), trace
 
@@ -303,11 +292,10 @@ def run(
     monitor k+1..end on the batch kernel and stop at the first threshold
     crossing; event and trace equal ``DetectorState.step``'s bit for bit."""
     resid, n, pc, scaling = _prepare(series, k, prechange, time_unit, standardize_first)
-    if collect_trace:
-        event, trace = _traced_event(resid, k, config)
-    else:
-        event, trace = _first_event(resid, k, config), None
-    return RunResult(event=event, horizon=n, prechange=pc, trace=trace, scaling=scaling)
+    if not collect_trace:
+        return RunResult(_first_event(resid, k, config), n, pc, scaling=scaling)
+    event, trace = _traced_event(resid, k, config)
+    return RunResult(event, n, pc, trace, scaling, resid)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .calibration import CalibrationResult
-from .detector import DetectorConfig
+from .detector import DetectorConfig, RunResult
 from .errors import FileFormatError
 from .signal import NoiseSpec, SignalParams
 
@@ -293,25 +293,29 @@ def _parse_rows(lines: Sequence[str], path: str) -> np.ndarray:
     return np.array(fields_read).reshape(-1, n_cols)
 
 
-def write_trace(path: str, rows: Sequence[Tuple], config: DetectorConfig) -> None:
-    """Statistic trace CSV, one row per monitored observation.
+def write_trace(path: str, series: np.ndarray, k: int, result: RunResult,
+                config: DetectorConfig) -> None:
+    """Statistic trace CSV of ``run(series, k, config, collect_trace=True)``,
+    one row per monitored observation.
 
-    ``rows`` entries are (index, observation, residual, j_stat, k_stat,
-    alarm_flag, kind_or_None); thresholds are repeated per row so the
-    file stands alone for plotting.
+    A statistic that is off has empty cells; thresholds are repeated per
+    row so the file stands alone for plotting; the last row carries the
+    event, if any.
     """
-
-    def fmt(v) -> str:
-        return "" if v is None else repr(float(v))
-
+    trace, event = result.trace, result.event
+    stop = len(trace)
+    _, j_stat, k_stat, _, _ = zip(*trace)
+    stats = [("",) * stop if stat[0] is None else stat for stat in (j_stat, k_stat)]
+    alarm = ["0,"] * stop
+    if event is not None:
+        alarm[-1] = "1," + str(event.kind)
+    rho = f"{config.rho_jump!r},{config.rho_kink!r}"
     lines = [_header("trace"),
              "index,observation,residual,j_stat,k_stat,rho_jump,rho_kink,alarm,kind"]
-    rho_j, rho_k = repr(config.rho_jump), repr(config.rho_kink)
-    for idx, obs, resid, j, k, alarm, kind in rows:
-        lines.append(
-            f"{idx},{repr(float(obs))},{repr(float(resid))},{fmt(j)},{fmt(k)},"
-            f"{rho_j},{rho_k},{int(alarm)},{kind if kind else ''}"
-        )
+    # a float's str is its shortest round-trip repr
+    lines += [f"{index},{x},{resid},{j},{kk},{rho},{flag}" for index, x, resid, j, kk, flag
+              in zip(range(k + 1, k + stop + 1), series[k:k + stop].tolist(),
+                     result.residuals[:stop].tolist(), *stats, alarm)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

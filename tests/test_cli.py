@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -9,11 +10,14 @@ from linewatch import (
     NoiseSpec,
     SignalParams,
     change_index,
+    fit_ols,
     generate_series,
     run,
 )
 from linewatch.cli import main
 from linewatch.fileformats import read_kv, read_series, write_kv, write_series
+
+from oracles import step_run
 
 
 def _write_config(tmp_path, name="cfg.txt", **kv):
@@ -89,6 +93,33 @@ def test_detect_trace_reruns_byte_identical(tmp_path, capsys):
     main(["detect", "--input", data, "--config", cfg, "--k", "500", "--trace", t2])
     capsys.readouterr()
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
+def test_detect_trace_rows_match_the_stepped_detector(tmp_path, capsys):
+    """Each row holds an observation, its residual against the fitted
+    line, the stepped detector's statistics (an empty cell for one that
+    is off) and, on the last row, the alarm."""
+    scen = _write_scenario(tmp_path)
+    data = str(tmp_path / "jump.csv")
+    main(["simulate", "--scenario", scen, "--out", data])
+    cfg = _write_config(tmp_path, n_kink="none", rho_kink="inf")
+    out = tmp_path / "trace.csv"
+    assert main(["detect", "--input", data, "--config", cfg, "--k", "500",
+                 "--trace", str(out)]) == 0
+    capsys.readouterr()
+    values, _ = read_series(data)
+    event, trace = step_run(values, 500, DetectorConfig(2, None, 1.5, math.inf))
+    line = fit_ols(values[:500])
+    want = ["# linewatch trace v1",
+            "index,observation,residual,j_stat,k_stat,rho_jump,rho_kink,alarm,kind"]
+    for snap in trace:
+        index = 500 + snap.t
+        x = float(values[index - 1])
+        alarm = "1,jump" if index == event.time else "0,"
+        want.append(f"{index},{x!r},{x - line.predict_at_index(index)!r},"
+                    f"{snap.j_stat!r},,1.5,inf,{alarm}")
+    assert event.time == 521 and len(trace) == 21
+    assert out.read_text() == "\n".join(want) + "\n"
 
 
 def test_detect_sigma_with_known_line_matches_run(tmp_path, capsys):

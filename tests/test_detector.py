@@ -1,5 +1,6 @@
 import math
 import struct
+from typing import Optional, get_type_hints
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from linewatch import (
     ChangeKind,
+    DetectionEvent,
     DetectorConfig,
     DetectorState,
     DetectorStoppedError,
@@ -20,6 +22,7 @@ from linewatch import (
     multi_bin_run,
     run,
     save_state,
+    StatSnapshot,
     theorem_scale_config,
 )
 from linewatch.detector import _SNAP_FMT, SNAPSHOT_SIZE
@@ -218,6 +221,15 @@ def test_trace_collection():
     result = run(series, 10, config, collect_trace=True)
     assert len(result.trace) == 40
     assert [s.t for s in result.trace] == list(range(1, 41))
+    assert result.residuals.size == 40 and run(series, 10, config).residuals is None
+
+
+def test_trace_residuals_are_predict_at_index_residuals():
+    series = np.random.default_rng(3).standard_normal(80) + 0.05 * np.arange(80)
+    result = run(series, 30, DetectorConfig(3, 3, 4.0, 4.0), collect_trace=True)
+    line = result.prechange
+    want = [series[i - 1] - line.predict_at_index(i) for i in range(31, 81)]
+    assert result.residuals.tolist() == want
 
 
 def test_snapshot_roundtrip_bitexact_and_fixed_size():
@@ -305,6 +317,124 @@ def test_snapshot_preserves_fitted_prechange_and_event():
     assert clone.prechange.beta_hat == result.prechange.beta_hat
     with pytest.raises(DetectorStoppedError):
         clone.step(0.0)
+
+
+def test_stat_snapshot_is_an_immutable_named_tuple():
+    state = DetectorState(DetectorConfig(2, None), KnownPrechange(0.0, 0.0), 0)
+    snap, _ = state.step(3.0)
+    assert repr(snap) == (
+        "StatSnapshot(t=1, j_stat=0.5, k_stat=None, window_jump=6, window_kink=None)")
+    assert [type(v) for v in snap] == [int, float, type(None), int, type(None)]
+    assert snap == StatSnapshot(1, 0.5, None, 6, None)
+    assert snap != StatSnapshot(2, 0.5, None, 6, None)
+    assert hash(snap) == hash(StatSnapshot(1, 0.5, None, 6, None))
+    assert snap == (1, 0.5, None, 6, None)  # a tuple: iterable, equal to its fields
+    for field in StatSnapshot._fields:
+        with pytest.raises(AttributeError):
+            setattr(snap, field, 0)
+    assert get_type_hints(StatSnapshot) == {
+        "t": int, "j_stat": Optional[float], "k_stat": Optional[float],
+        "window_jump": Optional[int], "window_kink": Optional[int]}
+
+
+# A snapshot written before StatSnapshot became a named tuple: bins
+# 5/7, thresholds 1.0/0.3, a line fitted on sin(1..40) with time unit
+# 400, offset 40, after the observations sin(i) + 0.1 cos(3i), i = 41..250.
+_OLD_SNAPSHOT = bytes.fromhex(
+    "4c57534e4150303105000000000000000700000000000000000000000000f03f333333333333d33f"
+    "01900100000000000000280000000000000081153ea624e7a53f18dba307ab5bb73f3d0ad7a3703d"
+    "aa3ff65bd3230f4ca83f75931804560ea13fc1dc768053e6683f4c3f43d8d8583440aba20769676a"
+    "e73fd2000000000000002800000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000006c6646c11b71e6bfac14d7155aeae73f8ac314734831f2bf0000000000"
+    "000000000000000000000000000000000000000000000000000000c802c88ab276edbf325a91d484"
+    "47f3bf8ac314734831f2bfb0b96079bf8e014004faa443c1fff4bf8ac314734831f2bf")
+
+
+def test_old_snapshot_resumes_with_the_same_bits():
+    """It resumes on sin(i) for i = 251..269 and sin(i) + 2 from 270, to
+    the statistics (float.hex) it gave when it was written."""
+    state = load_state(_OLD_SNAPSHOT)
+    assert len(_OLD_SNAPSHOT) == SNAPSHOT_SIZE == 276
+    assert save_state(state) == _OLD_SNAPSHOT
+    steps = []
+    for i in range(251, 300):
+        snap, event = state.step(math.sin(i) + (0.0 if i < 270 else 2.0))
+        steps.append((snap.t, _bits(snap.j_stat), _bits(snap.k_stat),
+                      snap.window_jump, snap.window_kink))
+        if event is not None:
+            break
+    assert len(steps) == 25
+    assert steps[:2] + steps[-2:] == [
+        (211, "-0x1.0226e99c07439p-3", "-0x1.576283ed122fcp-6", 12, 16),
+        (212, "-0x1.37e1ba0f25e0bp-4", "-0x1.9c70c0cd17060p-7", 13, 17),
+        (234, "0x1.229bfee8d7ee4p-1", "0x1.22d43a9453af7p-4", 15, 18),
+        (235, "0x1.02957f2484f72p+0", "0x1.14b3032994b37p-4", 11, 19),
+    ]
+    assert event == DetectionEvent(275, ChangeKind.JUMP, 1.0100936378630334, 1.0)
+    assert _bits(event.stat_value) == "0x1.02957f2484f72p+0"
+
+
+@st.composite
+def _stepping_cases(draw):
+    """(config, prechange, offset, observations) for the live detector:
+    bin sizes 1..30 with a statistic possibly off, known or fitted
+    lines, time units, and NaN or +-inf observations."""
+    n_jump = draw(st.one_of(st.none(), st.integers(1, 30)))
+    n_kink = draw(st.integers(1, 30) if n_jump is None
+                  else st.one_of(st.none(), st.integers(1, 30)))
+    config = DetectorConfig(n_jump, n_kink, draw(st.sampled_from([0.8, 1.5, math.inf])),
+                            draw(st.sampled_from([0.1, 0.4, math.inf])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = draw(st.sampled_from([1, 7, 1000]))
+    prechange = (KnownPrechange(-1.5, 0.3, time_unit=unit) if draw(st.booleans())
+                 else fit_ols(rng.standard_normal(20), time_unit=unit))
+    xs = rng.standard_normal(draw(st.integers(1, 400)))
+    xs[draw(st.integers(0, xs.size)):] += draw(st.sampled_from([0.0, 1.0, 4.0]))
+    for _ in range(draw(st.integers(0, 2))):
+        xs[draw(st.integers(0, xs.size - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    return config, prechange, draw(st.integers(0, 50)), xs.tolist()
+
+
+def _stepped(state, xs):
+    """Snapshot and event bits of each step up to the first alarm."""
+    out = []
+    for x in xs:
+        snap, event = state.step(x)
+        out.append((snap.t, _bits(snap.j_stat), _bits(snap.k_stat), snap.window_jump,
+                    snap.window_kink, event, event and _bits(event.stat_value)))
+        if event is not None:
+            with pytest.raises(DetectorStoppedError):
+                state.step(0.0)
+            break
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stepping_cases(), st.data())
+def test_snapshot_split_resumes_like_an_unbroken_run(case, data):
+    config, prechange, offset, xs = case
+    unbroken = _stepped(DetectorState(config, prechange, offset), xs)
+    split = data.draw(st.integers(0, len(unbroken)))
+    state = DetectorState(config, prechange, offset)
+    head = _stepped(state, xs[:split])
+    if head and head[-1][5] is not None:  # stopped before the split
+        return
+    blob = save_state(state)
+    assert len(blob) == SNAPSHOT_SIZE
+    assert head + _stepped(load_state(blob), xs[split:]) == unbroken
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stepping_cases(), st.data())
+def test_alarm_at_step_t_depends_only_on_the_observations_up_to_t(case, data):
+    config, prechange, offset, xs = case
+    t = data.draw(st.integers(0, len(xs)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    other = xs[:t] + (rng.standard_normal(len(xs) - t) * 50.0).tolist()
+    first = _stepped(DetectorState(config, prechange, offset), xs)
+    second = _stepped(DetectorState(config, prechange, offset), other)
+    assert first[:t] == second[:t]
 
 
 def test_theorem_scale_config_plugin_arithmetic():

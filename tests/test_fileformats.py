@@ -135,6 +135,7 @@ def _same_parse(raw, parse=parse_series):
     ("value\n1\n\n2\n", True),  # an empty line among the data
     ("1\n   \n2\n", False),  # a blank line with spaces
     ("1\n# note\n2\n", False),
+    ("1\n2\n# trailing note\n", False),
     ("1_000\n2\n", False),
     ("\uff11\uff12\n3\n", False),  # full-width digits
     ("nan\ninf\n-inf\n1e400\n4.9e-324\n-nan\n+Infinity\n", True),
