@@ -17,8 +17,10 @@ working directory and each demo in a directory of its own:
   a known line, from stdin, and on copies of the CSV that end in a
   comment line or hold a malformed row near the end (exit 3);
 - ``detect --sigma --standardize`` (exit 2);
-- ``calibrate`` in FA mode (joint) and in ARL mode (jump only), and
-  ``detect`` with the FA calibration file as its config;
+- ``calibrate`` in FA mode (joint) and in ARL mode (jump only), in FA
+  mode for the kink alone on standardized Student-t noise, and jointly
+  at horizon 513, whose 512 monitored steps end on the first segment
+  edge; and ``detect`` with the FA calibration file as its config;
 - ``experiment`` for every study name, at small fixed sizes and seed;
 - every script in ``demos/``.
 
@@ -49,6 +51,11 @@ FILES = {
               "k = 200\nn_jump = 10\nn_kink = 10\nmaster_seed = 3\n"),
     "arl.kv": ("mode = arl\nwhich = jump\nreplications = 1000\nhorizon = 300\nk = 200\n"
                "n_jump = 10\nmaster_seed = 4\n"),
+    "fa_kink_t.kv": ("mode = fa\nwhich = kink\nreplications = 1000\neta = 0.3\nhorizon = 700\n"
+                     "k = 150\nn_kink = 12\nnoise = student_t\ndf = 3\nstandardize = true\n"
+                     "master_seed = 5\n"),
+    "fa_edge.kv": ("mode = fa\nwhich = both\nreplications = 1000\neta = 0.5\nhorizon = 513\n"
+                   "k = 200\nn_jump = 8\nn_kink = 8\nmaster_seed = 6\n"),
 }
 DETECT = ["detect", "--config", "config.kv", "--k", "5000"]
 EXPERIMENTS = ("table2", "table3", "table5", "rates", "types")
@@ -87,6 +94,10 @@ def _cases(root: str):
         "--sigma", "1.0", "--standardize"], 2, None
     yield "calibrate fa", cli + ["calibrate", "--spec", "fa.kv", "--out", "cal_fa.kv"], 0, None
     yield "calibrate arl", cli + ["calibrate", "--spec", "arl.kv", "--out", "cal_arl.kv"], 0, None
+    yield "calibrate fa kink student_t standardized", cli + [
+        "calibrate", "--spec", "fa_kink_t.kv", "--out", "cal_kink_t.kv"], 0, None
+    yield "calibrate fa horizon 513", cli + [
+        "calibrate", "--spec", "fa_edge.kv", "--out", "cal_edge.kv"], 0, None
     yield "detect calibrated", cli + ["detect", "--input", "data.csv", "--config",
                                       "cal_fa.kv", "--k", "5000", "--standardize"], 0, None
     for name in EXPERIMENTS:

@@ -1,12 +1,13 @@
 """Monte Carlo threshold tuning.
 
-Null streams (zero line plus noise) are replayed through the same
-statistics as production monitoring, including the startup transient;
-per-replication maxima of |J| and |K| over the monitored range are
-collected, and thresholds are read off as empirical quantiles.
+Null streams (zero line plus noise) run through the engine's Monte
+Carlo driver with its running-max reduction: each replication keeps its
+max |J| and |K| over the monitored range, startup transient included,
+as it goes segment by segment, and thresholds are read off as
+empirical quantiles.
 
 Conventions: a stream with the change nominally at monitoring step
-``horizon`` is simulated for k + horizon observations and monitored
+``horizon`` is drawn for k + horizon - 1 observations and monitored
 over steps 1..horizon-1, so an alarm strictly before the change counts
 as a false alarm.  The threshold at level eta is the
 ceil((1 - eta) * r)-th order statistic of the maxima.  Average run
@@ -24,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .detector import DetectorConfig
-from .engine import batch_residuals, batch_stats, chunked_replications, noise_matrix
+from .engine import replicate, segment_maxima
 from .errors import CalibrationResolutionError
 from .prechange import KnownPrechange, _check_time_unit
 from .signal import NoiseSpec
@@ -87,11 +88,6 @@ class NullMaxima:
     jump: Optional[np.ndarray]
     kink: Optional[np.ndarray]
 
-    @property
-    def replications(self) -> int:
-        arr = self.jump if self.jump is not None else self.kink
-        return 0 if arr is None else arr.shape[0]
-
 
 @dataclass(frozen=True)
 class CalibrationResult:
@@ -129,38 +125,17 @@ class CalibrationResult:
 def _null_maxima_for_bins(
     spec: CalibrationSpec, bins: Sequence[Tuple[Optional[int], Optional[int]]]
 ) -> List[Tuple[Optional[np.ndarray], Optional[np.ndarray]]]:
-    """Maxima of |J| / |K| per (n_jump, n_kink) pair on shared streams."""
-    r = spec.replications
-    total = spec.k + spec.horizon
+    """Maxima of |J| / |K| per (n_jump, n_kink) pair on shared streams:
+    the engine driver with the running-max reduction."""
     t_mon = spec.horizon - 1
-    out: List[Tuple[Optional[np.ndarray], Optional[np.ndarray]]] = [
-        (
-            np.zeros(r) if nj is not None else None,
-            np.zeros(r) if nk is not None else None,
-        )
-        for (nj, nk) in bins
-    ]
     if t_mon == 0:
-        return out
-
-    def worker(lo: int, hi: int) -> None:
-        x = noise_matrix(spec.noise, spec.master_seed, lo, hi, total)
-        resid = batch_residuals(
-            x,
-            spec.k,
-            time_unit=spec.time_unit,
-            prechange=spec.prechange,
-            standardize_first=spec.standardize,
-        )[:, :t_mon]
-        for (nj, nk), (jmax, kmax) in zip(bins, out):
-            j, kk = batch_stats(resid, nj, nk)
-            if jmax is not None:
-                jmax[lo:hi] = np.abs(j).max(axis=1)
-            if kmax is not None:
-                kmax[lo:hi] = np.abs(kk).max(axis=1)
-
-    chunked_replications(r, total, worker)
-    return out
+        return [tuple(None if n is None else np.zeros(spec.replications) for n in pair)
+                for pair in bins]
+    maxima = iter(replicate(
+        spec.noise, spec.master_seed, spec.replications, spec.k, spec.k + spec.horizon,
+        lambda rows, residuals: segment_maxima(rows, t_mon, bins, residuals),
+        time_unit=spec.time_unit, prechange=spec.prechange, standardize_first=spec.standardize))
+    return [tuple(None if n is None else next(maxima) for n in pair) for pair in bins]
 
 
 def simulate_null_maxima(spec: CalibrationSpec) -> NullMaxima:

@@ -400,6 +400,8 @@ def save_state(state: DetectorState) -> bytes:
     cfg = state.config
     pc = state.prechange
     ts_kind, ts_n = (0, 0) if pc.time_unit == 1 else (1, pc.time_unit)
+    if ts_n >= 2**63:
+        raise ValueError(f"time unit {pc.time_unit} exceeds the LWSNAP01 limit of 2**63 - 1")
     if isinstance(pc, PrechangeFit):
         pc_kind = 0
         pc_vals = (pc.k, pc.alpha_hat, pc.beta_hat, pc.mean_t, pc.mean_x,

@@ -18,16 +18,18 @@ and their rounding error depends on N, not on the stream length.
 
 ``batch_stats`` can carry the bins (``BatchBins``) from the end of one
 piece of a stream to the start of the next, so a stream advanced piece
-by piece gives the same statistics as one pass.  ``segment_alarms``
-uses that to monitor rows in doubling segments and retire each row
-once it has crossed: ``detector.run`` replays one series up to its
-first alarm on it, and ``first_alarms`` stops Monte Carlo replications
-at theirs, drawing only the segments a row still needs.  Generator
-draws are split-invariant, so the rows see the same noise as one
-full-horizon draw.
+by piece gives the same statistics as one pass.  One segment loop uses
+that to monitor rows in doubling segments, with two reductions:
+``segment_alarms`` retires each row at its first crossing (for
+``detector.run`` and for ARL and delay runs), and ``segment_maxima``
+keeps each row's running max |J| and |K| (for calibration).
 
-Replication fan-out is chunked; chunks may be dispatched to a thread
-pool (LINEWATCH_THREADS) and write disjoint output slices, so results
+``replicate`` is the one Monte Carlo driver: per replication chunk it
+draws (``noise_matrix``), fits the pre-change line, and hands a
+reduction the residuals (``batch_residuals``) of each segment it asks
+for.  Generator draws are split-invariant, so every row sees the same
+noise as one full-horizon draw and only draws the steps it monitors.
+Chunks may be dispatched to a thread pool (LINEWATCH_THREADS); results
 do not depend on completion order.
 """
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,25 +54,17 @@ __all__ = [
     "batch_residuals",
     "batch_stats",
     "chunked_replications",
-    "default_threads",
     "first_alarms",
     "noise_matrix",
+    "replicate",
     "segment_alarms",
+    "segment_maxima",
 ]
 
 _CHUNK_ELEMENTS = 4_000_000
-# Monitored steps in the first early-exit segment; each later segment
-# is twice as long as the one before it.
+# Monitored steps in the first segment of the segment loop; each later
+# segment is twice as long as the one before it.
 _FIRST_SEGMENT = 512
-
-
-def default_threads() -> int:
-    """Worker count for replication fan-out (env LINEWATCH_THREADS)."""
-    raw = os.environ.get("LINEWATCH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -267,63 +261,43 @@ class _Line:
             self.beta = np.full(rows, prechange.beta)
             self.time_unit = prechange.time_unit
 
-    def residuals(self, x, first_index, rows: Union[slice, np.ndarray] = slice(None)):
-        """Residuals of observation columns ``x`` at indices
-        ``first_index ..`` for the given rows of the block."""
-        if self.mean is not None:
-            x = (x - self.mean[rows]) / self.sd[rows]
-        times = np.arange(first_index, first_index + x.shape[1]) / self.time_unit
-        return x - (self.alpha[rows, None] + self.beta[rows, None] * times[None, :])
+
+def batch_residuals(line: _Line, x: np.ndarray, first_index: int,
+                    rows: Union[slice, np.ndarray] = slice(None)) -> np.ndarray:
+    """The residual stage of ``replicate``: residuals of observation
+    columns ``x`` at indices ``first_index ..`` against the lines of the
+    given rows of ``line``'s block."""
+    if line.mean is not None:
+        x = (x - line.mean[rows]) / line.sd[rows]
+    times = np.arange(first_index, first_index + x.shape[1]) / line.time_unit
+    return x - (line.alpha[rows, None] + line.beta[rows, None] * times[None, :])
 
 
-def batch_residuals(
-    x: np.ndarray,
-    k: int,
-    time_unit: int = 1,
-    prechange: Optional[KnownPrechange] = None,
-    standardize_first: bool = False,
-) -> np.ndarray:
-    """Residuals of the monitored segment for a (replications, k + T)
-    observation matrix at times index / ``time_unit``; the pre-change
-    line is fitted per row on the first k columns unless ``prechange``
-    is given (a known line keeps its own time unit)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    total = x.shape[1]
-    if total <= k:
-        raise ValueError(f"stream length {total} must exceed history {k}")
-    line = _Line(x[:, :k], time_unit, prechange, standardize_first)
-    return line.residuals(x[:, k:], k + 1)
-
-
-def noise_matrix(
-    noise: NoiseSpec, master_seed: int, first: int, last: int, T: int
-) -> np.ndarray:
-    """Noise rows for replication indices [first, last), each drawn from
-    its own deterministic per-replication stream."""
-    out = np.empty((last - first, T))
-    for row, rep in enumerate(range(first, last)):
-        rng = np.random.default_rng(replication_seed(master_seed, rep))
-        out[row] = noise.draw(rng, T)
+def noise_matrix(noise: NoiseSpec, rngs: Sequence[np.random.Generator], length: int) -> np.ndarray:
+    """The draw stage of ``replicate``: the next ``length`` draws of
+    each generator in ``rngs``, one row per generator."""
+    out = np.empty((len(rngs), length))
+    for row, rng in enumerate(rngs):
+        out[row] = noise.draw(rng, length)
     return out
 
 
-def chunked_replications(
-    replications: int,
-    T: int,
-    worker: Callable[[int, int], None],
-    threads: Optional[int] = None,
-) -> None:
-    """Run ``worker(first, last)`` over replication chunks.
+def chunked_replications(replications: int, T: int, worker: Callable[[int, int], None]) -> None:
+    """Run ``worker(first, last)`` over replication chunks, on
+    LINEWATCH_THREADS worker threads (default 1).
 
     Chunks are sized to bound peak matrix memory; each worker call must
-    write only to rows [first, last) of preallocated outputs, keeping
-    the result independent of scheduling order.
+    touch only the results of rows [first, last), keeping them
+    independent of scheduling order.
     """
     chunk = max(1, _CHUNK_ELEMENTS // max(T, 1))
     spans = [
         (lo, min(lo + chunk, replications)) for lo in range(0, replications, chunk)
     ]
-    n_threads = default_threads() if threads is None else max(1, threads)
+    try:
+        n_threads = max(1, int(os.environ.get("LINEWATCH_THREADS", "1")))
+    except ValueError:
+        n_threads = 1
     if n_threads == 1 or len(spans) == 1:
         for lo, hi in spans:
             worker(lo, hi)
@@ -331,6 +305,20 @@ def chunked_replications(
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         for future in [pool.submit(worker, lo, hi) for lo, hi in spans]:
             future.result()
+
+
+def _segments(rows, T, residuals, visit) -> None:
+    """The segment loop over ``rows`` streams of T steps: for segments of
+    ``_FIRST_SEGMENT``, twice that, ... steps, ``visit(t0, resid,
+    active)`` reduces ``residuals(t0, length, active)``, the steps
+    t0 + 1 .. t0 + length of the rows ``active``, to the rows that go on."""
+    active = np.arange(rows)
+    t0, length = 0, _FIRST_SEGMENT
+    while active.size and t0 < T:
+        length = min(length, T - t0)
+        active = visit(t0, residuals(t0, length, active), active)
+        t0 += length
+        length *= 2
 
 
 def segment_alarms(
@@ -341,31 +329,87 @@ def segment_alarms(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(alarm step, kind, |statistic| at the alarm, NaN if none) per row
     of ``rows`` streams of T steps, as ``batch_alarms`` gives on their
-    full-horizon statistics.  ``residuals(t0, length, active)`` gives
-    steps t0 + 1 .. t0 + length of the rows ``active`` not yet alarmed,
-    in segments of ``_FIRST_SEGMENT``, twice that, ... steps."""
+    full-horizon statistics.  ``residuals`` is as for ``_segments``;
+    a row leaves the loop at its first alarm, so later segments ask
+    only for the rows not yet alarmed."""
     alarm = np.full(rows, T + 1, dtype=np.int64)
     kind = np.zeros(rows, dtype=np.int8)
     value = np.full(rows, np.nan)
-    active = np.arange(rows)
     bins = BatchBins()
-    length = _FIRST_SEGMENT
-    while active.size and bins.t < T:
-        t0 = bins.t
-        length = min(length, T - t0)
-        j, kk = batch_stats(residuals(t0, length, active), config.n_jump, config.n_kink, bins)
+
+    def visit(t0, resid, active):
+        j, kk = batch_stats(resid, config.n_jump, config.n_kink, bins)
         step, code = batch_alarms(j, kk, config.rho_jump, config.rho_kink)
         for crossed, stat in ((1, j), (2, kk)):
             at = np.flatnonzero(code == crossed)
             if at.size:
                 value[active[at]] = np.abs(stat[at, step[at] - 1])
-        hit = step <= length
+        hit = step <= resid.shape[1]
         alarm[active[hit]] = t0 + step[hit]
         kind[active[hit]] = code[hit]
-        active = active[~hit]
         bins.select(~hit)
-        length *= 2
+        return active[~hit]
+
+    _segments(rows, T, residuals, visit)
     return alarm, kind, value
+
+
+def segment_maxima(rows: int, T: int, pairs: Sequence[Tuple[Optional[int], Optional[int]]],
+                   residuals: Callable[[int, int, np.ndarray], np.ndarray]) -> List[np.ndarray]:
+    """Max |J| and max |K| per row of ``rows`` streams of T steps, as
+    their full-horizon statistics give, for each enabled statistic of
+    each (n_jump, n_kink) of ``pairs`` in turn; every row runs every
+    segment, and each pair carries bins of its own."""
+    maxima = [np.zeros(rows) for pair in pairs for n in pair if n is not None]
+    bins = [BatchBins() for _ in pairs]
+
+    def visit(t0, resid, active):
+        stats = [stat for pair, carried in zip(pairs, bins)
+                 for stat in batch_stats(resid, *pair, carried) if stat is not None]
+        for peak, stat in zip(maxima, stats):
+            np.maximum(peak, np.abs(stat).max(axis=1), out=peak)
+        return active
+
+    _segments(rows, T, residuals, visit)
+    return maxima
+
+
+def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, total: int,
+              reduce: Callable[[int, Callable], Sequence[np.ndarray]],
+              signal: Optional[np.ndarray] = None, time_unit: int = 1,
+              prechange: Optional[KnownPrechange] = None,
+              standardize_first: bool = False) -> List[np.ndarray]:
+    """The Monte Carlo driver over replications of up to ``total``
+    observations (noise plus ``signal``, history k).  Per chunk of rows
+    it builds each row's generator, draws the history, fits or takes the
+    line, and joins over the chunks the per-row arrays of ``reduce(rows,
+    residuals)``: ``residuals(t0, length, active)`` draws the next
+    ``length`` observations of the rows ``active`` and gives their
+    residuals at monitoring steps t0 + 1 .. t0 + length."""
+    if total <= k:
+        raise ValueError(f"stream length {total} must exceed history {k}")
+    parts = {}
+
+    def worker(lo: int, hi: int) -> None:
+        rngs = [np.random.default_rng(replication_seed(master_seed, rep))
+                for rep in range(lo, hi)]
+        hist = noise_matrix(noise, rngs, k)
+        if signal is not None:
+            hist += signal[:k]
+        line = _Line(hist, time_unit, prechange, standardize_first)
+
+        def residuals(t0: int, length: int, active: np.ndarray) -> np.ndarray:
+            x = noise_matrix(noise, [rngs[i] for i in active], length)
+            if signal is not None:
+                x += signal[k + t0:k + t0 + length]
+            return batch_residuals(line, x, k + t0 + 1, active)
+
+        parts[lo] = reduce(hi - lo, residuals)
+
+    chunked_replications(replications, total, worker)
+    if not parts:  # no replications: an empty chunk gives the empty arrays
+        worker(0, 0)
+    return [np.concatenate(col) for col in zip(*(parts[lo] for lo in sorted(parts)))]
 
 
 def first_alarms(
@@ -381,35 +425,12 @@ def first_alarms(
     standardize_first: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(alarm step, kind) per replication of ``total`` observations
-    (noise plus ``signal``, history k), as ``batch_alarms`` gives on the
-    full-horizon statistics of the ``batch_residuals`` of the full
-    ``noise_matrix``, but each row stops drawing and monitoring at its
-    first alarm."""
-    if total <= k:
-        raise ValueError(f"stream length {total} must exceed history {k}")
-    T = total - k
-    alarm = np.empty(replications, dtype=np.int64)
-    kind = np.empty(replications, dtype=np.int8)
-    if signal is None:
-        signal = np.zeros(total)
-
-    def worker(lo: int, hi: int) -> None:
-        rngs = [np.random.default_rng(replication_seed(master_seed, rep))
-                for rep in range(lo, hi)]
-        hist = np.empty((hi - lo, k))
-        for row, rng in enumerate(rngs):
-            hist[row] = noise.draw(rng, k)
-        hist += signal[:k]
-        line = _Line(hist, time_unit, prechange, standardize_first)
-
-        def residuals(t0, length, active):
-            x = np.empty((active.size, length))
-            for row, i in enumerate(active):
-                x[row] = noise.draw(rngs[i], length)
-            x += signal[k + t0:k + t0 + length]
-            return line.residuals(x, k + t0 + 1, active)
-
-        alarm[lo:hi], kind[lo:hi], _ = segment_alarms(hi - lo, T, config, residuals)
-
-    chunked_replications(replications, total, worker)
+    (noise plus ``signal``, history k), as ``batch_alarms`` gives on
+    their full-horizon statistics: ``replicate`` with the first-crossing
+    reduction, so each row stops drawing and monitoring at its first
+    alarm."""
+    alarm, kind, _ = replicate(
+        noise, master_seed, replications, k, total,
+        lambda rows, residuals: segment_alarms(rows, total - k, config, residuals),
+        signal, time_unit, prechange, standardize_first)
     return alarm, kind

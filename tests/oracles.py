@@ -6,7 +6,11 @@ explicitly stored window, and regression coefficients come from
 solving the 2x2 normal equations.  The exceptions are ``step_run`` and
 ``step_multi_bin_run``: they monitor one ``DetectorState.step`` per
 observation, the streaming reference that the batch-kernel ``run`` and
-``multi_bin_run`` must reproduce bit for bit.
+``multi_bin_run`` must reproduce bit for bit; and ``noise_matrix``,
+``batch_residuals`` and ``config_alarms``: they draw, fit and monitor
+every replication's full horizon in one matrix, the reference that the
+segmented Monte Carlo driver (``engine.replicate``) must reproduce bit
+for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from linewatch import DetectorState, fit_ols, standardize
+from linewatch import DetectorState, KnownPrechange, NoiseSpec, fit_ols, standardize
+from linewatch import engine
 from linewatch.engine import batch_alarms, batch_stats
+from linewatch.signal import replication_seed
 
 
 def window_stats(
@@ -141,3 +147,44 @@ def config_alarms(resid, config):
     its full-horizon statistics: the reference for ``first_alarms``."""
     j, k = batch_stats(resid, config.n_jump, config.n_kink)
     return batch_alarms(j, k, config.rho_jump, config.rho_kink)
+
+
+def noise_matrix(noise: NoiseSpec, master_seed: int, first: int, last: int,
+                 T: int) -> np.ndarray:
+    """Noise rows for replication indices [first, last), each the first
+    T draws of its own deterministic per-replication stream."""
+    rngs = [np.random.default_rng(replication_seed(master_seed, rep))
+            for rep in range(first, last)]
+    return engine.noise_matrix(noise, rngs, T)
+
+
+def batch_residuals(
+    x: np.ndarray,
+    k: int,
+    time_unit: int = 1,
+    prechange: Optional[KnownPrechange] = None,
+    standardize_first: bool = False,
+) -> np.ndarray:
+    """Residuals of the monitored segment for a (replications, k + T)
+    observation matrix at times index / ``time_unit``; the pre-change
+    line is fitted per row on the first k columns unless ``prechange``
+    is given (a known line keeps its own time unit)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    total = x.shape[1]
+    if total <= k:
+        raise ValueError(f"stream length {total} must exceed history {k}")
+    line = engine._Line(x[:, :k], time_unit, prechange, standardize_first)
+    return engine.batch_residuals(line, x[:, k:], k + 1)
+
+
+def full_horizon_maxima(spec, pairs):
+    """(max |J|, max |K|) per replication for each (n_jump, n_kink) of
+    ``pairs`` over monitoring steps 1 .. horizon - 1 of a calibration
+    spec, from one full-horizon matrix: the reference for the
+    calibration maxima."""
+    x = noise_matrix(spec.noise, spec.master_seed, 0, spec.replications,
+                     spec.k + spec.horizon)
+    resid = batch_residuals(x, spec.k, time_unit=spec.time_unit, prechange=spec.prechange,
+                            standardize_first=spec.standardize)[:, :spec.horizon - 1]
+    return [tuple(None if s is None else np.abs(s).max(axis=1)
+                  for s in batch_stats(resid, nj, nk)) for nj, nk in pairs]

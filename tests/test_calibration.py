@@ -8,6 +8,7 @@ from linewatch import (
     CalibrationSpec,
     DetectorConfig,
     DetectorState,
+    KnownPrechange,
     NoiseSpec,
     calibrate_arl,
     calibrate_joint,
@@ -15,9 +16,10 @@ from linewatch import (
     calibrate_single,
     simulate_null_maxima,
 )
-from linewatch.calibration import ETA_ARL, NullMaxima, _order_statistic
-from linewatch.engine import noise_matrix
+from linewatch.calibration import ETA_ARL, NullMaxima, _null_maxima_for_bins, _order_statistic
 from linewatch.prechange import fit_ols
+
+from oracles import full_horizon_maxima, noise_matrix
 
 GAUSS = NoiseSpec("gaussian", 1.0)
 
@@ -66,6 +68,41 @@ def test_tiny_run_matches_exhaustive_streaming_trace():
             ks.append(abs(snap.k_stat))
         assert mx.jump[rep] == pytest.approx(max(js), rel=1e-9, abs=1e-12)
         assert mx.kink[rep] == pytest.approx(max(ks), rel=1e-9, abs=1e-12)
+
+
+def _assert_maxima_equal_reference(spec, more_pairs):
+    pairs = [(spec.n_jump, spec.n_kink)] + more_pairs
+    want = full_horizon_maxima(spec, pairs)
+    mx = simulate_null_maxima(spec)
+    assert np.array_equal(mx.jump, want[0][0]) and np.array_equal(mx.kink, want[0][1])
+    # the per-pair maxima that calibrate_multi_bin bisects
+    for got, ref in zip(_null_maxima_for_bins(spec, pairs), want):
+        for g, r in zip(got, ref):
+            assert (g is None and r is None) or np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec("gaussian", 1.5),
+                                   NoiseSpec("student_t", df=3.0)],
+                         ids=["gaussian", "student_t"])
+@pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
+@pytest.mark.parametrize("line, time_unit", [
+    (None, 1),
+    (None, 2500),
+    (KnownPrechange(0.1, 0.0005), 1),
+    (KnownPrechange(0.0, 0.5, time_unit=2500), 2500),
+], ids=["fitted_index", "fitted_fraction", "known_index", "known_fraction"])
+def test_null_maxima_equal_full_horizon_reference(noise, standardize, line, time_unit):
+    spec = _spec(replications=23, k=150, horizon=1200, n_jump=8, n_kink=20, noise=noise,
+                 prechange=line, time_unit=time_unit, standardize=standardize)
+    _assert_maxima_equal_reference(spec, [(5, 5), (None, 9), (12, None)])
+
+
+@pytest.mark.parametrize("monitored", [512, 513, 1536, 1537])
+def test_null_maxima_at_segment_edges(monitored):
+    # 512 and 1536 monitored steps end the first two segments, 513 and
+    # 1537 start the next ones
+    spec = _spec(replications=12, k=100, horizon=monitored + 1, n_jump=4, n_kink=6)
+    _assert_maxima_equal_reference(spec, [(3, 3), (40, 40)])
 
 
 def test_order_statistic_conventions():
@@ -221,8 +258,7 @@ def test_arl_5000_threshold_matches_published_value():
 def test_multi_bin_arl_calibration_hits_target_band():
     # scales {2, 40} tuned for an average run length of 500: the
     # resulting multi-bin detector's empirical ARL over 500 null runs
-    from linewatch.engine import batch_residuals
-    from oracles import config_alarms
+    from oracles import batch_residuals, config_alarms
 
     k = 500
     spec = CalibrationSpec(

@@ -319,6 +319,15 @@ def test_snapshot_preserves_fitted_prechange_and_event():
         clone.step(0.0)
 
 
+def test_save_state_rejects_a_time_unit_past_the_snapshot_field():
+    # the unit is accepted without bound, but LWSNAP01 stores it as int64
+    edge = DetectorState(DetectorConfig(2, None), KnownPrechange(0, 0, time_unit=2**63 - 1), 0)
+    assert load_state(save_state(edge)).prechange.time_unit == 2**63 - 1
+    state = DetectorState(DetectorConfig(2, None), KnownPrechange(0, 0, time_unit=2**63), 0)
+    with pytest.raises(ValueError, match=r"time unit 9223372036854775808 .*LWSNAP01"):
+        save_state(state)
+
+
 def test_stat_snapshot_is_an_immutable_named_tuple():
     state = DetectorState(DetectorConfig(2, None), KnownPrechange(0.0, 0.0), 0)
     snap, _ = state.step(3.0)

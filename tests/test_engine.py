@@ -10,18 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linewatch import DetectorConfig, DetectorState, KnownPrechange, NoiseSpec
-from linewatch.engine import (
-    BatchBins,
-    batch_alarms,
-    batch_residuals,
-    batch_stats,
-    first_alarms,
-    noise_matrix,
-)
+from linewatch.engine import BatchBins, batch_alarms, batch_stats, first_alarms
 from linewatch.prechange import fit_ols
 from linewatch.signal import replication_seed
 
-from oracles import config_alarms, first_crossing_alarm
+from oracles import batch_residuals, config_alarms, first_crossing_alarm, noise_matrix
 
 
 def _streaming_stats(res, n_jump, n_kink):
@@ -255,3 +248,10 @@ def test_first_alarms_without_alarm_report_horizon_plus_one():
     alarm, kind = first_alarms(NoiseSpec("gaussian", 1.0), 1, 5, 20, 900, config)
     assert np.array_equal(alarm, np.full(5, 881))
     assert not kind.any()
+
+
+def test_first_alarms_of_no_replications_are_empty():
+    alarm, kind = first_alarms(NoiseSpec("gaussian", 1.0), 1, 0, 20, 900,
+                               DetectorConfig(3, 3, 1.0, 1.0))
+    assert alarm.shape == kind.shape == (0,)
+    assert alarm.dtype == np.int64 and kind.dtype == np.int8

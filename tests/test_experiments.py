@@ -19,10 +19,9 @@ from linewatch import (
     robustness_study,
     type_discrimination_study,
 )
-from linewatch.engine import noise_matrix
 from linewatch.signal import eval_signal_array
 
-from oracles import config_alarms
+from oracles import config_alarms, noise_matrix
 
 GAUSS = NoiseSpec("gaussian", 1.0)
 
@@ -105,7 +104,7 @@ def test_shared_seed_threshold_coupling():
     k, T = 40, 400
     x = noise_matrix(GAUSS, 77, 0, 200, k + T)
     x[:, k + 200:] += 0.8
-    from linewatch.engine import batch_residuals
+    from oracles import batch_residuals
 
     resid = batch_residuals(x, k)
     low, _ = config_alarms(resid, DetectorConfig(4, 4, 0.6, 0.05))
