@@ -8,7 +8,7 @@ one false-alarm budget across the jump and kink statistics.
 from linewatch import (
     CalibrationSpec,
     NoiseSpec,
-    calibrate_arl,
+    calibrate,
     calibrate_joint,
     calibrate_single,
     estimate_arl,
@@ -47,7 +47,7 @@ arl_spec = CalibrationSpec(
     replications=4000, eta=0.5, horizon=1000, k=1000,
     n_jump=10, n_kink=None, noise=NoiseSpec("gaussian", 1.0), master_seed=11,
 )
-arl_cal = calibrate_arl(arl_spec, which="jump")
+arl_cal = calibrate(arl_spec, "jump", arl=True)
 report = estimate_arl(arl_cal.to_config(), NoiseSpec("gaussian", 1.0),
                       k=1000, cap=10000, replications=200, master_seed=99)
 print(f"\nARL target 1000: rho_J = {arl_cal.rho_jump:.3f}; "

@@ -27,13 +27,16 @@ working directory and each demo in a directory of its own:
 A case passes when it exits with the code it expects and its exit
 code, its stdout, its stderr (with each side's root written as
 ``<root>``) and the bytes of every file it writes are the same on both
-sides.  The script prints one line per case and exits with 1 if any
-case fails.
+sides.  The script prints one line per case, and under a case that
+differs, for each differing output the number of its lines that differ
+and the first such line from each side.  It exits with 1 if any case
+fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import shutil
 import subprocess
@@ -148,6 +151,23 @@ def _side(root: str, scratch: str) -> dict:
     return results
 
 
+def _line_diff(base, change) -> str:
+    """How two versions of an output differ: how many of their lines
+    differ, and the first differing line on each side."""
+    if base is None or change is None:
+        return " (only in the base)" if change is None else " (only in the change)"
+    pairs = list(itertools.zip_longest(base.splitlines(keepends=True),
+                                       change.splitlines(keepends=True)))
+    lines = [i for i, (old, new) in enumerate(pairs) if old != new]
+
+    def show(line):
+        return "<no line>" if line is None else line.decode(errors="replace").rstrip("\r\n")
+
+    old, new = pairs[lines[0]]
+    return (f": {len(lines)} of {len(pairs)} lines, the first at line {lines[0] + 1}"
+            f"\n        base:   {show(old)}\n        change: {show(new)}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="base commit (default HEAD)")
@@ -171,12 +191,12 @@ def main(argv=None) -> int:
         elif code != expected[case]:
             problems.append(f"exit code {code} on both sides, expected {expected[case]}")
         if stdout != b_stdout:
-            problems.append("stdout differs")
+            problems.append("stdout differs" + _line_diff(b_stdout, stdout))
         if stderr != b_stderr:
-            problems.append("stderr differs")
+            problems.append("stderr differs" + _line_diff(b_stderr, stderr))
         for name in sorted(set(files) | set(b_files)):
             if files.get(name) != b_files.get(name):
-                problems.append(f"{name} differs")
+                problems.append(f"{name} differs" + _line_diff(b_files.get(name), files.get(name)))
         differing += bool(problems)
         print(f"{'DIFF' if problems else 'same'}  {case}  (exit {code}, base "
               f"{b_seconds:.2f} s, change {seconds:.2f} s)"

@@ -13,7 +13,6 @@ from .calibration import (
     MultiBinCalibration,
     NullMaxima,
     calibrate,
-    calibrate_arl,
     calibrate_joint,
     calibrate_multi_bin,
     calibrate_single,

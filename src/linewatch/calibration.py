@@ -36,7 +36,6 @@ __all__ = [
     "MultiBinCalibration",
     "NullMaxima",
     "calibrate",
-    "calibrate_arl",
     "calibrate_joint",
     "calibrate_multi_bin",
     "calibrate_single",
@@ -275,16 +274,6 @@ def calibrate(
     else:
         result = calibrate_single(spec, which, maxima=maxima, retain_maxima=retain_maxima)
     return replace(result, method=f"arl-{result.method}") if arl else result
-
-
-def calibrate_arl(
-    spec: CalibrationSpec,
-    which: str = "both",
-    maxima: Optional[NullMaxima] = None,
-    retain_maxima: bool = False,
-) -> CalibrationResult:
-    """Tune for an average run length equal to ``spec.horizon``."""
-    return calibrate(spec, which, arl=True, maxima=maxima, retain_maxima=retain_maxima)
 
 
 @dataclass(frozen=True)

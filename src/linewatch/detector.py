@@ -37,6 +37,7 @@ from .prechange import (
     KnownPrechange,
     PrechangeFit,
     _check_time_unit,
+    _residuals,
     fit_ols,
     standardize,
 )
@@ -226,10 +227,7 @@ def _prepare(series, k, prechange, time_unit, standardize_flag):
     _check_time_unit(time_unit)
     x = np.asarray(series, dtype=float)
     n = x.size
-    if prechange is None:
-        if k < 2:
-            raise ValueError(f"need history k >= 2 to fit, got {k}")
-    elif k < 0:
+    if k < 0:
         raise ValueError(f"history length k must be >= 0, got {k}")
     if n <= k:
         raise ValueError(f"series length {n} must exceed history length {k}")
@@ -238,11 +236,10 @@ def _prepare(series, k, prechange, time_unit, standardize_flag):
         x, scaling = standardize(x, k)
     if prechange is None:
         prechange = fit_ols(x[:k], time_unit=time_unit)
-    # predict_at_index's operations over the whole array; NumPy divides
-    # as Python does only while the unit is an exact float
-    index, unit = np.arange(k + 1, n + 1), prechange.time_unit
-    times = index / unit if unit <= 2**53 else np.array([i / unit for i in index.tolist()])
-    return x[k:] - prechange.predict(times), n, prechange, scaling
+        line = prechange.alpha_hat, prechange.beta_hat
+    else:
+        line = prechange.alpha, prechange.beta
+    return _residuals(x[k:], k + 1, *line, prechange.time_unit), n, prechange, scaling
 
 
 def _event(k, step, code, stat, config):

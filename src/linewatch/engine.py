@@ -25,12 +25,15 @@ that to monitor rows in doubling segments, with two reductions:
 keeps each row's running max |J| and |K| (for calibration).
 
 ``replicate`` is the one Monte Carlo driver: per replication chunk it
-draws (``noise_matrix``), fits the pre-change line, and hands a
-reduction the residuals (``batch_residuals``) of each segment it asks
-for.  Generator draws are split-invariant, so every row sees the same
-noise as one full-horizon draw and only draws the steps it monitors.
-Chunks may be dispatched to a thread pool (LINEWATCH_THREADS); results
-do not depend on completion order.
+draws (``noise_matrix``), takes each row's pre-change line from
+``prechange`` (the same fit, standardization and residual arithmetic
+that ``detector.run`` uses, so a row gets the bits ``run`` would give
+its series, whichever rows share its chunk), and hands a reduction the
+residuals (``batch_residuals``) of each segment it asks for.  Generator
+draws are split-invariant, so every row sees the same noise as one
+full-horizon draw and only draws the steps it monitors.  Chunks may be
+dispatched to a thread pool (LINEWATCH_THREADS, a positive integer);
+results do not depend on completion order.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .prechange import KnownPrechange, _check_time_unit
+from .prechange import KnownPrechange, _residuals, _row_lines
 from .signal import NoiseSpec, replication_seed
 
 if TYPE_CHECKING:
@@ -229,48 +232,16 @@ def batch_alarms(
     return alarm, kind
 
 
-class _Line:
-    """Per-row standardization and pre-change line of a replication
-    block, fitted on (or, for a known line, checked against) its
-    history columns."""
-
-    def __init__(self, hist, time_unit, prechange, standardize_first):
-        _check_time_unit(time_unit)
-        rows, k = hist.shape
-        self.mean = self.sd = None
-        if standardize_first:
-            self.mean = hist.mean(axis=1, keepdims=True)
-            self.sd = hist.std(axis=1, ddof=1, keepdims=True)
-            if np.any(self.sd == 0.0):
-                raise ValueError("zero historical variance in some replication")
-            hist = (hist - self.mean) / self.sd
-        if prechange is None:
-            if k < 2:
-                raise ValueError("need k >= 2 to fit the pre-change line")
-            th = np.arange(1, k + 1) / time_unit
-            tbar = th.mean()
-            dt = th - tbar
-            s_tt = dt @ dt
-            xbar = hist.mean(axis=1)
-            s_tx = (hist - xbar[:, None]) @ dt
-            self.beta = s_tx / s_tt
-            self.alpha = xbar - self.beta * tbar
-            self.time_unit = time_unit
-        else:
-            self.alpha = np.full(rows, prechange.alpha)
-            self.beta = np.full(rows, prechange.beta)
-            self.time_unit = prechange.time_unit
-
-
-def batch_residuals(line: _Line, x: np.ndarray, first_index: int,
+def batch_residuals(line, x: np.ndarray, first_index: int,
                     rows: Union[slice, np.ndarray] = slice(None)) -> np.ndarray:
     """The residual stage of ``replicate``: residuals of observation
     columns ``x`` at indices ``first_index ..`` against the lines of the
-    given rows of ``line``'s block."""
-    if line.mean is not None:
-        x = (x - line.mean[rows]) / line.sd[rows]
-    times = np.arange(first_index, first_index + x.shape[1]) / line.time_unit
-    return x - (line.alpha[rows, None] + line.beta[rows, None] * times[None, :])
+    given rows of ``line``'s block, as ``prechange._row_lines`` gives
+    them."""
+    alpha, beta, time_unit, scaling = line
+    if scaling is not None:
+        scaling = tuple(column[rows] for column in scaling)
+    return _residuals(x, first_index, alpha[rows], beta[rows], time_unit, scaling)
 
 
 def noise_matrix(noise: NoiseSpec, rngs: Sequence[np.random.Generator], length: int) -> np.ndarray:
@@ -284,7 +255,8 @@ def noise_matrix(noise: NoiseSpec, rngs: Sequence[np.random.Generator], length: 
 
 def chunked_replications(replications: int, T: int, worker: Callable[[int, int], None]) -> None:
     """Run ``worker(first, last)`` over replication chunks, on
-    LINEWATCH_THREADS worker threads (default 1).
+    LINEWATCH_THREADS worker threads (default 1; any value but a
+    positive integer raises ValueError).
 
     Chunks are sized to bound peak matrix memory; each worker call must
     touch only the results of rows [first, last), keeping them
@@ -294,10 +266,10 @@ def chunked_replications(replications: int, T: int, worker: Callable[[int, int],
     spans = [
         (lo, min(lo + chunk, replications)) for lo in range(0, replications, chunk)
     ]
-    try:
-        n_threads = max(1, int(os.environ.get("LINEWATCH_THREADS", "1")))
-    except ValueError:
-        n_threads = 1
+    raw = os.environ.get("LINEWATCH_THREADS", "1")
+    n_threads = int(raw) if raw.strip().isdigit() else 0
+    if n_threads < 1:
+        raise ValueError(f"LINEWATCH_THREADS must be a positive integer, got {raw!r}")
     if n_threads == 1 or len(spans) == 1:
         for lo, hi in spans:
             worker(lo, hi)
@@ -396,7 +368,7 @@ def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, tot
         hist = noise_matrix(noise, rngs, k)
         if signal is not None:
             hist += signal[:k]
-        line = _Line(hist, time_unit, prechange, standardize_first)
+        line = _row_lines(hist, time_unit, prechange, standardize_first)
 
         def residuals(t0: int, length: int, active: np.ndarray) -> np.ndarray:
             x = noise_matrix(noise, [rngs[i] for i in active], length)

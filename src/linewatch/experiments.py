@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .calibration import CalibrationSpec, calibrate_arl, calibrate_single
+from .calibration import CalibrationSpec, calibrate, calibrate_single
 from .detector import DetectorConfig
 from .engine import first_alarms
 from .prechange import KnownPrechange, _check_time_unit
@@ -470,7 +470,7 @@ def robustness_study(
         bins = (tpl.bin_size, None) if arm is ChangeKind.JUMP else (None, tpl.bin_size)
         spec = CalibrationSpec(
             replications=tpl.calib_replications,
-            eta=0.5,  # replaced by the ARL level inside calibrate_arl
+            eta=0.5,  # calibrate(arl=True) replaces it with the ARL level
             horizon=tpl.target_arl,
             k=tpl.k,
             n_jump=bins[0],
@@ -479,7 +479,7 @@ def robustness_study(
             master_seed=derive_seed(tpl.master_seed, arm_idx, 0),
             standardize=tpl.standardize,
         )
-        cal = calibrate_arl(spec, which=str(arm))
+        cal = calibrate(spec, str(arm), arl=True)
         config = cal.to_config()
         if arm is ChangeKind.JUMP:
             rho_jump = cal.rho_jump

@@ -198,10 +198,10 @@ def calibration_to_kv(result: CalibrationResult) -> Dict[str, str]:
     }
 
 
-def write_series(path: str, values: Sequence[float], start_index: int = 1) -> None:
-    """(index, value) CSV with full-precision decimals."""
+def write_series(path: str, values: Sequence[float]) -> None:
+    """(index, value) CSV, indices from 1, with full-precision decimals."""
     lines = [_header("data"), "index,value"]
-    lines += [f"{start_index + i},{repr(float(v))}" for i, v in enumerate(values)]
+    lines += [f"{i},{repr(float(v))}" for i, v in enumerate(values, 1)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

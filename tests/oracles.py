@@ -23,6 +23,7 @@ import numpy as np
 from linewatch import DetectorState, KnownPrechange, NoiseSpec, fit_ols, standardize
 from linewatch import engine
 from linewatch.engine import batch_alarms, batch_stats
+from linewatch.prechange import _row_lines
 from linewatch.signal import replication_seed
 
 
@@ -173,7 +174,7 @@ def batch_residuals(
     total = x.shape[1]
     if total <= k:
         raise ValueError(f"stream length {total} must exceed history {k}")
-    line = engine._Line(x[:, :k], time_unit, prechange, standardize_first)
+    line = _row_lines(x[:, :k], time_unit, prechange, standardize_first)
     return engine.batch_residuals(line, x[:, k:], k + 1)
 
 

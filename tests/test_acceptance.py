@@ -22,7 +22,7 @@ from linewatch import (
     RobustnessTemplate,
     Scenario,
     SignalParams,
-    calibrate_arl,
+    calibrate,
     calibrate_joint,
     calibrate_single,
     estimate_arl,
@@ -237,7 +237,7 @@ def test_06_table3_arl_reproduction():
         replications=10000, eta=0.5, horizon=1000, k=1000,
         n_jump=10, n_kink=None, noise=GAUSS, master_seed=11,
     )
-    cal = calibrate_arl(spec, which="jump")
+    cal = calibrate(spec, "jump", arl=True)
     rho_ok = 0.58 <= cal.rho_jump <= 0.67
     rep = estimate_arl(cal.to_config(), GAUSS, k=1000, cap=10**4,
                        replications=500, master_seed=987)

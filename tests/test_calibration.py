@@ -10,7 +10,7 @@ from linewatch import (
     DetectorState,
     KnownPrechange,
     NoiseSpec,
-    calibrate_arl,
+    calibrate,
     calibrate_joint,
     calibrate_multi_bin,
     calibrate_single,
@@ -181,7 +181,7 @@ def test_unattainable_eta_raises_resolution_error():
 def test_arl_delegates_to_single_at_fixed_eta():
     spec = _spec(replications=500, horizon=80)
     mx = simulate_null_maxima(spec)
-    via_arl = calibrate_arl(spec, which="jump", maxima=mx)
+    via_arl = calibrate(spec, "jump", arl=True, maxima=mx)
     import dataclasses
 
     direct = calibrate_single(
@@ -193,7 +193,7 @@ def test_arl_delegates_to_single_at_fixed_eta():
 
 def test_arl_delegates_to_joint_for_both():
     spec = _spec(replications=500, horizon=80)
-    via_arl = calibrate_arl(spec, which="both")
+    via_arl = calibrate(spec, "both", arl=True)
     assert math.isfinite(via_arl.rho_jump) and math.isfinite(via_arl.rho_kink)
     assert via_arl.method == "arl-joint"
 
@@ -251,7 +251,7 @@ def test_arl_5000_threshold_matches_published_value():
         replications=10000, eta=0.5, horizon=5000, k=2500,
         n_jump=10, n_kink=None, noise=GAUSS, master_seed=210,
     )
-    cal = calibrate_arl(spec, which="jump")
+    cal = calibrate(spec, "jump", arl=True)
     assert abs(cal.rho_jump - 0.734) <= 0.05
 
 
@@ -287,15 +287,27 @@ def test_threads_do_not_change_results(monkeypatch):
     import linewatch.engine as engine
 
     spec = _spec(replications=300, k=50, horizon=120)
-    # many small chunks so the pool really interleaves work; the chunk
-    # size itself stays fixed (it is part of the deterministic recipe,
-    # BLAS rounding depends on block shape), only scheduling varies
+    # many small chunks so the pool really interleaves work
     monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 5000)
     base = simulate_null_maxima(spec)
     monkeypatch.setenv("LINEWATCH_THREADS", "4")
     threaded = simulate_null_maxima(spec)
     assert np.array_equal(base.jump, threaded.jump)
     assert np.array_equal(base.kink, threaded.kink)
+
+
+def test_chunk_size_does_not_change_results(monkeypatch):
+    import linewatch.engine as engine
+
+    # each row's fit uses row reductions only, so the rows sharing its
+    # chunk (here 300, 29 and 2 to a chunk) cannot change its bits
+    spec = _spec(replications=300, k=50, horizon=120)
+    whole = simulate_null_maxima(spec)
+    for elements in (5000, 340):
+        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", elements)
+        chunked = simulate_null_maxima(spec)
+        assert np.array_equal(whole.jump, chunked.jump)
+        assert np.array_equal(whole.kink, chunked.kink)
 
 
 def test_retained_maxima_allow_recalibration():

@@ -233,6 +233,28 @@ def test_exit_code_2_on_argument_errors(tmp_path, capsys):
     assert code == 2  # alpha without beta
 
 
+def test_detect_k_1_cannot_fit(tmp_path, capsys):
+    data = str(tmp_path / "d.csv")
+    write_series(data, np.arange(10.0))
+    code = main(["detect", "--input", data, "--config", _write_config(tmp_path), "--k", "1"])
+    assert capsys.readouterr().err == "error: need history k >= 2 to fit, got 1\n"
+    assert code == 2
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, monkeypatch, threads):
+    spec_path = str(tmp_path / "spec.txt")
+    write_kv(spec_path, "calibration-spec", {
+        "mode": "fa", "which": "jump", "horizon": "50", "k": "30", "n_jump": "3",
+        "replications": "20",
+    })
+    monkeypatch.setenv("LINEWATCH_THREADS", threads)
+    code = main(["calibrate", "--spec", spec_path, "--out", str(tmp_path / "cal.txt")])
+    assert capsys.readouterr().err == (
+        f"error: LINEWATCH_THREADS must be a positive integer, got {threads!r}\n")
+    assert code == 2
+
+
 def test_exit_code_3_on_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3,zebra\n")

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linewatch import DetectorConfig, DetectorState, KnownPrechange, NoiseSpec
-from linewatch.engine import BatchBins, batch_alarms, batch_stats, first_alarms
+from linewatch import DetectorConfig, DetectorState, KnownPrechange, NoiseSpec, run
+from linewatch.engine import (BatchBins, batch_alarms, batch_stats, first_alarms, replicate,
+                              segment_alarms)
 from linewatch.prechange import fit_ols
 from linewatch.signal import replication_seed
 
@@ -116,7 +117,7 @@ def test_batch_residuals_match_fit_ols():
         fit = fit_ols(x[row, :k])
         t = np.arange(k + 1, 121)
         expected = x[row, k:] - (fit.alpha_hat + fit.beta_hat * t)
-        assert np.allclose(resid[row], expected, rtol=1e-9, atol=1e-10)
+        assert np.array_equal(resid[row], expected)
 
 
 def test_batch_residuals_fraction_time():
@@ -128,7 +129,18 @@ def test_batch_residuals_fraction_time():
         fit = fit_ols(x[row, :k], time_unit=n)
         t = np.arange(k + 1, n + 1) / n
         expected = x[row, k:] - (fit.alpha_hat + fit.beta_hat * t)
-        assert np.allclose(resid[row], expected, rtol=1e-9, atol=1e-10)
+        assert np.array_equal(resid[row], expected)
+
+
+@pytest.mark.parametrize("unit", [2**53 + 1, 3 * 2**55 + 7, 2**62 + 12345])
+def test_batch_residuals_equal_run_at_huge_time_units(unit):
+    # above 2**53 NumPy would round the unit before dividing; both paths
+    # divide each index exactly, as predict_at_index does
+    k = 20
+    x = np.random.default_rng(9).standard_normal((1, k + 250))
+    line = KnownPrechange(0.25, 1e15, time_unit=unit)
+    traced = run(x[0], k, DetectorConfig(5, 5), prechange=line, collect_trace=True)
+    assert np.array_equal(batch_residuals(x, k, prechange=line)[0], traced.residuals)
 
 
 def test_batch_residuals_known_line_keeps_its_time_unit():
@@ -163,7 +175,7 @@ def test_batch_residuals_standardize_matches_manual():
         fit = fit_ols(z[:k])
         t = np.arange(k + 1, 101)
         expected = z[k:] - (fit.alpha_hat + fit.beta_hat * t)
-        assert np.allclose(resid[row], expected, rtol=1e-9, atol=1e-10)
+        assert np.array_equal(resid[row], expected)
 
 
 def test_noise_matrix_rows_are_per_replication_streams():
@@ -225,6 +237,28 @@ def test_first_alarms_equal_full_horizon_reference(noise, standardize, line, tim
         want = _reference_alarms(noise, 3, 23, k, total, config, signal, **kw)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
+@pytest.mark.parametrize("time_unit", [1, 2500], ids=["index", "fraction"])
+def test_replications_alarm_as_run_does_on_their_series(standardize, time_unit):
+    # each row's fitted line, and so its alarm statistic, has the bits
+    # run() gives the same series, whichever rows share its chunk
+    k, total, reps = 150, 2500, 23
+    noise = NoiseSpec("gaussian", 1.5)
+    signal = np.where(np.arange(total) >= 1400, 0.8, 0.0)
+    config = DetectorConfig(8, 20, 0.9, 0.1)
+    alarm, kind, value = replicate(
+        noise, 3, reps, k, total,
+        lambda rows, residuals: segment_alarms(rows, total - k, config, residuals),
+        signal, time_unit, standardize_first=standardize)
+    x = noise_matrix(noise, 3, 0, reps, total) + signal
+    for row in range(reps):
+        event = run(x[row], k, config, time_unit=time_unit,
+                    standardize_first=standardize).event
+        assert event is not None and alarm[row] <= total - k
+        assert (event.time, event.stat_value) == (k + alarm[row], value[row])
+        assert event.kind.value == {1: "jump", 2: "kink"}[int(kind[row])]
 
 
 @pytest.mark.parametrize("step", [512, 513, 1536, 1537])

@@ -11,7 +11,7 @@ from linewatch import (
     RobustnessTemplate,
     Scenario,
     SignalParams,
-    calibrate_arl,
+    calibrate,
     estimate_arl,
     estimate_metrics,
     null_run_lengths,
@@ -90,7 +90,7 @@ def test_run_length_roughly_exponential():
     # few-hundred-step average run length
     spec = CalibrationSpec(replications=2000, eta=0.5, horizon=300, k=200,
                            n_jump=10, n_kink=None, noise=GAUSS, master_seed=21)
-    cal = calibrate_arl(spec, which="jump")
+    cal = calibrate(spec, "jump", arl=True)
     lengths, censored = null_run_lengths(
         cal.to_config(), GAUSS, k=200, cap=3000, replications=500, master_seed=22
     )

@@ -51,10 +51,11 @@ def test_fraction_time_fit_matches_oracle():
 
 
 def test_insufficient_and_degenerate_errors():
-    with pytest.raises(InsufficientDataError):
-        fit_ols([1.0])
-    # a horizon so large that consecutive fractions underflow to the
-    # same float collapses the design onto a single abscissa
+    for values in ([1.0], 1.0):
+        with pytest.raises(InsufficientDataError):
+            fit_ols(values)
+    # a horizon so large that the times are subnormal floats leaves
+    # their squared spread no value but zero
     with pytest.raises(SingularDesignError):
         fit_ols([1.0, 2.0, 3.0], time_unit=10**320)
 
@@ -100,3 +101,24 @@ def test_standardized_history_has_unit_moments():
     out, _ = standardize(data, 200)
     assert out[:200].mean() == pytest.approx(0.0, abs=1e-12)
     assert out[:200].std(ddof=1) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("standardize_first", [False, True], ids=["raw", "standardized"])
+@pytest.mark.parametrize("k, time_unit", [(50, 1), (200, 1), (200, 5000)])
+def test_block_fit_is_tiling_invariant_and_equals_fit_ols(standardize_first, k, time_unit):
+    # a replication row gets the same line bits whichever rows it is
+    # fitted with, and the bits fit_ols gives the row on its own
+    from linewatch.prechange import _row_lines
+
+    rows = 1000
+    hist = np.random.default_rng(7).standard_normal((rows, k)) * 1.7 + 0.3
+    alpha, beta, _, _ = _row_lines(hist, time_unit, None, standardize_first)
+    for tile in (1, 3, 333):
+        parts = [_row_lines(hist[lo:lo + tile], time_unit, None, standardize_first)
+                 for lo in range(0, rows, tile)]
+        assert np.array_equal(np.concatenate([p[0] for p in parts]), alpha)
+        assert np.array_equal(np.concatenate([p[1] for p in parts]), beta)
+    for row in range(rows):
+        z = standardize(hist[row], k)[0] if standardize_first else hist[row]
+        fit = fit_ols(z, time_unit=time_unit)
+        assert (fit.alpha_hat, fit.beta_hat) == (alpha[row, 0], beta[row, 0])
