@@ -9,8 +9,9 @@ checked against its parent; pass HEAD~1 once the change is committed)
 is exported with ``git archive`` into a temporary directory, so no
 worktree is registered in the repository.  The change side is the
 working tree as it stands.  Each side runs these cases with
-``PYTHONPATH`` set to its own ``src``, the CLI cases in order in one
-working directory and each demo in a directory of its own:
+``PYTHONPATH`` set to its own ``src`` and with the variables ``ENV``
+gives the case, the CLI cases in order in one working directory and
+each demo in a directory of its own:
 
 - ``simulate`` of a fixed scenario, then ``detect`` on its CSV: plain,
   with ``--trace``, ``--standardize``, ``--split-time``, ``--sigma`` with
@@ -22,6 +23,8 @@ working directory and each demo in a directory of its own:
   at horizon 513, whose 512 monitored steps end on the first segment
   edge; and ``detect`` with the FA calibration file as its config;
 - ``experiment`` for every study name, at small fixed sizes and seed;
+- ``calibrate`` in FA mode (joint) and ``experiment table3`` again, at
+  ``LINEWATCH_THREADS=2`` and into files of their own;
 - every script in ``demos/``.
 
 A case passes when it exits with the code it expects and its exit
@@ -61,6 +64,9 @@ FILES = {
                    "k = 200\nn_jump = 8\nn_kink = 8\nmaster_seed = 6\n"),
 }
 DETECT = ["detect", "--config", "config.kv", "--k", "5000"]
+# Environment variables of the cases that need their own.
+ENV = {"calibrate fa LINEWATCH_THREADS=2": {"LINEWATCH_THREADS": "2"},
+       "experiment table3 LINEWATCH_THREADS=2": {"LINEWATCH_THREADS": "2"}}
 EXPERIMENTS = ("table2", "table3", "table5", "rates", "types")
 
 
@@ -96,6 +102,8 @@ def _cases(root: str):
     yield "detect --sigma --standardize", cli + DETECT + data + [
         "--sigma", "1.0", "--standardize"], 2, None
     yield "calibrate fa", cli + ["calibrate", "--spec", "fa.kv", "--out", "cal_fa.kv"], 0, None
+    yield "calibrate fa LINEWATCH_THREADS=2", cli + [
+        "calibrate", "--spec", "fa.kv", "--out", "cal_fa_2t.kv"], 0, None
     yield "calibrate arl", cli + ["calibrate", "--spec", "arl.kv", "--out", "cal_arl.kv"], 0, None
     yield "calibrate fa kink student_t standardized", cli + [
         "calibrate", "--spec", "fa_kink_t.kv", "--out", "cal_kink_t.kv"], 0, None
@@ -107,6 +115,9 @@ def _cases(root: str):
         yield f"experiment {name}", cli + [
             "experiment", "--name", name, "--out-dir", "reports", "--replications", "20",
             "--calib-replications", "200", "--master-seed", "7"], 0, None
+    yield "experiment table3 LINEWATCH_THREADS=2", cli + [
+        "experiment", "--name", "table3", "--out-dir", "reports_2t", "--replications", "20",
+        "--calib-replications", "200", "--master-seed", "7"], 0, None
     for demo in sorted(os.listdir(os.path.join(root, "demos"))):
         if demo.endswith(".py"):
             yield f"demo {demo}", [sys.executable, os.path.join(root, "demos", demo)], 0, None
@@ -140,7 +151,8 @@ def _side(root: str, scratch: str) -> dict:
         before = _files(workdir)
         t0 = time.perf_counter()
         with open(os.path.join(workdir, stdin) if stdin else os.devnull, "rb") as fh:
-            proc = subprocess.run(argv, cwd=workdir, env=env, stdin=fh, capture_output=True)
+            proc = subprocess.run(argv, cwd=workdir, env=dict(env, **ENV.get(case, {})),
+                                  stdin=fh, capture_output=True)
         seconds = time.perf_counter() - t0
         written = {name: data for name, data in _files(workdir).items()
                    if before.get(name) != data}

@@ -64,7 +64,6 @@ from .signal import (
     SignalParams,
     SyntheticSeries,
     change_index,
-    eval_signal,
     eval_signal_array,
     generate_series,
     replication_seed,

@@ -79,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_input(path: str):
     if path == "-":
-        return ff.parse_series(sys.stdin.read(), path="<stdin>")
+        return ff.parse_series(sys.stdin.buffer.read(), "<stdin>", sys.stdin.encoding,
+                               sys.stdin.errors)
     return ff.read_series(path)
 
 

@@ -14,7 +14,7 @@ where the s's are plain residual sums per bin and the w's weight each
 residual by its 1-based position within its bin.  K is the linearly
 weighted residual mean with weights 1..M across the window; d is
 sum(i^2, i=1..M).  An alarm fires when |J| >= rho_jump (checked first)
-or |K| >= rho_kink.  State size is a constant independent of t.
+or |K| >= rho_kink, never at an infinite threshold; state size is O(1).
 
 ``run`` and ``multi_bin_run`` replay a recorded series on the batch
 kernel (``engine.segment_alarms``), whose statistics equal ``step``'s
@@ -186,9 +186,9 @@ class DetectorState:
 
         snap = tuple.__new__(StatSnapshot, (t, j_stat, k_stat, window_jump, window_kink))
         config = self.config
-        if j_stat is not None and abs(j_stat) >= config.rho_jump:
+        if j_stat is not None and abs(j_stat) >= config.rho_jump and config.rho_jump < math.inf:
             kind, stat, rho = ChangeKind.JUMP, j_stat, config.rho_jump
-        elif k_stat is not None and abs(k_stat) >= config.rho_kink:
+        elif k_stat is not None and abs(k_stat) >= config.rho_kink and config.rho_kink < math.inf:
             kind, stat, rho = ChangeKind.KINK, k_stat, config.rho_kink
         else:
             return snap, None

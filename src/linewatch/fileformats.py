@@ -26,7 +26,8 @@ tau), beta_minus/beta_plus (signal units per unit fraction), n, seed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+import io
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from .errors import FileFormatError
 from .signal import NoiseSpec, SignalParams
 
 FORMAT_VERSION = 1
+# Line breaks of str.splitlines at which a text stream does not split.
+_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 __all__ = [
     "FORMAT_VERSION",
@@ -222,32 +225,46 @@ def read_series(path: str) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     FileFormatError with the offending line number.
     """
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise FileFormatError(str(exc), path=path) from exc
     return parse_series(raw, path)
 
 
-def parse_series(raw: str, path: str = "<data>") -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """``read_series`` on the text of a file.
+def parse_series(raw: Union[str, bytes], path: str = "<data>", encoding: Optional[str] = None,
+                 errors: Optional[str] = None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``read_series`` on the text of a file, or on its bytes, decoded
+    with ``encoding`` and ``errors`` (by default as ``open`` decodes).
 
-    One ``np.loadtxt`` pass reads the lines after the header; it accepts
-    only lines that ``_parse_rows`` reads to the same bits.  Other text
-    (a ``#`` line among the data, ``1_000``, a malformed row) goes to
-    ``_parse_rows``, which reads it or raises the located error.
+    One ``np.loadtxt`` pass reads the lines after the header as a text
+    stream, with no string built per line, unless the text holds a line
+    break that only ``str.splitlines`` knows; it accepts only lines that
+    ``_parse_rows`` reads to the same bits.  Other text (a ``#`` line
+    among the data, ``1_000``, a malformed row) goes to ``_parse_rows``,
+    which reads it or raises the located error.
     """
-    lines = raw.splitlines()
-    found = _preamble(lines, path)
+    if isinstance(raw, str):  # read through its UTF-8 bytes, lone surrogates kept
+        raw, encoding, errors = raw.encode("utf-8", "surrogatepass"), "utf-8", "surrogatepass"
+
+    def text():
+        return io.TextIOWrapper(io.BytesIO(raw), encoding, errors)
+
+    marks = {ch.encode(text().encoding, "ignore") for ch in _SPLITLINES_ONLY} - {b""}
+    # each mark's last byte first: a one-byte search is about ten times as fast
+    breaks = any(mark[-1:] in raw and mark in raw for mark in marks)
+    split = text().read().splitlines() if breaks else None
+    lines = text if split is None else lambda: split
+    found = _preamble(lines(), path)
     data = None
     if found is not None:
         try:
-            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+            data = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2,
                               skiprows=found[0])
         except ValueError:  # the line parser locates every failure
             pass
     if data is None or data.shape[1] != found[1]:
-        data = _parse_rows(lines, path)
+        data = _parse_rows(text().read().splitlines() if split is None else split, path)
     return data[:, -1].copy(), (data[:, 0].copy() if data.shape[1] == 2 else None)
 
 

@@ -59,9 +59,6 @@ class PrechangeFit:
     s_xx: float
     resid_sd: float
 
-    def predict(self, t: float) -> float:
-        return self.alpha_hat + self.beta_hat * t
-
     def predict_at_index(self, index: int) -> float:
         return self.alpha_hat + self.beta_hat * (index / self.time_unit)
 
@@ -76,9 +73,6 @@ class KnownPrechange:
 
     def __post_init__(self) -> None:
         _check_time_unit(self.time_unit)
-
-    def predict(self, t: float) -> float:
-        return self.alpha + self.beta * t
 
     def predict_at_index(self, index: int) -> float:
         return self.alpha + self.beta * (index / self.time_unit)
@@ -113,9 +107,6 @@ def _fit_rows(hist: np.ndarray, time_unit: int):
     products = hist - mean_x[..., None]
     products *= dt
     s_tx = products.sum(axis=-1)
-    # freed before the arrays below, which would otherwise sit after it
-    # in the heap and keep its pages resident (calibrate peak RSS +4 MB)
-    del products
     beta = s_tx / s_tt
     return mean_x - beta * mean_t, beta, mean_t, mean_x, s_tt, s_tx
 

@@ -21,7 +21,6 @@ __all__ = [
     "SignalParams",
     "SyntheticSeries",
     "change_index",
-    "eval_signal",
     "eval_signal_array",
     "generate_series",
     "replication_seed",
@@ -118,23 +117,8 @@ class SyntheticSeries:
             raise ValueError("values length must equal n")
 
 
-def eval_signal(theta: SignalParams, i: int, n: int) -> float:
-    """Signal value at observation ``i`` of horizon ``n`` (1-based).
-
-    The boundary point i/n == tau takes the pre-change branch.
-    """
-    if n < 1:
-        raise ValueError(f"horizon n must be >= 1, got {n}")
-    if not (1 <= i <= n):
-        raise ValueError(f"index i must lie in [1, {n}], got {i}")
-    t = i / n
-    if t <= theta.tau:
-        return theta.beta_minus * (t - theta.tau) + theta.alpha_minus
-    return theta.beta_plus * (t - theta.tau) + theta.alpha_plus
-
-
 def eval_signal_array(theta: SignalParams, n: int) -> np.ndarray:
-    """Vector of signal values at i = 1..n."""
+    """Signal values at i = 1..n; i/n == tau takes the pre-change branch."""
     if n < 1:
         raise ValueError(f"horizon n must be >= 1, got {n}")
     t = np.arange(1, n + 1) / n

@@ -90,6 +90,14 @@ def normal_equations_fit(times, values) -> Tuple[float, float]:
     return float(alpha), float(beta)
 
 
+def signal_at(theta, i: int, n: int) -> float:
+    """The signal at observation ``i`` of ``n``, one piece at a time."""
+    t = i / n
+    if t <= theta.tau:
+        return theta.beta_minus * (t - theta.tau) + theta.alpha_minus
+    return theta.beta_plus * (t - theta.tau) + theta.alpha_plus
+
+
 def first_crossing_alarm(
     j: Optional[np.ndarray],
     k: Optional[np.ndarray],

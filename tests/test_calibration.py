@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,23 @@ def test_chunk_size_does_not_change_results(monkeypatch):
         chunked = simulate_null_maxima(spec)
         assert np.array_equal(whole.jump, chunked.jump)
         assert np.array_equal(whole.kink, chunked.kink)
+
+
+def test_calibration_peak_memory_does_not_grow_with_replications():
+    """Chunks hold a fixed number of rows, so ten times the replications
+    add only their per-row results (a few floats a row) to the peak of
+    traced memory."""
+    def peak(replications):
+        tracemalloc.start()
+        try:
+            calibrate_joint(_spec(replications=replications, horizon=1000, k=100))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(400)  # first-call allocations out of the way
+    small, large = peak(400), peak(4000)
+    assert large - small <= 3600 * 8 * 8  # eight floats per added row
 
 
 def test_retained_maxima_allow_recalibration():

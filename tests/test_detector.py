@@ -614,7 +614,7 @@ def test_run_and_multi_bin_run_equal_stepping(case):
 @pytest.mark.parametrize("n_jump, n_kink, rho_jump, rho_kink", [
     (1, 7, 1.0, math.inf),  # J alarms
     (None, 1, math.inf, 1.0),  # K alarms
-    (3, 3, math.inf, math.inf),  # only an infinite statistic alarms
+    (3, 3, math.inf, math.inf),  # not even an infinite statistic alarms
 ])
 def test_run_equals_stepping_at_segment_edges(alarm_step, n_jump, n_kink, rho_jump, rho_kink):
     """Alarms on both sides of the 512- and 1024-step segment ends."""
@@ -624,8 +624,27 @@ def test_run_equals_stepping_at_segment_edges(alarm_step, n_jump, n_kink, rho_ju
     config = DetectorConfig(n_jump, n_kink, rho_jump, rho_kink)
     line = KnownPrechange(0.0, 0.0)
     result = _assert_run_equals_steps(series, 0, config, prechange=line)
-    assert result.alarm_time == (2000 if alarm_step is None else alarm_step)
+    never = alarm_step is None or rho_jump == rho_kink == math.inf
+    assert result.alarm_time == (2000 if never else alarm_step)
     multi = multi_bin_run(series, 0, [DetectorConfig(5, 5, 50.0, 50.0), config],
                           prechange=line)
     assert (multi.event, multi.scale_index) == step_multi_bin_run(
         series, 0, [DetectorConfig(5, 5, 50.0, 50.0), config], prechange=line)
+
+
+@pytest.mark.parametrize("rho_jump, rho_kink, kind", [
+    (math.inf, math.inf, None),
+    (math.inf, 1.0, ChangeKind.KINK),  # the finite threshold still fires
+    (1.0, math.inf, ChangeKind.JUMP),
+])
+def test_infinite_threshold_never_alarms_on_an_infinite_statistic(rho_jump, rho_kink, kind):
+    series = np.zeros(50)
+    series[20] = math.inf
+    config = DetectorConfig(3, 3, rho_jump, rho_kink)
+    line = KnownPrechange(0.0, 0.0)
+    result = run(series, 0, config, prechange=line)
+    state = DetectorState(config, line, absolute_offset=0)
+    events = [event for _, event in map(state.step, series[:21])]
+    assert events[:20] == [None] * 20
+    for event in (result.event, events[20]):
+        assert (event is None) if kind is None else (event.kind, event.time) == (kind, 21)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linewatch import DetectorConfig, DetectorState, KnownPrechange, NoiseSpec, run
+from linewatch import DetectorConfig, DetectorState, KnownPrechange, NoiseSpec, engine, run
 from linewatch.engine import (BatchBins, batch_alarms, batch_stats, first_alarms, replicate,
                               segment_alarms)
 from linewatch.prechange import fit_ols
@@ -102,10 +102,12 @@ def test_batch_alarms_tie_prefers_jump():
 
 
 def test_batch_alarms_disabled_by_infinite_threshold():
-    j = np.array([[2.0, 2.0]])
-    k = np.array([[2.0, 2.0]])
+    j = np.array([[2.0, 2.0], [math.inf, -math.inf]])
+    k = np.array([[2.0, 2.0], [math.inf, 0.0]])
     alarm, kind = batch_alarms(j, k, math.inf, 0.5)
-    assert alarm[0] == 1 and kind[0] == 2
+    assert alarm.tolist() == [1, 1] and kind.tolist() == [2, 2]
+    alarm, kind = batch_alarms(j, k, math.inf, math.inf)
+    assert alarm.tolist() == [3, 3] and not kind.any()
 
 
 def test_batch_residuals_match_fit_ols():
@@ -282,6 +284,24 @@ def test_first_alarms_without_alarm_report_horizon_plus_one():
     alarm, kind = first_alarms(NoiseSpec("gaussian", 1.0), 1, 5, 20, 900, config)
     assert np.array_equal(alarm, np.full(5, 881))
     assert not kind.any()
+
+
+def test_a_hundred_row_first_alarms_call_splits_into_chunks(monkeypatch):
+    """Even a short call gives a second worker thread a chunk to run."""
+    spans = []
+    run_chunks = engine.chunked_replications
+
+    def recorded(replications, T, worker):
+        def chunk(lo, hi):
+            spans.append((lo, hi))
+            worker(lo, hi)
+
+        run_chunks(replications, T, chunk)
+
+    monkeypatch.setattr(engine, "chunked_replications", recorded)
+    first_alarms(NoiseSpec("gaussian", 1.0), 1, 100, 1000, 11_001, DetectorConfig(3, 3, 1.0, 1.0))
+    assert len(spans) >= 2
+    assert [row for lo, hi in sorted(spans) for row in range(lo, hi)] == list(range(100))
 
 
 def test_first_alarms_of_no_replications_are_empty():

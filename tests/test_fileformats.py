@@ -1,5 +1,6 @@
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -175,9 +176,16 @@ def test_read_series_reads_a_pipe_once():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="0123456789,.e-+ \t\n\r#_naifvx\x0c\xa0\uff11", max_size=40))
+@given(st.text(alphabet="0123456789,.e-+ \t\n\r#_naifvx\x0c\xa0\uff11\u2028", max_size=40))
 def test_vectorised_parse_equals_line_parser_on_any_text(raw):
     _same_parse(raw, lambda: parse_series(raw))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(raw)
+        with open(path) as fh:
+            text = fh.read()
+        _same_parse(text, lambda: read_series(path))
 
 
 def test_scenario_params_parse():

@@ -61,10 +61,11 @@ def test_insufficient_and_degenerate_errors():
 
 
 def test_predict_examples():
-    assert KnownPrechange(1.0, 0.0).predict(123.0) == 1.0
-    assert KnownPrechange(0.0, 2.0).predict(3.0) == 6.0
+    assert KnownPrechange(1.0, 0.0).predict_at_index(123) == 1.0
+    assert KnownPrechange(0.0, 2.0).predict_at_index(3) == 6.0
+    assert KnownPrechange(0.0, 2.0, time_unit=4).predict_at_index(3) == 1.5
     fit = fit_ols(np.random.default_rng(2).normal(size=30))
-    assert fit.predict(11.0) - fit.predict(10.0) == pytest.approx(fit.beta_hat)
+    assert fit.predict_at_index(11) - fit.predict_at_index(10) == pytest.approx(fit.beta_hat)
 
 
 def test_normal_equation_invariants():

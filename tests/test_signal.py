@@ -7,35 +7,33 @@ from linewatch import (
     NoiseSpec,
     SignalParams,
     change_index,
-    eval_signal,
     eval_signal_array,
     generate_series,
     replication_seed,
 )
 
+from oracles import signal_at
+
 
 def test_eval_signal_pre_and_post_constants():
     theta = SignalParams(0.5, 0.0, 1.0, 0.0, 0.0)
-    assert eval_signal(theta, 25, 100) == 0.0
-    assert eval_signal(theta, 75, 100) == 1.0
+    values = eval_signal_array(theta, 100)
+    assert values[24] == 0.0
+    assert values[74] == 1.0
 
 
 def test_eval_signal_pure_kink_extrapolates():
     theta = SignalParams(0.5, 0.0, 0.0, 0.0, 2.0)
-    assert eval_signal(theta, 75, 100) == pytest.approx(0.5)
+    assert eval_signal_array(theta, 100)[74] == pytest.approx(0.5)
 
 
 def test_eval_signal_boundary_takes_pre_branch():
     theta = SignalParams(0.5, 1.0, 99.0, 0.0, 0.0)
-    assert eval_signal(theta, 50, 100) == 1.0
+    assert eval_signal_array(theta, 100)[49] == 1.0
 
 
 def test_eval_signal_index_validation():
     theta = SignalParams(0.5, 0.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        eval_signal(theta, 0, 100)
-    with pytest.raises(ValueError):
-        eval_signal(theta, 101, 100)
     with pytest.raises(ValueError):
         eval_signal_array(theta, 0)
 
@@ -46,7 +44,7 @@ def test_continuity_at_tau_iff_intercepts_match():
     smooth = SignalParams(tau, 1.0, 1.0, -2.0, 3.0)
     jumpy = SignalParams(tau, 1.0, 1.5, -2.0, 3.0)
     for theta, continuous in ((smooth, True), (jumpy, False)):
-        left = eval_signal(theta, 500, n)
+        left = eval_signal_array(theta, n)[499]
         right = theta.beta_plus * (500 / n - theta.tau) + theta.alpha_plus
         assert math.isclose(left, right, abs_tol=1e-12) == continuous
 
@@ -54,7 +52,7 @@ def test_continuity_at_tau_iff_intercepts_match():
 def test_generate_noiseless_equals_signal():
     theta = SignalParams(0.4, 1.0, 2.0, 0.5, -0.5)
     s = generate_series(theta, 50, NoiseSpec("gaussian", 0.0), seed=1)
-    expected = [eval_signal(theta, i, 50) for i in range(1, 51)]
+    expected = [signal_at(theta, i, 50) for i in range(1, 51)]
     assert np.array_equal(s.values, np.array(expected))
 
 
