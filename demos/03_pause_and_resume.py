@@ -19,8 +19,7 @@ rng = np.random.default_rng(1)
 config = DetectorConfig(n_jump=8, n_kink=8, rho_jump=2.0, rho_kink=0.5)
 state = DetectorState(config, KnownPrechange(0.0, 0.0), absolute_offset=0)
 
-for x in rng.standard_normal(100_000):
-    state.step(float(x))
+state.extend(rng.standard_normal(100_000))  # a recorded warm-up, on the batch kernel
 
 blob = save_state(state)
 print(f"after {state.t} observations the snapshot is {len(blob)} bytes")

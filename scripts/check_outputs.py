@@ -17,6 +17,8 @@ each demo in a directory of its own:
   with ``--trace``, ``--standardize``, ``--split-time``, ``--sigma`` with
   a known line, from stdin, and on copies of the CSV that end in a
   comment line or hold a malformed row near the end (exit 3);
+- ``detect`` with thresholds the stream never reaches (no alarm, so the
+  whole series is monitored): plain and with ``--trace``;
 - ``detect --sigma --standardize`` (exit 2);
 - ``calibrate`` in FA mode (joint) and in ARL mode (jump only), in FA
   mode for the kink alone on standardized Student-t noise, and jointly
@@ -53,6 +55,7 @@ FILES = {
     "scenario.kv": ("tau = 0.6\nalpha_minus = 0.0\nalpha_plus = 1.5\nbeta_minus = 2.0\n"
                     "beta_plus = 2.0\nn = 20000\nseed = 11\nnoise = gaussian\nsigma = 1.0\n"),
     "config.kv": "n_jump = 20\nn_kink = 200\nrho_jump = 0.9\nrho_kink = 0.35\n",
+    "quiet.kv": "n_jump = 20\nn_kink = 200\nrho_jump = 50\nrho_kink = 50\n",
     "fa.kv": ("mode = fa\nwhich = both\nreplications = 2000\neta = 0.5\nhorizon = 500\n"
               "k = 200\nn_jump = 10\nn_kink = 10\nmaster_seed = 3\n"),
     "arl.kv": ("mode = arl\nwhich = jump\nreplications = 1000\nhorizon = 300\nk = 200\n"
@@ -101,6 +104,9 @@ def _cases(root: str):
     yield "detect malformed row", cli + DETECT + ["--input", "bad.csv"], 3, None
     yield "detect --sigma --standardize", cli + DETECT + data + [
         "--sigma", "1.0", "--standardize"], 2, None
+    quiet = cli + ["detect", "--config", "quiet.kv", "--k", "5000"] + data
+    yield "detect no alarm", quiet, 0, None
+    yield "detect no alarm --trace", quiet + ["--trace", "quiet_trace.csv"], 0, None
     yield "calibrate fa", cli + ["calibrate", "--spec", "fa.kv", "--out", "cal_fa.kv"], 0, None
     yield "calibrate fa LINEWATCH_THREADS=2", cli + [
         "calibrate", "--spec", "fa.kv", "--out", "cal_fa_2t.kv"], 0, None

@@ -19,7 +19,6 @@ from .calibration import (
     simulate_null_maxima,
 )
 from .detector import (
-    BinTriple,
     DetectionEvent,
     DetectorConfig,
     DetectorState,

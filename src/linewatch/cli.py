@@ -25,7 +25,7 @@ from . import fileformats as ff
 from .calibration import CalibrationSpec, calibrate
 from .detector import run
 from .errors import FileFormatError, LinewatchError
-from .prechange import KnownPrechange, standardize
+from .prechange import KnownPrechange, _line, standardize
 from .signal import change_index, generate_series
 from .tables import EXPERIMENTS
 
@@ -128,11 +128,7 @@ def _cmd_detect(args) -> int:
     if args.trace is not None:
         ff.write_trace(args.trace, values, k, result, config)
 
-    alpha, beta = (
-        (prechange.alpha_hat, prechange.beta_hat)
-        if hasattr(prechange, "alpha_hat")
-        else (prechange.alpha, prechange.beta)
-    )
+    alpha, beta = _line(prechange)
     print(f"status: {'alarm' if event else 'no-alarm'}")
     if event:
         print(f"alarm_index: {event.time}")

@@ -16,13 +16,15 @@ weighted residual mean with weights 1..M across the window; d is
 sum(i^2, i=1..M).  An alarm fires when |J| >= rho_jump (checked first)
 or |K| >= rho_kink, never at an infinite threshold; state size is O(1).
 
-``run`` and ``multi_bin_run`` replay a recorded series on the batch
-kernel (``engine.segment_alarms``), whose statistics equal ``step``'s
-bit for bit, and stop with the segment that first alarms.
+One ``DetectorState`` holds the bins, in ``engine.BatchBins`` column
+order; ``step`` folds in one value in pure Python, ``extend`` a block on
+the batch kernel, bit for bit alike.  ``run`` and ``multi_bin_run``
+extend a fresh state by a recorded series.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 from dataclasses import dataclass, field
@@ -31,12 +33,13 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .engine import batch_alarms, batch_stats, segment_alarms
+from .engine import BatchBins, batch_stats, segment_alarms
 from .errors import DetectorStoppedError
 from .prechange import (
     KnownPrechange,
     PrechangeFit,
     _check_time_unit,
+    _line,
     _residuals,
     fit_ols,
     standardize,
@@ -44,7 +47,6 @@ from .prechange import (
 from .signal import ChangeKind
 
 __all__ = [
-    "BinTriple",
     "DetectionEvent",
     "DetectorConfig",
     "DetectorState",
@@ -76,25 +78,11 @@ class DetectorConfig:
         if self.n_jump is None and self.n_kink is None:
             raise ValueError("at least one statistic must be enabled")
         for name, n in (("n_jump", self.n_jump), ("n_kink", self.n_kink)):
-            if n is not None and n < 1:
-                raise ValueError(f"{name} must be >= 1, got {n}")
+            if n is not None and (not hasattr(n, "__index__") or n < 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
         for name, rho in (("rho_jump", self.rho_jump), ("rho_kink", self.rho_kink)):
             if math.isnan(rho) or rho <= 0.0:
                 raise ValueError(f"{name} must be > 0 (inf allowed), got {rho}")
-
-
-@dataclass(slots=True)
-class BinTriple:
-    """Rolling bins: s = residual sums, w = within-bin weighted sums."""
-
-    bin_size: int
-    s1: float = 0.0
-    s2: float = 0.0
-    s3: float = 0.0
-    w1: float = 0.0
-    w2: float = 0.0
-    w3: float = 0.0
-    r: int = 0
 
 
 @dataclass(frozen=True)
@@ -126,7 +114,8 @@ class DetectorState:
 
     ``prechange`` supplies the fitted (or known) line and its time
     unit; residuals are always computed against the absolute
-    observation index ``absolute_offset + t``.
+    observation index ``absolute_offset + t``.  ``jump`` and ``kink``
+    hold the bins of an enabled statistic (None when it is off).
     """
 
     def __init__(
@@ -139,13 +128,9 @@ class DetectorState:
         self.prechange = prechange
         self.absolute_offset = int(absolute_offset)
         self.t = 0
-        self.jump_bins = BinTriple(config.n_jump) if config.n_jump else None
-        self.kink_bins = BinTriple(config.n_kink) if config.n_kink else None
+        self.jump: Optional[List[float]] = [0.0] * 3 if config.n_jump else None
+        self.kink: Optional[List[float]] = [0.0] * 6 if config.n_kink else None
         self.stopped: Optional[DetectionEvent] = None
-
-    @property
-    def monitoring(self) -> bool:
-        return self.stopped is None
 
     def step(self, x_t: float) -> Tuple[StatSnapshot, Optional[DetectionEvent]]:
         """Fold in one observation; constant work and memory.
@@ -154,38 +139,36 @@ class DetectorState:
         event, or None while nothing crosses.
         """
         if self.stopped is not None:
-            raise DetectorStoppedError(
-                f"detector stopped at index {self.stopped.time}"
-            )
+            raise DetectorStoppedError(f"detector stopped at index {self.stopped.time}")
         t = self.t = self.t + 1
         abs_index = self.absolute_offset + t
         res = x_t - self.prechange.predict_at_index(abs_index)
+        config = self.config
         j_stat = k_stat = window_jump = window_kink = None
 
-        b = self.jump_bins
+        b = self.jump
         if b is not None:
-            r = b.r = t % b.bin_size
+            n = config.n_jump
+            r = t % n
             if r == 0:
-                b.s1, b.s2, b.s3 = b.s2, b.s3, 0.0
-            s3 = b.s3 = b.s3 + res
-            m = window_jump = 2 * b.bin_size + r + 1
-            j_stat = (b.s1 + b.s2 + s3) / m
+                b[:] = b[1], b[2], 0.0
+            s3 = b[2] = b[2] + res
+            m = window_jump = 2 * n + r + 1
+            j_stat = (b[0] + b[1] + s3) / m
 
-        b = self.kink_bins
+        b = self.kink
         if b is not None:
-            n = b.bin_size
-            r = b.r = t % n
+            n = config.n_kink
+            r = t % n
             if r == 0:
-                b.s1, b.s2, b.s3 = b.s2, b.s3, 0.0
-                b.w1, b.w2, b.w3 = b.w2, b.w3, 0.0
-            s3 = b.s3 = b.s3 + res
-            w3 = b.w3 = b.w3 + (r + 1) * res
+                b[:] = b[1], b[2], 0.0, b[4], b[5], 0.0
+            s3 = b[2] = b[2] + res
+            w3 = b[5] = b[5] + (r + 1) * res
             m = window_kink = 2 * n + r + 1
             d = m * (m + 1) * (2 * m + 1) / 6.0
-            k_stat = (b.w1 + b.w2 + w3 + n * b.s2 + 2 * n * s3) / d
+            k_stat = (b[3] + b[4] + w3 + n * b[1] + 2 * n * s3) / d
 
         snap = tuple.__new__(StatSnapshot, (t, j_stat, k_stat, window_jump, window_kink))
-        config = self.config
         if j_stat is not None and abs(j_stat) >= config.rho_jump and config.rho_jump < math.inf:
             kind, stat, rho = ChangeKind.JUMP, j_stat, config.rho_jump
         elif k_stat is not None and abs(k_stat) >= config.rho_kink and config.rho_kink < math.inf:
@@ -195,6 +178,46 @@ class DetectorState:
         event = self.stopped = DetectionEvent(abs_index, kind, abs(stat), rho)
         return snap, event
 
+    def extend(self, values: Sequence[float]) -> Optional[DetectionEvent]:
+        """Fold in a block of observations on the batch kernel and stop
+        at the first alarm, returning its event (or None).
+
+        ``t``, the bins and ``stopped`` end as that many ``step`` calls
+        would leave them; memory is that of the block's residuals.
+        """
+        pc = self.prechange
+        first = self.absolute_offset + self.t + 1
+        return self._fold(_residuals(np.asarray(values, dtype=float), first, *_line(pc),
+                                     pc.time_unit))
+
+    @np.errstate(invalid="ignore", over="ignore")  # silent on inf - inf, as step() is
+    def _fold(self, resid: np.ndarray) -> Optional[DetectionEvent]:
+        """``extend`` on the residuals of the next observations."""
+        if self.stopped is not None:
+            raise DetectorStoppedError(f"detector stopped at index {self.stopped.time}")
+        config = self.config
+        bins = BatchBins(self.t, *(None if b is None else np.array([b])
+                                   for b in (self.jump, self.kink)))
+        start = [bins]
+
+        def segment(t0, length, _):
+            start[0] = dataclasses.replace(bins)  # the bins the segment starts from
+            return resid[None, t0:t0 + length]
+
+        (step,), (code,), (stat,) = segment_alarms(1, resid.size, config, segment, bins)
+        event = None
+        if code:  # the kernel's bins run to the end of the segment: replay up to the alarm
+            bins = start[0]
+            batch_stats(resid[None, bins.t - self.t:step], config.n_jump, config.n_kink, bins)
+            kind, rho = ((ChangeKind.JUMP, config.rho_jump) if code == 1
+                         else (ChangeKind.KINK, config.rho_kink))
+            event = self.stopped = DetectionEvent(self.absolute_offset + bins.t, kind,
+                                                  float(stat), rho)
+        self.t = bins.t
+        self.jump, self.kink = (None if b is None else b[0].tolist()
+                                for b in (bins.jump, bins.kink))
+        return event
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -203,7 +226,8 @@ class RunResult:
     ``event`` is None when nothing crossed; ``alarm_time`` then equals
     the horizon so downstream risk computations can map no-detection to
     the end of the stream.  With a trace, ``residuals`` holds those of
-    observations k+1..n against the pre-change line.
+    observations k+1..n against the pre-change line.  ``state`` is the
+    detector where monitoring stopped, to go on from when nothing crossed.
     """
 
     event: Optional[DetectionEvent]
@@ -212,6 +236,7 @@ class RunResult:
     trace: Optional[List[StatSnapshot]] = None
     scaling: Optional[Tuple[float, float]] = None
     residuals: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    state: Optional[DetectorState] = field(default=None, compare=False, repr=False)
 
     @property
     def detected(self) -> bool:
@@ -236,46 +261,10 @@ def _prepare(series, k, prechange, time_unit, standardize_flag):
         x, scaling = standardize(x, k)
     if prechange is None:
         prechange = fit_ols(x[:k], time_unit=time_unit)
-        line = prechange.alpha_hat, prechange.beta_hat
-    else:
-        line = prechange.alpha, prechange.beta
-    return _residuals(x[k:], k + 1, *line, prechange.time_unit), n, prechange, scaling
-
-
-def _event(k, step, code, stat, config):
-    """The event of a ``batch_alarms`` step and code (0 for none)."""
-    if code == 0:
-        return None
-    kind, rho = ((ChangeKind.JUMP, config.rho_jump) if code == 1
-                 else (ChangeKind.KINK, config.rho_kink))
-    return DetectionEvent(int(k) + int(step), kind, abs(float(stat)), rho)
+    return _residuals(x[k:], k + 1, *_line(prechange), prechange.time_unit), n, prechange, scaling
 
 
 @np.errstate(invalid="ignore", over="ignore")  # silent on inf - inf, as step() is
-def _first_event(resid, k, config):
-    """The first crossing on the residuals of observations k+1.., or
-    None; the kernel stops with the segment that alarms."""
-    (step,), (code,), (stat,) = segment_alarms(
-        1, resid.size, config, lambda t0, length, _: resid[None, t0:t0 + length])
-    return _event(k, step, code, stat, config)
-
-
-@np.errstate(invalid="ignore", over="ignore")  # silent on inf - inf, as step() is
-def _traced_event(resid, k, config):
-    """(first crossing or None, snapshots up to it) from one kernel pass
-    over the whole series."""
-    j, kk = batch_stats(resid[None, :], config.n_jump, config.n_kink)
-    (step,), (code,) = batch_alarms(j, kk, config.rho_jump, config.rho_kink)
-    stop = min(int(step), resid.size)
-    clock = np.arange(1, stop + 1)
-    cols = [s[0, :stop].tolist() if s is not None else [None] * stop for s in (j, kk)]
-    cols += [(2 * m + clock % m + 1).tolist() if m else [None] * stop
-             for m in (config.n_jump, config.n_kink)]
-    trace = list(map(tuple.__new__, repeat(StatSnapshot), zip(clock.tolist(), *cols)))
-    stat = cols[0 if code == 1 else 1][stop - 1] if code else None
-    return _event(k, step, code, stat, config), trace
-
-
 def run(
     series: Sequence[float],
     k: int,
@@ -286,13 +275,22 @@ def run(
     collect_trace: bool = False,
 ) -> RunResult:
     """Fit (or accept) the pre-change line on observations 1..k, then
-    monitor k+1..end on the batch kernel and stop at the first threshold
-    crossing; event and trace equal ``DetectorState.step``'s bit for bit."""
+    monitor k+1..end with ``DetectorState.extend`` and stop at the first
+    threshold crossing; event, trace and state equal those of
+    ``DetectorState.step`` bit for bit."""
     resid, n, pc, scaling = _prepare(series, k, prechange, time_unit, standardize_first)
+    state = DetectorState(config, pc, absolute_offset=k)
+    event = state._fold(resid)
     if not collect_trace:
-        return RunResult(_first_event(resid, k, config), n, pc, scaling=scaling)
-    event, trace = _traced_event(resid, k, config)
-    return RunResult(event, n, pc, trace, scaling, resid)
+        return RunResult(event, n, pc, scaling=scaling, state=state)
+    stop = state.t  # the snapshots up to the alarm, from one kernel pass
+    j, kk = batch_stats(resid[None, :stop], config.n_jump, config.n_kink)
+    clock = np.arange(1, stop + 1)
+    cols = [s[0].tolist() if s is not None else [None] * stop for s in (j, kk)]
+    cols += [(2 * m + clock % m + 1).tolist() if m else [None] * stop
+             for m in (config.n_jump, config.n_kink)]
+    trace = list(map(tuple.__new__, repeat(StatSnapshot), zip(clock.tolist(), *cols)))
+    return RunResult(event, n, pc, trace, scaling, resid, state)
 
 
 @dataclass(frozen=True)
@@ -310,30 +308,26 @@ class MultiBinResult:
 def multi_bin_run(
     series: Sequence[float],
     k: int,
-    configs: Sequence[Union[DetectorConfig, Tuple[int, float, float]]],
+    configs: Sequence[DetectorConfig],
     prechange: Optional[KnownPrechange] = None,
     time_unit: int = 1,
     standardize_first: bool = False,
 ) -> MultiBinResult:
     """Monitor one stream at several bin sizes at once.
 
-    ``configs`` entries are DetectorConfig or (N, rho_jump, rho_kink)
-    tuples.  The scales run one after another, as in ``run``, each up
-    to the best alarm so far; memory is that of one segment.  The first
+    The scales run one after another, each a fresh ``DetectorState``
+    extended as in ``run`` up to the best alarm so far.  The first
     crossing wins; at the same observation, earlier list entries take
     precedence (and jump before kink within a scale).
     """
     if len(configs) == 0:
         raise ValueError("configs must be non-empty")
-    parsed = [
-        c if isinstance(c, DetectorConfig) else DetectorConfig(c[0], c[0], c[1], c[2])
-        for c in configs
-    ]
     resid, n, pc, _ = _prepare(series, k, prechange, time_unit, standardize_first)
     event = scale = None
-    for idx, config in enumerate(parsed):
+    for idx, config in enumerate(configs):
         # a later scale must alarm strictly before the best so far
-        found = _first_event(resid[:None if event is None else event.time - k - 1], k, config)
+        state = DetectorState(config, pc, absolute_offset=k)
+        found = state._fold(resid[:None if event is None else event.time - k - 1])
         if found is not None:
             event, scale = found, idx
     return MultiBinResult(event=event, scale_index=scale, horizon=n, prechange=pc)
@@ -386,8 +380,8 @@ _SNAP_FMT = (
     "qq"  # t, absolute_offset
     "Bqdd"  # stopped flag, event time, stat_value, threshold
     "B"  # event kind (0 jump, 1 kink)
-    "qdddddd"  # jump bins: r, s1, s2, s3, w1, w2, w3
-    "qdddddd"  # kink bins: r, s1, s2, s3, w1, w2, w3
+    "qdddddd"  # jump bins: r = t mod N, s1, s2, s3, three zeros
+    "qdddddd"  # kink bins: r = t mod N, s1, s2, s3, w1, w2, w3
 )
 SNAPSHOT_SIZE = struct.calcsize(_SNAP_FMT)
 
@@ -407,16 +401,13 @@ def save_state(state: DetectorState) -> bytes:
         pc_kind = 1
         pc_vals = (0, pc.alpha, pc.beta, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     ev = state.stopped
-    stopped = int(ev is not None)
-    ev_time = ev.time if ev else 0
-    ev_stat = ev.stat_value if ev else 0.0
-    ev_rho = ev.threshold if ev else 0.0
-    ev_kind = int(ev.kind is ChangeKind.KINK) if ev else 0
+    event = ((1, ev.time, ev.stat_value, ev.threshold, int(ev.kind is ChangeKind.KINK))
+             if ev else (0, 0, 0.0, 0.0, 0))
 
-    def bin_vals(b: Optional[BinTriple]):
-        if b is None:
+    def bin_vals(bins: Optional[List[float]], n: Optional[int]):
+        if bins is None:
             return (0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return (b.r, b.s1, b.s2, b.s3, b.w1, b.w2, b.w3)
+        return (state.t % n, *bins, *[0.0] * (6 - len(bins)))
 
     return struct.pack(
         _SNAP_FMT,
@@ -431,13 +422,9 @@ def save_state(state: DetectorState) -> bytes:
         *pc_vals,
         state.t,
         state.absolute_offset,
-        stopped,
-        ev_time,
-        ev_stat,
-        ev_rho,
-        ev_kind,
-        *bin_vals(state.jump_bins),
-        *bin_vals(state.kink_bins),
+        *event,
+        *bin_vals(state.jump, cfg.n_jump),
+        *bin_vals(state.kink, cfg.n_kink),
     )
 
 
@@ -483,15 +470,13 @@ def load_state(blob: bytes) -> DetectorState:
     )
     state = DetectorState(config, pc, absolute_offset=offset)
     state.t = t
-    for name, raw, bins in (("jump", jump_raw, state.jump_bins),
-                            ("kink", kink_raw, state.kink_bins)):
-        if bins is not None:
-            if raw[0] != t % bins.bin_size:
-                raise ValueError(
-                    f"corrupt snapshot: {name} bin position r = {raw[0]} "
-                    f"is not t mod N = {t % bins.bin_size}"
-                )
-            bins.r, bins.s1, bins.s2, bins.s3, bins.w1, bins.w2, bins.w3 = raw
+    for name, raw, n in (("jump", jump_raw, config.n_jump), ("kink", kink_raw, config.n_kink)):
+        if n is not None and raw[0] != t % n:
+            raise ValueError(
+                f"corrupt snapshot: {name} bin position r = {raw[0]} is not t mod N = {t % n}"
+            )
+    state.jump = None if state.jump is None else list(jump_raw[1:4])
+    state.kink = None if state.kink is None else list(kink_raw[1:])
     if stopped:
         if ev_time != offset + t:
             raise ValueError(

@@ -21,8 +21,9 @@ piece of a stream to the start of the next, so a stream advanced piece
 by piece gives the same statistics as one pass.  One segment loop uses
 that to monitor rows in doubling segments, with two reductions:
 ``segment_alarms`` retires each row at its first crossing (for
-``detector.run`` and for ARL and delay runs), and ``segment_maxima``
-keeps each row's running max |J| and |K| (for calibration).
+``DetectorState.extend`` and for ARL and delay runs), and
+``segment_maxima`` keeps each row's running max |J| and |K| (for
+calibration).
 
 ``replicate`` is the one Monte Carlo driver: per replication chunk it
 draws (``noise_matrix``), takes each row's pre-change line from
@@ -75,8 +76,8 @@ class BatchBins:
     """Bins of every replication row at monitoring clock ``t``.
 
     ``jump`` holds (s1, s2, s3) and ``kink`` (s1, s2, s3, w1, w2, w3)
-    per row, as ``BinTriple`` does for one stream; None stands for the
-    all-zero bins of a fresh stream (or a disabled statistic).
+    per row, as ``DetectorState`` holds them for one stream; None stands
+    for the all-zero bins of a fresh stream (or a disabled statistic).
     """
 
     t: int = 0
@@ -104,6 +105,7 @@ def _running_sums(resid, n, r0, carried, weighted):
     s = np.zeros((rows, blocks * n))
     s[:, r0 + 1:r0 + 1 + length] = resid
     s = s.reshape(rows, blocks, n)
+    s[:, :, 0] += 0.0  # a bin opens at 0.0 as in step(), where 0.0 + -0.0 is 0.0
     w = None
     if weighted:
         w = s * np.arange(1, n + 1, dtype=float)
@@ -306,16 +308,19 @@ def segment_alarms(
     T: int,
     config: DetectorConfig,
     residuals: Callable[[int, int, np.ndarray], np.ndarray],
+    bins: Optional[BatchBins] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(alarm step, kind, |statistic| at the alarm, NaN if none) per row
     of ``rows`` streams of T steps, as ``batch_alarms`` gives on their
     full-horizon statistics.  ``residuals`` is as for ``_segments``;
     a row leaves the loop at its first alarm, so later segments ask
-    only for the rows not yet alarmed."""
+    only for the rows not yet alarmed.  The rows start from the carried
+    ``bins`` (advanced in place, as ``batch_stats`` advances them, and
+    left with the rows not alarmed), or fresh without them."""
     alarm = np.full(rows, T + 1, dtype=np.int64)
     kind = np.zeros(rows, dtype=np.int8)
     value = np.full(rows, np.nan)
-    bins = BatchBins()
+    bins = BatchBins() if bins is None else bins
 
     def visit(t0, resid, active):
         j, kk = batch_stats(resid, config.n_jump, config.n_kink, bins)

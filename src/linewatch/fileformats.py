@@ -26,7 +26,9 @@ tau), beta_minus/beta_plus (signal units per unit fraction), n, seed.
 
 from __future__ import annotations
 
+import codecs
 import io
+import unicodedata
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -250,6 +252,8 @@ def parse_series(raw: Union[str, bytes], path: str = "<data>", encoding: Optiona
     def text():
         return io.TextIOWrapper(io.BytesIO(raw), encoding, errors)
 
+    if codecs.lookup(text().encoding).name == "utf-8":  # a byte-order mark is no data
+        raw = raw.removeprefix(codecs.BOM_UTF8)
     marks = {ch.encode(text().encoding, "ignore") for ch in _SPLITLINES_ONLY} - {b""}
     # each mark's last byte first: a one-byte search is about ten times as fast
     breaks = any(mark[-1:] in raw and mark in raw for mark in marks)
@@ -271,13 +275,15 @@ def parse_series(raw: Union[str, bytes], path: str = "<data>", encoding: Optiona
 def _preamble(lines, path: str) -> Optional[Tuple[int, int]]:
     """(lines before the first data row, its column count), or None.
     Only the first row that is neither blank nor a comment can be a
-    header: one with no number among as many fields as the data."""
+    header: one with no number among as many fields as the data, and
+    no control character (a NUL, say) but whitespace."""
     header = None
     for count, line in enumerate(lines):
         fields = [f.strip() for f in line.strip().split(",")]
         if fields == [""] or fields[0].startswith("#"):
             continue
-        if header is None and not any(map(_is_number, fields)):
+        if header is None and not any(map(_is_number, fields)) and not any(
+                unicodedata.category(ch) == "Cc" and not ch.isspace() for ch in line):
             header = (count + 1, len(fields))
             continue
         n_cols = len(fields)

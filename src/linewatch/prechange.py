@@ -89,6 +89,13 @@ def _times(first_index: int, length: int, time_unit: int) -> np.ndarray:
     return np.array([i / time_unit for i in index.tolist()], dtype=float)
 
 
+def _line(prechange) -> Tuple[float, float]:
+    """(alpha, beta) of a fitted or a known pre-change line."""
+    if isinstance(prechange, PrechangeFit):
+        return prechange.alpha_hat, prechange.beta_hat
+    return prechange.alpha, prechange.beta
+
+
 def _fit_rows(hist: np.ndarray, time_unit: int):
     """The OLS fit of each row of ``hist`` (its last axis, k values) on
     times 1..k / ``time_unit``: (alpha, beta, mean_t, mean_x, s_tt,

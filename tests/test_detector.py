@@ -480,6 +480,11 @@ def test_detector_config_validation():
         DetectorConfig(0, 5)
     with pytest.raises(ValueError):
         DetectorConfig(5, 5, rho_jump=0.0)
+    with pytest.raises(ValueError, match="n_jump must be an integer >= 1, got 2.5"):
+        DetectorConfig(n_jump=2.5, rho_jump=1.0)
+    with pytest.raises(ValueError, match="n_kink"):
+        DetectorConfig(5, 5.0)
+    DetectorConfig(np.int64(5), None)  # a NumPy integer is an integer
     DetectorConfig(5, None)  # jump only, never alarms (inf threshold)
 
 
@@ -514,7 +519,7 @@ def test_multi_bin_rejects_empty_configs():
 def test_multi_bin_union_false_alarm_rate_dominates():
     # on pure-noise streams, alarming at either scale is at least as
     # frequent as alarming at each scale alone (shared seeds)
-    configs = [(2, 1.0, 0.25), (8, 0.55, 0.05)]
+    configs = [DetectorConfig(2, 2, 1.0, 0.25), DetectorConfig(8, 8, 0.55, 0.05)]
     k = 50
     hits_union = hits_a = hits_b = 0
     for seed in range(60):
@@ -630,6 +635,110 @@ def test_run_equals_stepping_at_segment_edges(alarm_step, n_jump, n_kink, rho_ju
                           prechange=line)
     assert (multi.event, multi.scale_index) == step_multi_bin_run(
         series, 0, [DetectorConfig(5, 5, 50.0, 50.0), config], prechange=line)
+
+
+@st.composite
+def _block_cases(draw):
+    """(config, prechange, offset, observations) for ``extend``: bin
+    sizes 1..40, equal or with a statistic off, known or fitted lines,
+    streams across the 512- and 1536-step segment edges, and NaN, +-inf
+    or -0.0 observations (a stretch of -0.0 on the zero line)."""
+    bin_size = st.integers(1, 40)
+    n_jump = draw(st.one_of(st.none(), bin_size))
+    n_kink = draw(bin_size if n_jump is None
+                  else st.one_of(st.none(), st.just(n_jump), bin_size))
+    config = DetectorConfig(n_jump, n_kink, draw(st.sampled_from([0.8, 1.5, 3.0, math.inf])),
+                            draw(st.sampled_from([0.1, 0.4, 1.0, math.inf])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = draw(st.sampled_from([1, 7, 1000]))
+    prechange = draw(st.sampled_from([
+        KnownPrechange(0.0, 0.0, time_unit=unit), KnownPrechange(-1.5, 0.3, time_unit=unit),
+        fit_ols(rng.standard_normal(20), time_unit=unit)]))
+    xs = rng.standard_normal(draw(st.integers(0, 1800)))
+    xs[draw(st.integers(0, xs.size)):] += draw(st.sampled_from([0.0, 1.0, 4.0]))
+    lo = draw(st.integers(0, xs.size))
+    xs[lo:draw(st.integers(lo, xs.size))] = -0.0
+    for _ in range(draw(st.integers(0, 3)) if xs.size else 0):
+        xs[draw(st.integers(0, xs.size - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+    return config, prechange, draw(st.integers(0, 50)), xs.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_block_cases(), st.data())
+def test_any_split_into_blocks_and_steps_equals_stepping(case, data):
+    """``extend`` blocks and single ``step``s in any order give
+    stepping's events, snapshots and ``save_state`` bytes."""
+    config, prechange, offset, xs = case
+    reference = DetectorState(config, prechange, offset)
+    steps, blobs = [], [save_state(reference)]
+    for x in xs:
+        steps += _stepped(reference, [x])
+        blobs.append(save_state(reference))
+        if reference.stopped is not None:
+            break
+    state = DetectorState(config, prechange, offset)
+    for _ in range(data.draw(st.integers(0, 6))):
+        t = state.t
+        if state.stopped is not None or t == len(xs):
+            break
+        if data.draw(st.booleans()):
+            event = state.extend(xs[t:data.draw(st.integers(t, len(xs)))])
+            assert (event, event and _bits(event.stat_value)) == (
+                (None, None) if event is None else steps[state.t - 1][5:])
+            assert all(step[5] is None for step in steps[t:state.t - (event is not None)])
+        else:
+            assert _stepped(state, xs[t:t + 1]) == steps[t:t + 1]
+        assert save_state(state) == blobs[state.t]
+    if state.stopped is None:
+        state.extend(xs[state.t:])
+    assert save_state(state) == blobs[-1]
+    if state.stopped is not None:
+        with pytest.raises(DetectorStoppedError):
+            state.extend(xs)
+
+
+@pytest.mark.parametrize("alarm_step", [512, 513, 1536, 1537])
+@pytest.mark.parametrize("head", [0, 7])
+@pytest.mark.parametrize("config", [DetectorConfig(3, 5, 1.0, math.inf),
+                                    DetectorConfig(None, 4, math.inf, 1.0)])
+def test_extend_equals_stepping_at_segment_edges(alarm_step, head, config):
+    """An alarm on either side of the edges of the block's segments."""
+    series = np.zeros(head + 2000)
+    series[head + alarm_step - 1] = 100.0
+    line = KnownPrechange(0.0, 0.0)
+    state, stepped = DetectorState(config, line, 0), DetectorState(config, line, 0)
+    for x in series[:head].tolist():
+        state.step(x)
+    event = state.extend(series[head:])
+    assert event is not None and event.time == state.t == head + alarm_step
+    assert event.kind is (ChangeKind.JUMP if config.n_jump else ChangeKind.KINK)
+    for x in series.tolist():
+        if stepped.step(x)[1] is not None:
+            break
+    assert event == stepped.stopped and save_state(state) == save_state(stepped)
+
+
+@pytest.mark.parametrize("m", [1001, 1002, 1512, 1513, 2000, 2499])
+def test_run_state_continues_with_extend_like_the_whole_run(m):
+    rng = np.random.default_rng(12)
+    series = rng.standard_normal(4000)
+    series[2500:] += 3.0
+    config = DetectorConfig(10, 30, 1.6, 0.1)
+    whole = run(series, 1000, config)
+    head = run(series[:m], 1000, config)
+    assert whole.event is not None and not head.detected and head.state.t == m - 1000
+    assert head.state.extend(series[m:]) == whole.event
+    assert save_state(head.state) == save_state(whole.state)
+
+
+def test_run_result_equality_and_repr_leave_out_the_state():
+    series = np.random.default_rng(13).standard_normal(300)
+    for collect_trace in (False, True):
+        a, b = (run(series, 20, DetectorConfig(4, 6, 0.9, 0.1), collect_trace=collect_trace)
+                for _ in range(2))
+        assert a.state is not b.state and a == b
+        assert "state" not in repr(a)
 
 
 @pytest.mark.parametrize("rho_jump, rho_kink, kind", [

@@ -111,9 +111,10 @@ def test_header_with_another_column_count_than_the_data_is_rejected(raw):
 
 def _same_parse(raw, parse=parse_series):
     """``parse`` gives the bits of the line-by-line parser or raises the
-    same error at the same line."""
+    same error at the same line; the parser reads the text as decoded,
+    without a leading byte-order mark."""
     try:
-        rows = _parse_rows(raw.splitlines(), "<data>")
+        rows = _parse_rows(raw.removeprefix("\ufeff").splitlines(), "<data>")
     except FileFormatError as exc:
         with pytest.raises(FileFormatError) as err:
             parse()
@@ -150,6 +151,9 @@ def _same_parse(raw, parse=parse_series):
     ("a,b,c\n1,2,3\n", False),
     ("value\n", False),
     ("", False),
+    ("\ufeff1\n2\n", True),  # a byte-order mark: in the text, and in the file's bytes
+    ("\ufeffvalue\n1\n", True),
+    ("1\x00\n2\n", False),  # a control character: no header, a malformed row
 ])
 def test_vectorised_parse_equals_line_parser(raw, vectorised, tmp_path, monkeypatch):
     _same_parse(raw, lambda: parse_series(raw))
