@@ -5,12 +5,12 @@ off as quantiles of the per-stream maxima.  Joint calibration splits
 one false-alarm budget across the jump and kink statistics.
 """
 
+from dataclasses import replace
+
 from linewatch import (
     CalibrationSpec,
     NoiseSpec,
     calibrate,
-    calibrate_joint,
-    calibrate_single,
     estimate_arl,
     simulate_null_maxima,
 )
@@ -28,9 +28,10 @@ spec = CalibrationSpec(
 
 maxima = simulate_null_maxima(spec)  # reused by all three calibrations below
 
-jump_only = calibrate_single(spec, "jump", maxima=maxima)
-kink_only = calibrate_single(spec, "kink", maxima=maxima)
-both = calibrate_joint(spec, maxima=maxima)
+# the statistics with a bin size are the ones calibrated
+jump_only = calibrate(replace(spec, n_kink=None), maxima=maxima)
+kink_only = calibrate(replace(spec, n_jump=None), maxima=maxima)
+both = calibrate(spec, maxima=maxima)
 
 print("false-alarm target 0.5, N = 10, k = 1000:")
 print(f"  jump alone: rho_J = {jump_only.rho_jump:.3f} "
@@ -44,10 +45,10 @@ print(f"  both:       rho_J = {both.rho_jump:.3f}, rho_K = {both.rho_kink:.4f} "
 # Average-run-length target: same machinery at the 1 - 1/e level,
 # because the null run length is roughly exponential.
 arl_spec = CalibrationSpec(
-    replications=4000, eta=0.5, horizon=1000, k=1000,
+    replications=4000, arl=True, horizon=1000, k=1000,
     n_jump=10, n_kink=None, noise=NoiseSpec("gaussian", 1.0), master_seed=11,
 )
-arl_cal = calibrate(arl_spec, "jump", arl=True)
+arl_cal = calibrate(arl_spec)
 report = estimate_arl(arl_cal.to_config(), NoiseSpec("gaussian", 1.0),
                       k=1000, cap=10000, replications=200, master_seed=99)
 print(f"\nARL target 1000: rho_J = {arl_cal.rho_jump:.3f}; "

@@ -5,8 +5,6 @@ gradual ones.  Running a pair {2, 40} with jointly calibrated
 thresholds covers both regimes at twice the (tiny) constant cost.
 """
 
-import numpy as np
-
 from linewatch import (
     CalibrationSpec,
     NoiseSpec,
@@ -19,11 +17,11 @@ from linewatch import (
 k = 500
 scales = [2, 40]
 spec = CalibrationSpec(
-    replications=2000, eta=1.0 - 1.0 / np.e, horizon=500, k=k,
+    replications=2000, arl=True, horizon=500, k=k,
     n_jump=scales[0], n_kink=scales[0],  # skeleton; scales drive the bins
     noise=NoiseSpec("gaussian", 1.0), master_seed=606,
 )
-cal = calibrate_multi_bin(spec, scales)  # ARL-500 style joint budget
+cal = calibrate_multi_bin(spec, scales)  # one ARL-500 budget for both scales
 configs = cal.to_configs()
 for n_bin, cfg in zip(cal.scales, configs):
     print(f"scale N={n_bin:2d}: rho_J = {cfg.rho_jump:.3f}, "

@@ -20,10 +20,12 @@ each demo in a directory of its own:
 - ``detect`` with thresholds the stream never reaches (no alarm, so the
   whole series is monitored): plain and with ``--trace``;
 - ``detect --sigma --standardize`` (exit 2);
-- ``calibrate`` in FA mode (joint) and in ARL mode (jump only), in FA
-  mode for the kink alone on standardized Student-t noise, and jointly
-  at horizon 513, whose 512 monitored steps end on the first segment
-  edge; and ``detect`` with the FA calibration file as its config;
+- ``calibrate`` in FA mode (joint) and in ARL mode (jump only and
+  joint), in FA mode for the kink alone on standardized Student-t
+  noise, and jointly at horizon 513, whose 512 monitored steps end on
+  the first segment edge; ``calibrate`` of a joint spec without a kink
+  bin (exit 2); and ``detect`` with the FA calibration file as its
+  config;
 - ``experiment`` for every study name, at small fixed sizes and seed;
 - ``calibrate`` in FA mode (joint) and ``experiment table3`` again, at
   ``LINEWATCH_THREADS=2`` and into files of their own;
@@ -60,6 +62,10 @@ FILES = {
               "k = 200\nn_jump = 10\nn_kink = 10\nmaster_seed = 3\n"),
     "arl.kv": ("mode = arl\nwhich = jump\nreplications = 1000\nhorizon = 300\nk = 200\n"
                "n_jump = 10\nmaster_seed = 4\n"),
+    "arl_joint.kv": ("mode = arl\nwhich = both\nreplications = 1000\nhorizon = 400\n"
+                     "k = 150\nn_jump = 6\nn_kink = 15\nmaster_seed = 8\n"),
+    "both_no_kink.kv": ("mode = fa\nwhich = both\nreplications = 200\neta = 0.5\n"
+                        "horizon = 100\nk = 50\nn_jump = 5\nmaster_seed = 9\n"),
     "fa_kink_t.kv": ("mode = fa\nwhich = kink\nreplications = 1000\neta = 0.3\nhorizon = 700\n"
                      "k = 150\nn_kink = 12\nnoise = student_t\ndf = 3\nstandardize = true\n"
                      "master_seed = 5\n"),
@@ -111,6 +117,10 @@ def _cases(root: str):
     yield "calibrate fa LINEWATCH_THREADS=2", cli + [
         "calibrate", "--spec", "fa.kv", "--out", "cal_fa_2t.kv"], 0, None
     yield "calibrate arl", cli + ["calibrate", "--spec", "arl.kv", "--out", "cal_arl.kv"], 0, None
+    yield "calibrate arl joint", cli + [
+        "calibrate", "--spec", "arl_joint.kv", "--out", "cal_arl_joint.kv"], 0, None
+    yield "calibrate both without n_kink", cli + [
+        "calibrate", "--spec", "both_no_kink.kv", "--out", "cal_no_kink.kv"], 2, None
     yield "calibrate fa kink student_t standardized", cli + [
         "calibrate", "--spec", "fa_kink_t.kv", "--out", "cal_kink_t.kv"], 0, None
     yield "calibrate fa horizon 513", cli + [

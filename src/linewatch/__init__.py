@@ -13,9 +13,7 @@ from .calibration import (
     MultiBinCalibration,
     NullMaxima,
     calibrate,
-    calibrate_joint,
     calibrate_multi_bin,
-    calibrate_single,
     simulate_null_maxima,
 )
 from .detector import (

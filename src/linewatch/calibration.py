@@ -10,16 +10,16 @@ Conventions: a stream with the change nominally at monitoring step
 ``horizon`` is drawn for k + horizon - 1 observations and monitored
 over steps 1..horizon-1, so an alarm strictly before the change counts
 as a false alarm.  The threshold at level eta is the
-ceil((1 - eta) * r)-th order statistic of the maxima.  Average run
-length targets reuse the same machinery with eta = 1 - 1/e and horizon
-equal to the target, exploiting the roughly exponential null run
-length.
+ceil((1 - eta) * r)-th order statistic of the maxima; several
+statistics share one marginal level, bisected so that their union
+exceedance is eta.  Average run length targets reuse the same rule at
+the level ``CalibrationSpec.level`` gives them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,9 +36,7 @@ __all__ = [
     "MultiBinCalibration",
     "NullMaxima",
     "calibrate",
-    "calibrate_joint",
     "calibrate_multi_bin",
-    "calibrate_single",
     "simulate_null_maxima",
 ]
 
@@ -47,21 +45,23 @@ __all__ = [
 class CalibrationSpec:
     """A tuning request.
 
-    ``horizon`` is the nominal change position in monitoring steps for
-    false-alarm targets, or the target average run length for ARL
-    targets.  ``eta`` is the target type-I level.  Thresholds are left
-    to the calibration; only the bin sizes are specified here.  Times
-    are observation indices divided by ``time_unit``.
+    The target is a false-alarm level ``eta`` with the change nominally
+    at monitoring step ``horizon``, or with ``arl`` (and no eta) an
+    average run length of ``horizon`` steps.  Thresholds are left to the
+    calibration; only the bin sizes are specified here, and the
+    statistics without one are not calibrated.  Times are observation
+    indices divided by ``time_unit``.
     """
 
     replications: int
-    eta: float
     horizon: int
     k: int
     n_jump: Optional[int]
     n_kink: Optional[int]
     noise: NoiseSpec
     master_seed: int
+    eta: Optional[float] = None
+    arl: bool = False
     prechange: Optional[KnownPrechange] = None
     time_unit: int = 1
     standardize: bool = False
@@ -70,7 +70,12 @@ class CalibrationSpec:
         _check_time_unit(self.time_unit)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not (0.0 < self.eta < 1.0):
+        if self.arl:
+            if self.eta is not None:
+                raise ValueError(f"an ARL target takes no eta, got eta = {self.eta}")
+        elif self.eta is None:
+            raise ValueError("a false-alarm target needs eta")
+        elif not (0.0 < self.eta < 1.0):
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -78,6 +83,14 @@ class CalibrationSpec:
             raise ValueError("need k >= 2 historical observations to fit")
         if self.n_jump is None and self.n_kink is None:
             raise ValueError("at least one statistic must have a bin size")
+
+    @property
+    def level(self) -> float:
+        """Probability of a null crossing within ``horizon`` steps that
+        the thresholds are tuned to: eta, or 1 - 1/e for an ARL target,
+        since the null run length is roughly exponential (Siegmund,
+        *Sequential Analysis*, 1985, ch. II)."""
+        return 1.0 - 1.0 / math.e if self.arl else self.eta
 
 
 @dataclass(frozen=True)
@@ -91,12 +104,7 @@ class NullMaxima:
 @dataclass(frozen=True)
 class CalibrationResult:
     """Calibrated thresholds plus the error rates achieved on the
-    calibration sample.
-
-    ``maxima`` holds the per-replication max-statistic samples when the
-    caller asked for them to be retained (``maxima_retained``), e.g. to
-    recalibrate at another level without resimulating.
-    """
+    calibration sample."""
 
     spec: CalibrationSpec
     method: str
@@ -106,11 +114,6 @@ class CalibrationResult:
     fa_jump: Optional[float]
     fa_kink: Optional[float]
     eta_marginal: float
-    maxima: Optional[NullMaxima] = None
-
-    @property
-    def maxima_retained(self) -> bool:
-        return self.maxima is not None
 
     def to_config(self) -> DetectorConfig:
         return DetectorConfig(
@@ -144,136 +147,85 @@ def simulate_null_maxima(spec: CalibrationSpec) -> NullMaxima:
     return NullMaxima(jump=jmax, kink=kmax)
 
 
-def _order_statistic(sorted_maxima: np.ndarray, eta: float) -> Tuple[float, float]:
-    """Threshold at level eta and its exceedance fraction on the sample."""
+def _order_statistic(sorted_maxima: np.ndarray, level: float) -> float:
+    """The ceil((1 - level) * r)-th order statistic of r sorted maxima."""
     r = sorted_maxima.shape[0]
-    q = math.ceil((1.0 - eta) * r - 1e-12)
-    q = min(max(q, 1), r)
-    rho = float(sorted_maxima[q - 1])
-    exceed = r - int(np.searchsorted(sorted_maxima, rho, side="left"))
-    return rho, exceed / r
+    q = math.ceil((1.0 - level) * r - 1e-12)
+    return float(sorted_maxima[min(max(q, 1), r) - 1])
 
 
-def calibrate_single(
-    spec: CalibrationSpec,
-    which: str,
-    maxima: Optional[NullMaxima] = None,
-    retain_maxima: bool = False,
-) -> CalibrationResult:
-    """Smallest threshold whose null exceedance is at most eta, as the
-    (1 - eta) empirical quantile of the relevant maxima; the other
-    statistic is disabled via an infinite threshold."""
-    if which not in ("jump", "kink"):
-        raise ValueError(f"which must be 'jump' or 'kink', got {which!r}")
-    if maxima is None:
-        maxima = simulate_null_maxima(spec)
-    arr = maxima.jump if which == "jump" else maxima.kink
-    if arr is None:
-        raise ValueError(f"{which} statistic has no bin size in this spec")
-    rho, fa = _order_statistic(np.sort(arr), spec.eta)
-    return CalibrationResult(
-        spec=spec,
-        method=f"single-{which}",
-        rho_jump=rho if which == "jump" else math.inf,
-        rho_kink=rho if which == "kink" else math.inf,
-        empirical_fa=fa,
-        fa_jump=fa if which == "jump" else None,
-        fa_kink=fa if which == "kink" else None,
-        eta_marginal=spec.eta,
-        maxima=maxima if retain_maxima else None,
-    )
-
-
-def _bisect_common_level(
-    families: Sequence[np.ndarray], eta: float, replications: int
+def _thresholds(
+    families: Sequence[np.ndarray], level: float, replications: int
 ) -> Tuple[float, List[float], float]:
-    """Common marginal level eta' such that the union exceedance over
-    all maxima families is eta; returns (eta', thresholds, union)."""
-    if eta < 1.0 / replications:
+    """One threshold per maxima family such that the fraction of rows
+    exceeding any of them is the target level; returns (marginal level,
+    thresholds, that union fraction).  One family takes its order
+    statistic at the level itself; several share one marginal level,
+    bisected until their union meets the target."""
+    if level < 1.0 / replications:
         raise CalibrationResolutionError(
-            f"eta = {eta} is below the 1/r = {1.0 / replications} resolution "
+            f"eta = {level} is below the 1/r = {1.0 / replications} resolution "
             f"of {replications} replications"
         )
     sorted_fams = [np.sort(f) for f in families]
 
-    def union_at(level: float) -> Tuple[float, List[float]]:
-        rhos = [_order_statistic(f, level)[0] for f in sorted_fams]
+    def union_at(marginal: float) -> Tuple[float, List[float]]:
+        rhos = [_order_statistic(f, marginal) for f in sorted_fams]
         hit = np.zeros(replications, dtype=bool)
         for fam, rho in zip(families, rhos):
             hit |= fam >= rho
         return float(hit.mean()), rhos
 
-    lo, hi = 0.0, eta
-    # union_at is non-decreasing in the level, and union_at(eta) >= eta.
+    if len(families) == 1:
+        union, rhos = union_at(level)
+        return level, rhos, union
+    lo, hi = 0.0, level
+    # union_at is non-decreasing in the level, and union_at(level) >= level.
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
         g_mid, _ = union_at(mid)
-        if g_mid < eta:
+        if g_mid < level:
             lo = mid
         else:
             hi = mid
     g_lo, rhos_lo = union_at(lo)
     g_hi, rhos_hi = union_at(hi)
-    if abs(g_lo - eta) < abs(g_hi - eta):
+    if abs(g_lo - level) < abs(g_hi - level):
         return lo, rhos_lo, g_lo
     return hi, rhos_hi, g_hi
 
 
-def calibrate_joint(
-    spec: CalibrationSpec,
-    maxima: Optional[NullMaxima] = None,
-    retain_maxima: bool = False,
-) -> CalibrationResult:
-    """Equalize the two marginal levels so that the probability of
-    either detector alarming before the change hits eta."""
-    if spec.n_jump is None or spec.n_kink is None:
-        raise ValueError("joint calibration needs both statistics enabled")
+def calibrate(spec: CalibrationSpec, maxima: Optional[NullMaxima] = None) -> CalibrationResult:
+    """Thresholds for the statistics that have bin sizes in ``spec``, at
+    its target level: one statistic alone (method ``single-<kind>``, the
+    other threshold infinite) or both sharing the budget (``joint``),
+    prefixed ``arl-`` for an ARL target.
+
+    ``maxima`` stands in for the simulation of ``spec``, so that one
+    ``simulate_null_maxima`` run serves several calibrations, e.g. each
+    statistic alone and both together:
+    ``calibrate(replace(spec, n_kink=None), maxima=maxima)``.
+    """
     if maxima is None:
         maxima = simulate_null_maxima(spec)
-    eta_m, (rho_j, rho_k), union = _bisect_common_level(
-        [maxima.jump, maxima.kink], spec.eta, spec.replications
-    )
-    fa_j = float((maxima.jump >= rho_j).mean())
-    fa_k = float((maxima.kink >= rho_k).mean())
+    kinds = [kind for kind, n in (("jump", spec.n_jump), ("kink", spec.n_kink)) if n is not None]
+    families = [getattr(maxima, kind) for kind in kinds]
+    if any(f is None for f in families):
+        raise ValueError(f"maxima lack a statistic of {kinds} that the spec calibrates")
+    eta_m, rhos, union = _thresholds(families, spec.level, spec.replications)
+    rho = dict(zip(kinds, rhos))
+    fa = {kind: float((f >= rho[kind]).mean()) for kind, f in zip(kinds, families)}
+    method = "joint" if len(kinds) == 2 else f"single-{kinds[0]}"
     return CalibrationResult(
         spec=spec,
-        method="joint",
-        rho_jump=rho_j,
-        rho_kink=rho_k,
+        method=f"arl-{method}" if spec.arl else method,
+        rho_jump=rho.get("jump", math.inf),
+        rho_kink=rho.get("kink", math.inf),
         empirical_fa=union,
-        fa_jump=fa_j,
-        fa_kink=fa_k,
+        fa_jump=fa.get("jump"),
+        fa_kink=fa.get("kink"),
         eta_marginal=eta_m,
-        maxima=maxima if retain_maxima else None,
     )
-
-
-ETA_ARL = 1.0 - 1.0 / math.e
-
-
-def calibrate(
-    spec: CalibrationSpec,
-    which: str = "both",
-    arl: bool = False,
-    maxima: Optional[NullMaxima] = None,
-    retain_maxima: bool = False,
-) -> CalibrationResult:
-    """Calibrate ``which`` statistic ('jump', 'kink' or 'both') to a
-    false-alarm level, or with ``arl`` to an average run length equal
-    to ``spec.horizon``: single calibration for one statistic, joint
-    calibration for both.
-
-    Under the null the run length is roughly exponential, so an ARL
-    target is met by a crossing probability of 1 - 1/e over one
-    target-length window.
-    """
-    if arl:
-        spec = replace(spec, eta=ETA_ARL)
-    if which == "both":
-        result = calibrate_joint(spec, maxima=maxima, retain_maxima=retain_maxima)
-    else:
-        result = calibrate_single(spec, which, maxima=maxima, retain_maxima=retain_maxima)
-    return replace(result, method=f"arl-{result.method}") if arl else result
 
 
 @dataclass(frozen=True)
@@ -294,20 +246,15 @@ class MultiBinCalibration:
         ]
 
 
-def calibrate_multi_bin(
-    spec: CalibrationSpec, scales: Sequence[int], eta: Optional[float] = None
-) -> MultiBinCalibration:
+def calibrate_multi_bin(spec: CalibrationSpec, scales: Sequence[int]) -> MultiBinCalibration:
     """Joint calibration across several bin sizes: every scale runs both
     statistics on the same null streams, and one common marginal level
-    is bisected so the union exceedance meets the target."""
+    is bisected so the union exceedance meets the spec's target."""
     if len(scales) == 0:
         raise ValueError("scales must be non-empty")
-    target = spec.eta if eta is None else eta
     per_scale = _null_maxima_for_bins(spec, [(n, n) for n in scales])
-    families: List[np.ndarray] = []
-    for jmax, kmax in per_scale:
-        families.extend([jmax, kmax])
-    eta_m, rhos, union = _bisect_common_level(families, target, spec.replications)
+    families = [f for pair in per_scale for f in pair]
+    eta_m, rhos, union = _thresholds(families, spec.level, spec.replications)
     return MultiBinCalibration(
         spec=spec,
         scales=tuple(int(n) for n in scales),

@@ -162,7 +162,8 @@ def _cmd_calibrate(args) -> int:
     try:
         spec = CalibrationSpec(
             replications=int(kv.get("replications", "1000")),
-            eta=float(kv.get("eta", "0.5")),
+            eta=None if mode == "arl" else float(kv.get("eta", "0.5")),
+            arl=mode == "arl",
             horizon=int(kv["horizon"]),
             k=int(kv["k"]),
             n_jump=opt_int("n_jump") if which != "kink" else None,
@@ -175,7 +176,9 @@ def _cmd_calibrate(args) -> int:
         raise FileFormatError(f"missing key {exc.args[0]!r}", path=path) from None
     except ValueError as exc:
         raise FileFormatError(str(exc), path=path) from exc
-    result = calibrate(spec, which, arl=mode == "arl")
+    if which == "both" and (spec.n_jump is None or spec.n_kink is None):
+        raise ValueError("joint calibration needs both statistics enabled")
+    result = calibrate(spec)
     ff.write_kv(args.out, "calibration", ff.calibration_to_kv(result))
     print(f"wrote: {args.out}")
     print(f"rho_jump: {result.rho_jump:.6g}")

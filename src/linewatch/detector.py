@@ -428,11 +428,20 @@ def save_state(state: DetectorState) -> bytes:
     )
 
 
+def _check_zeros(name: str, values: Sequence[float]) -> None:
+    """Reject a field that ``save_state`` writes as zeros (+0.0 for a
+    float) but that holds anything else, so that every snapshot
+    ``load_state`` accepts saves back to the same bytes."""
+    if any(v != 0 or math.copysign(1.0, v) < 0 for v in values):
+        raise ValueError(f"corrupt snapshot: {name} {tuple(values)} must be zero")
+
+
 def load_state(blob: bytes) -> DetectorState:
     """Rebuild a DetectorState from ``save_state`` output.
 
     Raises ValueError naming the first field that no state of this
-    configuration can hold.
+    configuration can hold, or that ``save_state`` would not write back
+    as it stands.
     """
     if len(blob) != SNAPSHOT_SIZE:
         raise ValueError(f"snapshot must be {SNAPSHOT_SIZE} bytes, got {len(blob)}")
@@ -446,8 +455,10 @@ def load_state(blob: bytes) -> DetectorState:
     kink_raw = fields[31:38]
     if ts_kind not in (0, 1):
         raise ValueError(f"corrupt snapshot: time kind {ts_kind} is not 0 or 1")
-    if ts_kind == 1 and ts_n < 1:
-        raise ValueError(f"corrupt snapshot: time unit {ts_n} is below 1")
+    if ts_kind == 1 and ts_n < 2:
+        raise ValueError(f"corrupt snapshot: time unit {ts_n} of time kind 1 is below 2")
+    if ts_kind == 0:
+        _check_zeros("time unit of time kind 0", (ts_n,))
     if pc_kind not in (0, 1):
         raise ValueError(f"corrupt snapshot: prechange kind {pc_kind} is not 0 or 1")
     if t < 0:
@@ -456,6 +467,8 @@ def load_state(blob: bytes) -> DetectorState:
         raise ValueError(f"corrupt snapshot: stopped flag {stopped} is not 0 or 1")
     if ev_kind not in (0, 1):
         raise ValueError(f"corrupt snapshot: event kind {ev_kind} is not 0 or 1")
+    if not stopped:
+        _check_zeros("event fields of a running detector", (ev_time, ev_stat, ev_rho, ev_kind))
     time_unit = ts_n if ts_kind == 1 else 1
     if pc_kind == 0:
         pc: Union[PrechangeFit, KnownPrechange] = PrechangeFit(
@@ -464,17 +477,22 @@ def load_state(blob: bytes) -> DetectorState:
             resid_sd=resid_sd,
         )
     else:
+        _check_zeros("known line k and moments",
+                     (pc_k, mean_t, mean_x, s_tt, s_tx, s_xx, resid_sd))
         pc = KnownPrechange(alpha=alpha, beta=beta, time_unit=time_unit)
-    config = DetectorConfig(
-        None if nj < 0 else nj, None if nk < 0 else nk, rho_j, rho_k
+    config = DetectorConfig(  # -1 is off; other values below 1 fail here
+        None if nj == -1 else nj, None if nk == -1 else nk, rho_j, rho_k
     )
     state = DetectorState(config, pc, absolute_offset=offset)
     state.t = t
     for name, raw, n in (("jump", jump_raw, config.n_jump), ("kink", kink_raw, config.n_kink)):
-        if n is not None and raw[0] != t % n:
+        if n is None:
+            _check_zeros(f"{name} bins of a disabled statistic", raw)
+        elif raw[0] != t % n:
             raise ValueError(
                 f"corrupt snapshot: {name} bin position r = {raw[0]} is not t mod N = {t % n}"
             )
+    _check_zeros("jump bin w slots", jump_raw[4:])
     state.jump = None if state.jump is None else list(jump_raw[1:4])
     state.kink = None if state.kink is None else list(kink_raw[1:])
     if stopped:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .calibration import CalibrationSpec, calibrate, calibrate_single
+from .calibration import CalibrationSpec, calibrate
 from .detector import DetectorConfig
 from .engine import first_alarms
 from .prechange import KnownPrechange, _check_time_unit
@@ -88,30 +88,6 @@ class Scenario:
             return ChangeKind.KINK
         return None
 
-    def settings(self) -> Dict[str, str]:
-        th = self.theta
-        return {
-            "tau": repr(th.tau),
-            "alpha_minus": repr(th.alpha_minus),
-            "alpha_plus": repr(th.alpha_plus),
-            "beta_minus": repr(th.beta_minus),
-            "beta_plus": repr(th.beta_plus),
-            "n": str(self.n),
-            "k": str(self.k),
-            "change_index": str(self.change_index),
-            "noise_kind": self.noise.kind,
-            "sigma": repr(self.noise.sigma),
-            "df": repr(self.noise.df),
-            "n_jump": str(self.config.n_jump),
-            "n_kink": str(self.config.n_kink),
-            "rho_jump": repr(self.config.rho_jump),
-            "rho_kink": repr(self.config.rho_kink),
-            "replications": str(self.replications),
-            "master_seed": str(self.master_seed),
-            "standardize": str(self.standardize),
-            "time_unit": str(self.time_unit),
-        }
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -125,7 +101,6 @@ class MetricsReport:
     true change kind.
     """
 
-    settings: Dict[str, str]
     replications: int
     fa_prob: Optional[float] = None
     fa_halfwidth: Optional[float] = None
@@ -190,7 +165,6 @@ def estimate_metrics(scenario: Scenario) -> MetricsReport:
         want = 1 if true_kind is ChangeKind.JUMP else 2
         type_acc = float((kind[post_mask] == want).mean())
     return MetricsReport(
-        settings=s.settings(),
         replications=s.replications,
         fa_prob=fa,
         fa_halfwidth=_binomial_halfwidth(fa, s.replications),
@@ -239,22 +213,7 @@ def estimate_arl(
     lengths, censored = null_run_lengths(
         config, noise, k, cap, replications, master_seed, standardize=standardize
     )
-    settings = {
-        "k": str(k),
-        "cap": str(cap),
-        "noise_kind": noise.kind,
-        "sigma": repr(noise.sigma),
-        "df": repr(noise.df),
-        "n_jump": str(config.n_jump),
-        "n_kink": str(config.n_kink),
-        "rho_jump": repr(config.rho_jump),
-        "rho_kink": repr(config.rho_kink),
-        "replications": str(replications),
-        "master_seed": str(master_seed),
-        "standardize": str(standardize),
-    }
     return MetricsReport(
-        settings=settings,
         replications=replications,
         arl=float(lengths.mean()),
         arl_halfwidth=_mean_halfwidth(lengths.astype(float)),
@@ -358,7 +317,7 @@ def rate_check(
             master_seed=derive_seed(master_seed, n, 0),
             time_unit=n,
         )
-        cal = calibrate_single(spec, str(kind))
+        cal = calibrate(spec)
         config = cal.to_config()
         scenario = Scenario(
             theta=theta,
@@ -470,7 +429,7 @@ def robustness_study(
         bins = (tpl.bin_size, None) if arm is ChangeKind.JUMP else (None, tpl.bin_size)
         spec = CalibrationSpec(
             replications=tpl.calib_replications,
-            eta=0.5,  # calibrate(arl=True) replaces it with the ARL level
+            arl=True,
             horizon=tpl.target_arl,
             k=tpl.k,
             n_jump=bins[0],
@@ -479,7 +438,7 @@ def robustness_study(
             master_seed=derive_seed(tpl.master_seed, arm_idx, 0),
             standardize=tpl.standardize,
         )
-        cal = calibrate(spec, str(arm), arl=True)
+        cal = calibrate(spec)
         config = cal.to_config()
         if arm is ChangeKind.JUMP:
             rho_jump = cal.rho_jump

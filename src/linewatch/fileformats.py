@@ -13,11 +13,14 @@ comment.  Config/calibration keys (units in parentheses):
     rho_jump, rho_kink  thresholds (residual units; 'inf' disables)
     k                   historical length (observations)
     horizon             change position or ARL target (monitoring steps)
-    eta                 target type-I level (probability)
+    eta                 target type-I level (probability); an ARL
+                        target records 1 - 1/e, its crossing probability
+                        over ``horizon`` steps
     replications        Monte Carlo sample size
     master_seed         integer seed
     noise, sigma, df    noise kind and parameters
     standardize         true/false
+    maxima_retained     always false (kept so that v1 files keep their bytes)
 
 Scenario files for ``simulate`` additionally carry the signal:
 tau (fraction of horizon), alpha_minus/alpha_plus (signal units at
@@ -186,7 +189,7 @@ def calibration_to_kv(result: CalibrationResult) -> Dict[str, str]:
         "n_kink": "none" if spec.n_kink is None else str(spec.n_kink),
         "rho_jump": repr(result.rho_jump),
         "rho_kink": repr(result.rho_kink),
-        "eta": repr(spec.eta),
+        "eta": repr(spec.level),
         "eta_marginal": repr(result.eta_marginal),
         "empirical_fa": repr(result.empirical_fa),
         "fa_jump": opt(result.fa_jump),
@@ -199,7 +202,7 @@ def calibration_to_kv(result: CalibrationResult) -> Dict[str, str]:
         "sigma": repr(spec.noise.sigma),
         "df": "none" if spec.noise.df is None else repr(spec.noise.df),
         "standardize": str(spec.standardize).lower(),
-        "maxima_retained": str(result.maxima_retained).lower(),
+        "maxima_retained": "false",
     }
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from .calibration import CalibrationSpec, calibrate, calibrate_joint
+from .calibration import CalibrationSpec, calibrate
 from .detector import DetectorConfig
 from .experiments import (
     RobustnessTemplate,
@@ -107,7 +107,7 @@ def table2(
                 n_kink=n_bin if mode in ("kink", "both") else None,
                 noise=_GAUSS, master_seed=derive_seed(seed, 0),
             )
-            cal = calibrate(spec, mode)
+            cal = calibrate(spec)
             config = cal.to_config()
             fa_rep = estimate_metrics(
                 _fa_scenario(k, horizon, config, replications, derive_seed(seed, 3))
@@ -137,12 +137,12 @@ def table3(
         for row_idx, (n_bin, target, k) in enumerate(settings):
             seed = derive_seed(master_seed, _MODE_ID[mode], row_idx)
             spec = CalibrationSpec(
-                replications=calib_replications, eta=0.5, horizon=target, k=k,
+                replications=calib_replications, arl=True, horizon=target, k=k,
                 n_jump=n_bin if mode in ("jump", "both") else None,
                 n_kink=n_bin if mode in ("kink", "both") else None,
                 noise=_GAUSS, master_seed=derive_seed(seed, 0),
             )
-            cal = calibrate(spec, mode, arl=True)
+            cal = calibrate(spec)
             config = cal.to_config()
             arl_rep = estimate_arl(
                 config, _GAUSS, k, 10 * target, replications, derive_seed(seed, 4)
@@ -215,7 +215,7 @@ def types_table(
         n_jump=n_bin, n_kink=n_bin, noise=_GAUSS,
         master_seed=derive_seed(master_seed, 0),
     )
-    config = calibrate_joint(spec).to_config()
+    config = calibrate(spec).to_config()
     n = k + horizon + 1200
     scenarios = [
         Scenario(SignalParams((k + horizon) / n, 0.0, 1.0, 0.0, 0.0), n, k,

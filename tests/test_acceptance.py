@@ -9,6 +9,7 @@ seed, so outcomes are reproducible bit for bit on the same build.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,6 @@ from linewatch import (
     Scenario,
     SignalParams,
     calibrate,
-    calibrate_joint,
-    calibrate_single,
     estimate_arl,
     estimate_metrics,
     fit_ols,
@@ -173,9 +172,9 @@ def table2_calibration():
     maxima = simulate_null_maxima(spec)
     return {
         "spec": spec,
-        "single_jump": calibrate_single(spec, "jump", maxima=maxima),
-        "single_kink": calibrate_single(spec, "kink", maxima=maxima),
-        "joint": calibrate_joint(spec, maxima=maxima),
+        "single_jump": calibrate(replace(spec, n_kink=None), maxima=maxima),
+        "single_kink": calibrate(replace(spec, n_jump=None), maxima=maxima),
+        "joint": calibrate(spec, maxima=maxima),
     }
 
 
@@ -234,10 +233,10 @@ def test_05_table2_row_reproduction(table2_calibration):
 
 def test_06_table3_arl_reproduction():
     spec = CalibrationSpec(
-        replications=10000, eta=0.5, horizon=1000, k=1000,
+        replications=10000, arl=True, horizon=1000, k=1000,
         n_jump=10, n_kink=None, noise=GAUSS, master_seed=11,
     )
-    cal = calibrate(spec, "jump", arl=True)
+    cal = calibrate(spec)
     rho_ok = 0.58 <= cal.rho_jump <= 0.67
     rep = estimate_arl(cal.to_config(), GAUSS, k=1000, cap=10**4,
                        replications=500, master_seed=987)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,12 +13,15 @@ from linewatch import (
     KnownPrechange,
     NoiseSpec,
     calibrate,
-    calibrate_joint,
     calibrate_multi_bin,
-    calibrate_single,
     simulate_null_maxima,
 )
-from linewatch.calibration import ETA_ARL, NullMaxima, _null_maxima_for_bins, _order_statistic
+from linewatch.calibration import (
+    NullMaxima,
+    _null_maxima_for_bins,
+    _order_statistic,
+    _thresholds,
+)
 from linewatch.prechange import fit_ols
 
 from oracles import full_horizon_maxima, noise_matrix
@@ -108,15 +112,14 @@ def test_null_maxima_at_segment_edges(monitored):
 
 def test_order_statistic_conventions():
     maxima = np.sort(np.arange(1.0, 12.0))  # r = 11
-    rho, fa = _order_statistic(maxima, 0.5)
-    assert rho == 6.0  # ceil(0.5 * 11) = 6th order statistic = median
-    assert fa == pytest.approx(6 / 11)
-    rho, _ = _order_statistic(maxima, 1e-9)
-    assert rho == 11.0  # eta -> 0 picks the largest observed maximum
+    assert _order_statistic(maxima, 0.5) == 6.0  # ceil(0.5 * 11) = 6th = median
+    assert _thresholds([maxima], 0.5, 11) == (0.5, [6.0], 6 / 11)
+    assert _order_statistic(maxima, 1e-9) == 11.0  # eta -> 0: the largest maximum
 
 
 def test_calibrate_single_sets_other_threshold_infinite():
-    result = calibrate_single(_spec(), "jump")
+    result = calibrate(_spec(n_kink=None))
+    assert result.method == "single-jump"
     assert math.isfinite(result.rho_jump)
     assert result.rho_kink == math.inf
     assert result.fa_kink is None
@@ -127,7 +130,7 @@ def test_calibrate_single_sets_other_threshold_infinite():
 def test_single_threshold_equals_sorting_selection():
     spec = _spec(replications=501)
     mx = simulate_null_maxima(spec)
-    result = calibrate_single(spec, "kink", maxima=mx)
+    result = calibrate(dataclasses.replace(spec, n_jump=None), maxima=mx)
     q = math.ceil((1 - spec.eta) * spec.replications)
     assert result.rho_kink == np.sort(mx.kink)[q - 1]
 
@@ -145,7 +148,7 @@ def test_joint_duplicate_samples_gives_eta_marginal():
     rng = np.random.default_rng(0)
     vals = rng.uniform(size=1000)
     mx = NullMaxima(jump=vals, kink=vals.copy())
-    result = calibrate_joint(_spec(replications=1000), maxima=mx)
+    result = calibrate(_spec(replications=1000), maxima=mx)
     # perfectly dependent: union = marginal, so eta' = eta
     assert result.eta_marginal == pytest.approx(0.5, abs=1e-2)
     assert result.empirical_fa == pytest.approx(0.5, abs=1e-2)
@@ -156,7 +159,7 @@ def test_joint_independent_samples_match_closed_form():
     r = 20000
     mx = NullMaxima(jump=rng.uniform(size=r), kink=rng.uniform(size=r))
     eta = 0.5
-    result = calibrate_joint(_spec(replications=r, eta=eta), maxima=mx)
+    result = calibrate(_spec(replications=r, eta=eta), maxima=mx)
     expected = 1.0 - math.sqrt(1.0 - eta)  # P(union) = 1 - (1 - eta')^2
     assert result.eta_marginal == pytest.approx(expected, abs=0.02)
     assert result.empirical_fa == pytest.approx(eta, abs=2.0 / math.sqrt(r) + 1e-3)
@@ -164,48 +167,65 @@ def test_joint_independent_samples_match_closed_form():
 
 def test_joint_union_hits_target_within_resolution():
     spec = _spec(replications=2000)
-    result = calibrate_joint(spec)
+    result = calibrate(spec)
+    assert result.method == "joint"
     assert abs(result.empirical_fa - spec.eta) <= 1.0 / math.sqrt(spec.replications)
     assert result.fa_jump == pytest.approx(result.fa_kink, abs=0.05)
 
 
 def test_joint_requires_both_statistics():
-    with pytest.raises(ValueError):
-        calibrate_joint(_spec(n_kink=None))
+    # a spec without the kink bin calibrates the jump statistic alone
+    result = calibrate(_spec(n_kink=None))
+    assert result.method == "single-jump" and result.fa_kink is None
+    with pytest.raises(ValueError, match="maxima lack"):
+        calibrate(_spec(), maxima=simulate_null_maxima(_spec(n_kink=None)))
 
 
 def test_unattainable_eta_raises_resolution_error():
     with pytest.raises(CalibrationResolutionError):
-        calibrate_joint(_spec(replications=50, eta=0.001))
+        calibrate(_spec(replications=50, eta=0.001))
+
+
+def test_single_statistic_unattainable_eta_raises_resolution_error():
+    # one statistic alone would otherwise return its sample maximum,
+    # whose false-alarm rate of 1/r or more exceeds eta
+    with pytest.raises(CalibrationResolutionError):
+        calibrate(_spec(replications=50, eta=0.001, n_kink=None))
+
+
+def test_spec_states_one_target():
+    with pytest.raises(ValueError, match="ARL target takes no eta"):
+        _spec(arl=True)
+    with pytest.raises(ValueError, match="needs eta"):
+        _spec(eta=None)
+    assert _spec(eta=None, arl=True).level == 1.0 - 1.0 / math.e
+    assert _spec(eta=0.3).level == 0.3
 
 
 def test_arl_delegates_to_single_at_fixed_eta():
-    spec = _spec(replications=500, horizon=80)
+    spec = _spec(replications=500, horizon=80, n_kink=None)
     mx = simulate_null_maxima(spec)
-    via_arl = calibrate(spec, "jump", arl=True, maxima=mx)
-    import dataclasses
-
-    direct = calibrate_single(
-        dataclasses.replace(spec, eta=ETA_ARL), "jump", maxima=mx
-    )
+    via_arl = calibrate(dataclasses.replace(spec, eta=None, arl=True), maxima=mx)
+    direct = calibrate(dataclasses.replace(spec, eta=1.0 - 1.0 / math.e), maxima=mx)
     assert via_arl.rho_jump == direct.rho_jump
     assert via_arl.method == "arl-single-jump"
 
 
 def test_arl_delegates_to_joint_for_both():
-    spec = _spec(replications=500, horizon=80)
-    via_arl = calibrate(spec, "both", arl=True)
+    spec = _spec(replications=500, horizon=80, eta=None, arl=True)
+    via_arl = calibrate(spec)
     assert math.isfinite(via_arl.rho_jump) and math.isfinite(via_arl.rho_kink)
     assert via_arl.method == "arl-joint"
 
 
 def test_multi_bin_single_scale_reduces_to_joint():
     spec = _spec(replications=800, k=40, horizon=100, n_jump=4, n_kink=4)
-    joint = calibrate_joint(spec)
+    joint = calibrate(spec)
     multi = calibrate_multi_bin(spec, [4])
-    assert multi.rho_jump[0] == pytest.approx(joint.rho_jump, rel=1e-12)
-    assert multi.rho_kink[0] == pytest.approx(joint.rho_kink, rel=1e-12)
-    assert multi.empirical_fa == pytest.approx(joint.empirical_fa, abs=1e-12)
+    assert multi.rho_jump[0] == joint.rho_jump
+    assert multi.rho_kink[0] == joint.rho_kink
+    assert multi.empirical_fa == joint.empirical_fa
+    assert multi.eta_marginal == joint.eta_marginal
 
 
 def test_multi_bin_union_hits_target():
@@ -249,10 +269,10 @@ def test_horizon_one_monitors_nothing():
 def test_arl_5000_threshold_matches_published_value():
     # N = 10, k = 2500, ARL target 5000: published threshold 0.734
     spec = CalibrationSpec(
-        replications=10000, eta=0.5, horizon=5000, k=2500,
+        replications=10000, arl=True, horizon=5000, k=2500,
         n_jump=10, n_kink=None, noise=GAUSS, master_seed=210,
     )
-    cal = calibrate(spec, "jump", arl=True)
+    cal = calibrate(spec)
     assert abs(cal.rho_jump - 0.734) <= 0.05
 
 
@@ -263,7 +283,7 @@ def test_multi_bin_arl_calibration_hits_target_band():
 
     k = 500
     spec = CalibrationSpec(
-        replications=2000, eta=ETA_ARL, horizon=500, k=k,
+        replications=2000, arl=True, horizon=500, k=k,
         n_jump=2, n_kink=2, noise=GAUSS, master_seed=4040,
     )
     multi = calibrate_multi_bin(spec, [2, 40])
@@ -318,7 +338,7 @@ def test_calibration_peak_memory_does_not_grow_with_replications():
     def peak(replications):
         tracemalloc.start()
         try:
-            calibrate_joint(_spec(replications=replications, horizon=1000, k=100))
+            calibrate(_spec(replications=replications, horizon=1000, k=100))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -328,14 +348,17 @@ def test_calibration_peak_memory_does_not_grow_with_replications():
     assert large - small <= 3600 * 8 * 8  # eight floats per added row
 
 
-def test_retained_maxima_allow_recalibration():
+def test_joint_maxima_calibrate_one_statistic_like_a_fresh_run():
+    # demo 02's path: one simulation of both statistics serves each alone
     spec = _spec(replications=400)
-    first = calibrate_single(spec, "jump", retain_maxima=True)
-    assert first.maxima_retained
-    import dataclasses
+    maxima = simulate_null_maxima(spec)
+    for one in (dataclasses.replace(spec, n_kink=None), dataclasses.replace(spec, n_jump=None)):
+        assert calibrate(one, maxima=maxima) == calibrate(one)
 
-    tighter = calibrate_single(
-        dataclasses.replace(spec, eta=0.2), "jump", maxima=first.maxima
-    )
+
+def test_shared_maxima_allow_recalibration():
+    spec = _spec(replications=400, n_kink=None)
+    maxima = simulate_null_maxima(spec)
+    first = calibrate(spec, maxima=maxima)
+    tighter = calibrate(dataclasses.replace(spec, eta=0.2), maxima=maxima)
     assert tighter.rho_jump >= first.rho_jump
-    assert not tighter.maxima_retained

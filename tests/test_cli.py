@@ -241,6 +241,17 @@ def test_detect_k_1_cannot_fit(tmp_path, capsys):
     assert code == 2
 
 
+def test_calibrate_both_needs_both_bins(tmp_path, capsys):
+    spec_path = str(tmp_path / "spec.txt")
+    write_kv(spec_path, "calibration-spec", {
+        "mode": "fa", "which": "both", "horizon": "50", "k": "30", "n_jump": "3",
+        "replications": "20",
+    })
+    code = main(["calibrate", "--spec", spec_path, "--out", str(tmp_path / "cal.txt")])
+    assert capsys.readouterr().err == "error: joint calibration needs both statistics enabled\n"
+    assert code == 2
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-1"])
 def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, monkeypatch, threads):
     spec_path = str(tmp_path / "spec.txt")

@@ -302,6 +302,78 @@ def test_load_state_rejects_corrupt_fields(index, corrupt, field):
         load_state(struct.pack(_SNAP_FMT, *fields))
 
 
+# Fields that save_state writes as constants: ({field index: value}
+# applied to the stopped snapshot above, the field the error must name).
+_CONSTANT_FIELDS = {
+    "jump_w1": ({28: 7.0}, "jump bin w slots"),
+    "jump_w3_negative_zero": ({30: -0.0}, "jump bin w slots"),
+    "disabled_kink_bins": ({2: -1}, "kink bins of a disabled statistic"),
+    "disabled_jump_position": ({1: -1, 24: 1, **dict.fromkeys(range(25, 31), 0.0)},
+                               "jump bins of a disabled statistic"),
+    "n_jump_below_minus_one": ({1: -5}, "n_jump"),
+    "known_line_k": ({8: 3}, "known line k and moments"),
+    "known_line_s_xx": ({15: 0.5}, "known line k and moments"),
+    "running_event_fields": ({19: 0}, "event fields of a running detector"),
+    "index_time_unit": ({5: 0}, "time unit of time kind 0"),
+    "fraction_time_unit_one": ({6: 1}, "time unit 1 of time kind 1"),
+}
+
+
+@pytest.mark.parametrize("changes, field", _CONSTANT_FIELDS.values(), ids=_CONSTANT_FIELDS)
+def test_load_state_rejects_fields_saved_as_constants(changes, field):
+    fields = _stopped_snapshot_fields()
+    for index, value in changes.items():
+        fields[index] = value
+    with pytest.raises(ValueError, match=field):
+        load_state(struct.pack(_SNAP_FMT, *fields))
+
+
+def _snapshot_bases():
+    """Field lists of saved states: fitted and known lines, time units 1
+    and 7, one or both statistics, running and stopped."""
+    xs = generate_series(SignalParams(0.5, 0.0, 2.0, 0.0, 0.0), 80,
+                         NoiseSpec("gaussian", 1.0), seed=5).values
+    bases = []
+    for config in (DetectorConfig(3, 4, 1.0, 2.0), DetectorConfig(None, 5, rho_kink=0.1),
+                   DetectorConfig(2, None, rho_jump=1.5)):
+        for line in (fit_ols(xs[:20], time_unit=7), KnownPrechange(0.5, -0.25)):
+            state = DetectorState(config, line, absolute_offset=20)
+            for x in xs[20:].tolist():
+                bases.append(struct.unpack(_SNAP_FMT, save_state(state)))
+                if state.step(x)[1] is not None:
+                    break
+            bases.append(struct.unpack(_SNAP_FMT, save_state(state)))
+    return bases
+
+
+_BASES = _snapshot_bases()[::7]
+_BYTE_FIELDS = {5, 7, 19, 23}  # the "B" fields of the record
+# Bin sizes, time and line kinds, time unit, fit k and the stopped flag
+# decide which other fields are constants, so they are drawn more often.
+_LAYOUT_FIELDS = [1, 2, 5, 6, 7, 8, 19]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_snapshot_load_state_accepts_saves_back_to_its_bytes(data):
+    fields = list(data.draw(st.sampled_from(_BASES)))
+    indices = st.integers(1, len(fields) - 1) | st.sampled_from(_LAYOUT_FIELDS)
+    for index in data.draw(st.lists(indices, min_size=1, max_size=3)):
+        if index in _BYTE_FIELDS:
+            value = st.sampled_from([0, 1]) | st.integers(0, 255)
+        elif isinstance(fields[index], int):
+            value = st.sampled_from([0, 1, -1, 2]) | st.integers(-2**63, 2**63 - 1)
+        else:
+            value = st.sampled_from([0.0, -0.0, 1.0, 7.0]) | st.floats()
+        fields[index] = data.draw(value)
+    blob = struct.pack(_SNAP_FMT, *fields)
+    try:
+        state = load_state(blob)
+    except ValueError:
+        return
+    assert save_state(state) == blob
+
+
 def test_snapshot_preserves_fitted_prechange_and_event():
     series = np.concatenate([np.zeros(30), np.full(20, 4.0)])
     config = DetectorConfig(2, None, rho_jump=0.5)

@@ -88,9 +88,9 @@ def test_infinite_thresholds_censor_all_arl_runs():
 def test_run_length_roughly_exponential():
     # memorylessness: mean close to sd for a threshold giving a
     # few-hundred-step average run length
-    spec = CalibrationSpec(replications=2000, eta=0.5, horizon=300, k=200,
+    spec = CalibrationSpec(replications=2000, arl=True, horizon=300, k=200,
                            n_jump=10, n_kink=None, noise=GAUSS, master_seed=21)
-    cal = calibrate(spec, "jump", arl=True)
+    cal = calibrate(spec)
     lengths, censored = null_run_lengths(
         cal.to_config(), GAUSS, k=200, cap=3000, replications=500, master_seed=22
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linewatch import CalibrationSpec, NoiseSpec, calibrate_single
+from linewatch import CalibrationSpec, NoiseSpec, calibrate
 from linewatch import fileformats
 from linewatch.errors import FileFormatError
 from linewatch.fileformats import (
@@ -209,7 +209,7 @@ def test_calibration_kv_round_trips_to_config(tmp_path):
     spec = CalibrationSpec(replications=100, eta=0.5, horizon=40, k=20,
                            n_jump=3, n_kink=None,
                            noise=NoiseSpec("gaussian", 1.0), master_seed=0)
-    result = calibrate_single(spec, "jump")
+    result = calibrate(spec)
     kv = calibration_to_kv(result)
     path = str(tmp_path / "cal.txt")
     write_kv(path, "calibration", kv)
