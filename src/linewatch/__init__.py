@@ -46,13 +46,10 @@ from .experiments import (
     RobustnessRow,
     RobustnessTemplate,
     Scenario,
-    TypeStudyRow,
     estimate_arl,
     estimate_metrics,
-    null_run_lengths,
     rate_check,
     robustness_study,
-    type_discrimination_study,
 )
 from .prechange import KnownPrechange, PrechangeFit, fit_ols, standardize
 from .signal import (

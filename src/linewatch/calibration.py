@@ -77,8 +77,10 @@ class CalibrationSpec:
             raise ValueError("a false-alarm target needs eta")
         elif not (0.0 < self.eta < 1.0):
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if self.horizon < 2:
+            raise ValueError(
+                f"horizon must be >= 2 (steps 1..horizon-1 are monitored), got {self.horizon}"
+            )
         if self.prechange is None and self.k < 2:
             raise ValueError("need k >= 2 historical observations to fit")
         if self.n_jump is None and self.n_kink is None:
@@ -130,9 +132,6 @@ def _null_maxima_for_bins(
     """Maxima of |J| / |K| per (n_jump, n_kink) pair on shared streams:
     the engine driver with the running-max reduction."""
     t_mon = spec.horizon - 1
-    if t_mon == 0:
-        return [tuple(None if n is None else np.zeros(spec.replications) for n in pair)
-                for pair in bins]
     maxima = iter(replicate(
         spec.noise, spec.master_seed, spec.replications, spec.k, spec.k + spec.horizon,
         lambda rows, residuals: segment_maxima(rows, t_mon, bins, residuals),

@@ -155,25 +155,23 @@ def _cmd_calibrate(args) -> int:
     if which not in ("jump", "kink", "both"):
         raise FileFormatError(f"which must be jump, kink or both, got {which!r}", path=path)
 
-    def opt_int(key):
-        raw = kv.get(key, "none").lower()
-        return None if raw in ("none", "off", "-") else int(raw)
-
     try:
         spec = CalibrationSpec(
             replications=int(kv.get("replications", "1000")),
-            eta=None if mode == "arl" else float(kv.get("eta", "0.5")),
+            eta=float(kv["eta"]) if "eta" in kv else (None if mode == "arl" else 0.5),
             arl=mode == "arl",
             horizon=int(kv["horizon"]),
             k=int(kv["k"]),
-            n_jump=opt_int("n_jump") if which != "kink" else None,
-            n_kink=opt_int("n_kink") if which != "jump" else None,
+            n_jump=ff.bin_size_from_kv(kv, "n_jump", path) if which != "kink" else None,
+            n_kink=ff.bin_size_from_kv(kv, "n_kink", path) if which != "jump" else None,
             noise=ff.noise_from_kv(kv, path),
             master_seed=int(kv.get("master_seed", "0")),
             standardize=kv.get("standardize", "false").lower() == "true",
         )
     except KeyError as exc:
         raise FileFormatError(f"missing key {exc.args[0]!r}", path=path) from None
+    except FileFormatError:
+        raise
     except ValueError as exc:
         raise FileFormatError(str(exc), path=path) from exc
     if which == "both" and (spec.n_jump is None or spec.n_kink is None):

@@ -1,7 +1,7 @@
 """Monte Carlo estimation of detector performance.
 
-Covers false-alarm probability, expected detection delay, average run
-length (with censoring), change-type attribution, delay-rate scaling
+Covers false-alarm probability, expected detection delay, change-type
+attribution, average run length (with censoring), delay-rate scaling
 over a horizon grid, and robustness under heavy-tailed noise.  All
 estimators run replications through the batch engine with
 deterministic per-replication seeds, so identical inputs give
@@ -36,16 +36,14 @@ __all__ = [
     "RobustnessRow",
     "RobustnessTemplate",
     "Scenario",
-    "TypeStudyRow",
     "estimate_arl",
     "estimate_metrics",
-    "null_run_lengths",
     "rate_check",
     "robustness_study",
-    "type_discrimination_study",
 ]
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_GAUSS = NoiseSpec("gaussian", 1.0)
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,10 @@ class MetricsReport:
 
     Counting contract: n_false_alarm (alarm strictly before the
     change) + n_detected (alarm at or after it) + n_missed equals
-    replications.  EDD conditions on detection at or after the change;
-    type_accuracy is the fraction of those detections attributing the
-    true change kind.
+    replications.  EDD conditions on detection at or after the change.
+    n_wrong_kind counts the detections whose first statistic to cross
+    is not the scenario's true change kind; it is None when the
+    scenario has no true change.
     """
 
     replications: int
@@ -109,7 +108,7 @@ class MetricsReport:
     n_missed: int = 0
     edd: Optional[float] = None
     edd_halfwidth: Optional[float] = None
-    type_accuracy: Optional[float] = None
+    n_wrong_kind: Optional[int] = None
     arl: Optional[float] = None
     arl_halfwidth: Optional[float] = None
     arl_censored: Optional[int] = None
@@ -126,22 +125,16 @@ def _mean_halfwidth(values: np.ndarray) -> Optional[float]:
     return float(Z95 * values.std(ddof=1) / math.sqrt(values.size))
 
 
-def simulate_alarms(scenario: Scenario) -> Tuple[np.ndarray, np.ndarray]:
-    """(alarm step, kind code) per replication; step is n - k + 1 when
-    the run never alarms.  Kind codes: 0 none, 1 jump, 2 kink."""
-    s = scenario
-    return first_alarms(
-        s.noise,
-        s.master_seed,
-        s.replications,
-        s.k,
-        s.n,
-        s.config,
-        signal=eval_signal_array(s.theta, s.n),
-        time_unit=s.time_unit,
-        prechange=s.prechange,
-        standardize_first=s.standardize,
-    )
+def _delay_scenario(
+    jump: float, kink_per_obs: float, k: int, config: DetectorConfig,
+    replications: int, seed: int, post_window: int = 4000,
+    noise: NoiseSpec = _GAUSS, standardize: bool = False,
+) -> Scenario:
+    """Change at the first monitored observation: pure-delay measurement."""
+    n = k + 1 + post_window
+    theta = SignalParams((k + 1) / n, 0.0, jump, 0.0, kink_per_obs * n)
+    return Scenario(theta, n, k, noise, config, replications, seed,
+                    standardize=standardize)
 
 
 def estimate_metrics(scenario: Scenario) -> MetricsReport:
@@ -149,7 +142,11 @@ def estimate_metrics(scenario: Scenario) -> MetricsReport:
     over fresh replications of one scenario."""
     s = scenario
     T = s.n - s.k
-    alarm, kind = simulate_alarms(s)
+    alarm, kind = first_alarms(
+        s.noise, s.master_seed, s.replications, s.k, s.n, s.config,
+        signal=eval_signal_array(s.theta, s.n), time_unit=s.time_unit,
+        prechange=s.prechange, standardize_first=s.standardize,
+    )
     c_rel = s.change_index - s.k  # change position on the monitoring clock
     detected = alarm <= T
     false_mask = detected & (alarm < c_rel)
@@ -159,11 +156,11 @@ def estimate_metrics(scenario: Scenario) -> MetricsReport:
     fa = float(false_mask.mean())
     n_post = int(post_mask.sum())
     edd = float(delays.mean()) if n_post > 0 else None
-    type_acc = None
     true_kind = s.true_kind
-    if true_kind is not None and n_post > 0:
-        want = 1 if true_kind is ChangeKind.JUMP else 2
-        type_acc = float((kind[post_mask] == want).mean())
+    n_wrong = None
+    if true_kind is not None:
+        want = 1 if true_kind is ChangeKind.JUMP else 2  # first_alarms' kind codes
+        n_wrong = int((kind[post_mask] != want).sum())
     return MetricsReport(
         replications=s.replications,
         fa_prob=fa,
@@ -173,30 +170,8 @@ def estimate_metrics(scenario: Scenario) -> MetricsReport:
         n_missed=int(s.replications - detected.sum()),
         edd=edd,
         edd_halfwidth=_mean_halfwidth(delays),
-        type_accuracy=type_acc,
+        n_wrong_kind=n_wrong,
     )
-
-
-def null_run_lengths(
-    config: DetectorConfig,
-    noise: NoiseSpec,
-    k: int,
-    cap: int,
-    replications: int,
-    master_seed: int,
-    standardize: bool = False,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Alarm times (monitoring steps) on no-change streams, censored at
-    ``cap``; returns (lengths, censored mask)."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    alarm, _ = first_alarms(
-        noise, master_seed, replications, k, k + cap, config,
-        standardize_first=standardize,
-    )
-    censored = alarm > cap
-    lengths = np.where(censored, cap, alarm)
-    return lengths, censored
 
 
 def estimate_arl(
@@ -208,11 +183,17 @@ def estimate_arl(
     master_seed: int,
     standardize: bool = False,
 ) -> MetricsReport:
-    """Mean null run length; censored runs contribute the cap, which
-    biases the estimate downward (the censored count is reported)."""
-    lengths, censored = null_run_lengths(
-        config, noise, k, cap, replications, master_seed, standardize=standardize
+    """Mean null run length over no-change streams monitored for at
+    most ``cap`` steps.  Censored runs contribute the cap, which biases
+    the estimate downward (the censored count is reported)."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    alarm, _ = first_alarms(
+        noise, master_seed, replications, k, k + cap, config,
+        standardize_first=standardize,
     )
+    censored = alarm > cap
+    lengths = np.where(censored, cap, alarm)
     return MetricsReport(
         replications=replications,
         arl=float(lengths.mean()),
@@ -313,7 +294,7 @@ def rate_check(
             k=k,
             n_jump=bins[0],
             n_kink=bins[1],
-            noise=NoiseSpec("gaussian", 1.0),
+            noise=_GAUSS,
             master_seed=derive_seed(master_seed, n, 0),
             time_unit=n,
         )
@@ -323,7 +304,7 @@ def rate_check(
             theta=theta,
             n=n,
             k=k,
-            noise=NoiseSpec("gaussian", 1.0),
+            noise=_GAUSS,
             config=config,
             replications=replications,
             master_seed=derive_seed(master_seed, n, 1),
@@ -434,7 +415,7 @@ def robustness_study(
             k=tpl.k,
             n_jump=bins[0],
             n_kink=bins[1],
-            noise=NoiseSpec("gaussian", 1.0),
+            noise=_GAUSS,
             master_seed=derive_seed(tpl.master_seed, arm_idx, 0),
             standardize=tpl.standardize,
         )
@@ -442,23 +423,14 @@ def robustness_study(
         config = cal.to_config()
         if arm is ChangeKind.JUMP:
             rho_jump = cal.rho_jump
+            jump, kink_per_obs = tpl.jump_size, 0.0
         else:
             rho_kink = cal.rho_kink
-
-        n = tpl.k + 1 + tpl.post_window
-        tau = (tpl.k + 1) / n
-        if arm is ChangeKind.JUMP:
-            theta = SignalParams(tau, 0.0, tpl.jump_size, 0.0, 0.0)
-        else:
-            theta = SignalParams(tau, 0.0, 0.0, 0.0, tpl.kink_slope_per_obs * n)
+            jump, kink_per_obs = 0.0, tpl.kink_slope_per_obs
 
         for df_idx, df in enumerate(df_grid):
             gaussian = df is None or math.isinf(df)
-            noise = (
-                NoiseSpec("gaussian", 1.0)
-                if gaussian
-                else NoiseSpec("student_t", df=float(df))
-            )
+            noise = _GAUSS if gaussian else NoiseSpec("student_t", df=float(df))
             arl_report = estimate_arl(
                 config,
                 noise,
@@ -468,17 +440,11 @@ def robustness_study(
                 derive_seed(tpl.master_seed, arm_idx, 1, df_idx),
                 standardize=tpl.standardize,
             )
-            scenario = Scenario(
-                theta=theta,
-                n=n,
-                k=tpl.k,
-                noise=noise,
-                config=config,
-                replications=tpl.replications,
-                master_seed=derive_seed(tpl.master_seed, arm_idx, 2, df_idx),
-                standardize=tpl.standardize,
-            )
-            edd_report = estimate_metrics(scenario)
+            edd_report = estimate_metrics(_delay_scenario(
+                jump, kink_per_obs, tpl.k, config, tpl.replications,
+                derive_seed(tpl.master_seed, arm_idx, 2, df_idx),
+                tpl.post_window, noise, tpl.standardize,
+            ))
             rows.append(
                 RobustnessRow(
                     arm=arm,
@@ -494,49 +460,3 @@ def robustness_study(
     return RobustnessReport(
         template=tpl, rho_jump=rho_jump, rho_kink=rho_kink, rows=tuple(rows)
     )
-
-
-@dataclass(frozen=True)
-class TypeStudyRow:
-    true_kind: ChangeKind
-    replications: int
-    n_post_alarms: int
-    n_wrong_kind: int
-    wrong_rate: Optional[float]
-    n_false_alarm: int
-    n_missed: int
-
-
-def type_discrimination_study(
-    scenarios: Sequence[Scenario],
-) -> List[TypeStudyRow]:
-    """For each scenario with a true jump or kink, the fraction of
-    post-change alarms where the wrong detector fired first.
-
-    False alarms (before the change) are excluded: they carry no type
-    information about the change."""
-    rows: List[TypeStudyRow] = []
-    for s in scenarios:
-        true_kind = s.true_kind
-        if true_kind is None:
-            raise ValueError("type study scenarios must contain a real change")
-        alarm, kind = simulate_alarms(s)
-        T = s.n - s.k
-        c_rel = s.change_index - s.k
-        detected = alarm <= T
-        post = detected & (alarm >= c_rel)
-        want = 1 if true_kind is ChangeKind.JUMP else 2
-        wrong = int((kind[post] != want).sum())
-        n_post = int(post.sum())
-        rows.append(
-            TypeStudyRow(
-                true_kind=true_kind,
-                replications=s.replications,
-                n_post_alarms=n_post,
-                n_wrong_kind=wrong,
-                wrong_rate=(wrong / n_post) if n_post else None,
-                n_false_alarm=int((detected & (alarm < c_rel)).sum()),
-                n_missed=int(s.replications - detected.sum()),
-            )
-        )
-    return rows

@@ -12,9 +12,11 @@ comment.  Config/calibration keys (units in parentheses):
     n_jump, n_kink      bin sizes (observations; 'none' disables)
     rho_jump, rho_kink  thresholds (residual units; 'inf' disables)
     k                   historical length (observations)
-    horizon             change position or ARL target (monitoring steps)
-    eta                 target type-I level (probability); an ARL
-                        target records 1 - 1/e, its crossing probability
+    horizon             change position or ARL target (monitoring
+                        steps, at least 2)
+    eta                 target type-I level (probability); an ARL spec
+                        (mode = arl) takes no eta, and its calibration
+                        file records 1 - 1/e, its crossing probability
                         over ``horizon`` steps
     replications        Monte Carlo sample size
     master_seed         integer seed
@@ -47,6 +49,7 @@ _SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 __all__ = [
     "FORMAT_VERSION",
+    "bin_size_from_kv",
     "calibration_to_kv",
     "config_from_kv",
     "format_table",
@@ -122,17 +125,19 @@ def _kv_int(kv: Dict[str, str], key: str, path: str, default: Optional[int] = No
         raise FileFormatError(f"key {key!r} is not an integer: {kv[key]!r}", path=path) from None
 
 
+def bin_size_from_kv(kv: Dict[str, str], key: str, path: str) -> Optional[int]:
+    """A bin size key; absent, 'none', 'off' or '-' disables the statistic."""
+    raw = kv.get(key, "none").lower()
+    if raw in ("none", "off", "-"):
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise FileFormatError(f"key {key!r} is not an integer: {raw!r}", path=path) from None
+
+
 def config_from_kv(kv: Dict[str, str], path: str = "<config>") -> DetectorConfig:
     """Detector configuration from a config or calibration file."""
-
-    def bin_size(key: str) -> Optional[int]:
-        raw = kv.get(key, "none").lower()
-        if raw in ("none", "off", "-"):
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise FileFormatError(f"key {key!r} is not an integer: {raw!r}", path=path) from None
 
     def threshold(key: str) -> float:
         raw = kv.get(key, "inf")
@@ -141,13 +146,10 @@ def config_from_kv(kv: Dict[str, str], path: str = "<config>") -> DetectorConfig
         except ValueError:
             raise FileFormatError(f"key {key!r} is not a number: {raw!r}", path=path) from None
 
+    n_jump, n_kink = bin_size_from_kv(kv, "n_jump", path), bin_size_from_kv(kv, "n_kink", path)
+    rho_jump, rho_kink = threshold("rho_jump"), threshold("rho_kink")
     try:
-        return DetectorConfig(
-            n_jump=bin_size("n_jump"),
-            n_kink=bin_size("n_kink"),
-            rho_jump=threshold("rho_jump"),
-            rho_kink=threshold("rho_kink"),
-        )
+        return DetectorConfig(n_jump, n_kink, rho_jump, rho_kink)
     except ValueError as exc:
         raise FileFormatError(str(exc), path=path) from exc
 

@@ -16,18 +16,18 @@ from .detector import DetectorConfig
 from .experiments import (
     RobustnessTemplate,
     Scenario,
+    _GAUSS,
+    _delay_scenario,
     derive_seed,
     estimate_arl,
     estimate_metrics,
     rate_check,
     robustness_study,
-    type_discrimination_study,
 )
-from .signal import NoiseSpec, SignalParams
+from .signal import SignalParams
 
 __all__ = ["EXPERIMENTS", "rates_table", "table2", "table3", "table5", "types_table"]
 
-_GAUSS = NoiseSpec("gaussian", 1.0)
 _MODE_ID = {"jump": 1, "kink": 2, "both": 3}
 _JUMP_SIZES = (2.0, 1.0, 0.5)
 _KINK_SLOPES = (0.5, 0.1, 0.02)  # per observation
@@ -39,17 +39,6 @@ def _fmt(value: Optional[float], digits: int = 6) -> str:
     if value == math.inf:
         return "inf"
     return f"{value:.{digits}g}"
-
-
-def _delay_scenario(
-    jump: float, kink_per_obs: float, k: int, config: DetectorConfig,
-    replications: int, seed: int, post_window: int = 4000,
-) -> Scenario:
-    """Change at the first monitored observation: pure-delay measurement."""
-    n = k + 1 + post_window
-    tau = (k + 1) / n
-    theta = SignalParams(tau, 0.0, jump, 0.0, kink_per_obs * n)
-    return Scenario(theta, n, k, _GAUSS, config, replications, seed)
 
 
 def _fa_scenario(
@@ -223,15 +212,17 @@ def types_table(
         Scenario(SignalParams((k + horizon) / n, 0.0, 0.0, 0.0, 0.1 * n), n, k,
                  _GAUSS, config, replications, derive_seed(master_seed, 2)),
     ]
-    rows_out = type_discrimination_study(scenarios)
     headers = ["true_kind", "replications", "post_alarms", "wrong_kind",
                "wrong_rate", "false_alarms", "missed"]
-    rows = [
-        [str(r.true_kind), str(r.replications), str(r.n_post_alarms),
-         str(r.n_wrong_kind), _fmt(r.wrong_rate, 3), str(r.n_false_alarm),
-         str(r.n_missed)]
-        for r in rows_out
-    ]
+    rows = []
+    for s in scenarios:
+        r = estimate_metrics(s)
+        rows.append([
+            str(s.true_kind), str(r.replications), str(r.n_detected),
+            str(r.n_wrong_kind),
+            _fmt(r.n_wrong_kind / r.n_detected if r.n_detected else None, 3),
+            str(r.n_false_alarm), str(r.n_missed),
+        ])
     return headers, rows
 
 

@@ -260,10 +260,13 @@ def test_null_streams_invariant_to_true_prechange_line():
     assert np.allclose(jmax2, mx.jump, atol=1e-9)
 
 
-def test_horizon_one_monitors_nothing():
-    spec = _spec(horizon=1, replications=10)
-    mx = simulate_null_maxima(spec)
-    assert np.all(mx.jump == 0.0) and np.all(mx.kink == 0.0)
+@pytest.mark.parametrize("horizon", [1, 0])
+def test_horizon_below_two_is_rejected(horizon):
+    # horizon 1 would monitor no step and calibrate every threshold to 0
+    with pytest.raises(ValueError, match="horizon must be >= 2"):
+        _spec(horizon=horizon)
+    with pytest.raises(ValueError, match="horizon must be >= 2"):
+        _spec(horizon=horizon, eta=None, arl=True)
 
 
 def test_arl_5000_threshold_matches_published_value():

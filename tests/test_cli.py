@@ -252,6 +252,43 @@ def test_calibrate_both_needs_both_bins(tmp_path, capsys):
     assert code == 2
 
 
+def _write_spec(tmp_path, **kv):
+    defaults = {"mode": "fa", "which": "jump", "horizon": "50", "k": "30",
+                "n_jump": "3", "replications": "20"}
+    defaults.update({k: str(v) for k, v in kv.items()})
+    path = str(tmp_path / "spec.txt")
+    write_kv(path, "calibration-spec", defaults)
+    return path
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"horizon": "1"}, "horizon must be >= 2 (steps 1..horizon-1 are monitored), got 1"),
+    ({"mode": "arl", "eta": "2"}, "an ARL target takes no eta, got eta = 2.0"),
+    ({"noise": "cauchy"}, "unknown noise kind 'cauchy'"),
+    ({"n_jump": "x"}, "key 'n_jump' is not an integer: 'x'"),
+], ids=["horizon-1", "arl-eta", "noise", "bin-size"])
+def test_bad_calibrate_spec_names_its_path_once(tmp_path, capsys, spec, message):
+    spec_path = _write_spec(tmp_path, **spec)
+    out_path = tmp_path / "cal.txt"
+    code = main(["calibrate", "--spec", spec_path, "--out", str(out_path)])
+    assert capsys.readouterr().err == f"error: {spec_path}: {message}\n"
+    assert code == 3
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_jump", "x", "key 'n_jump' is not an integer: 'x'"),
+    ("rho_jump", "abc", "key 'rho_jump' is not a number: 'abc'"),
+], ids=["bin-size", "threshold"])
+def test_bad_detect_config_names_its_path_once(tmp_path, capsys, key, value, message):
+    data = str(tmp_path / "d.csv")
+    write_series(data, np.arange(10.0))
+    cfg = _write_config(tmp_path, **{key: value})
+    code = main(["detect", "--input", data, "--config", cfg, "--k", "5"])
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert code == 3
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-1"])
 def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, monkeypatch, threads):
     spec_path = str(tmp_path / "spec.txt")

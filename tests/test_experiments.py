@@ -5,7 +5,6 @@ import pytest
 
 from linewatch import (
     CalibrationSpec,
-    ChangeKind,
     DetectorConfig,
     NoiseSpec,
     RobustnessTemplate,
@@ -14,11 +13,11 @@ from linewatch import (
     calibrate,
     estimate_arl,
     estimate_metrics,
-    null_run_lengths,
     rate_check,
     robustness_study,
-    type_discrimination_study,
 )
+from linewatch.engine import first_alarms
+from linewatch.experiments import Z95
 from linewatch.signal import eval_signal_array
 
 from oracles import config_alarms, noise_matrix
@@ -91,12 +90,18 @@ def test_run_length_roughly_exponential():
     spec = CalibrationSpec(replications=2000, arl=True, horizon=300, k=200,
                            n_jump=10, n_kink=None, noise=GAUSS, master_seed=21)
     cal = calibrate(spec)
-    lengths, censored = null_run_lengths(
-        cal.to_config(), GAUSS, k=200, cap=3000, replications=500, master_seed=22
-    )
-    assert censored.sum() < 50
-    ratio = lengths.mean() / lengths.std(ddof=1)
+    rep = estimate_arl(cal.to_config(), GAUSS, k=200, cap=3000,
+                       replications=500, master_seed=22)
+    assert rep.arl_censored < 50
+    sd = rep.arl_halfwidth * math.sqrt(500) / Z95
+    ratio = rep.arl / sd
     assert abs(ratio - 1.0) < 0.25
+
+
+def test_arl_cap_must_be_positive():
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        estimate_arl(DetectorConfig(3, 3, 0.9, 0.12), GAUSS, k=20, cap=0,
+                     replications=5, master_seed=5)
 
 
 def test_shared_seed_threshold_coupling():
@@ -137,10 +142,9 @@ def test_robustness_rows_cover_grid_and_arms():
 def test_type_study_kink_disabled_cannot_misattribute_jump():
     sc = _jump_scenario(size=2.0, reps=60, seed=13,
                         config=DetectorConfig(3, None, rho_jump=0.8))
-    row = type_discrimination_study([sc])[0]
-    assert row.true_kind is ChangeKind.JUMP
-    assert row.n_wrong_kind == 0
-    assert row.n_post_alarms > 0
+    rep = estimate_metrics(sc)
+    assert rep.n_wrong_kind == 0
+    assert rep.n_detected > 0
 
 
 def test_type_study_scale_separated_noiseless_jump_fires_jump_first():
@@ -152,18 +156,26 @@ def test_type_study_scale_separated_noiseless_jump_fires_jump_first():
     config = DetectorConfig(n_jump=4, n_kink=60, rho_jump=0.5, rho_kink=0.01)
     sc = Scenario(theta, n, k, NoiseSpec("gaussian", 0.0), config, 3, 0,
                   prechange=None)
-    row = type_discrimination_study([sc])[0]
-    assert row.n_post_alarms == 3
-    assert row.n_wrong_kind == 0
+    rep = estimate_metrics(sc)
+    assert rep.n_detected == 3
+    assert rep.n_wrong_kind == 0
 
 
-def test_type_study_rejects_null_scenario():
-    k = 30
-    n = 100
-    theta = SignalParams(50 / n, 0.0, 0.0, 0.0, 0.0)
-    sc = Scenario(theta, n, k, GAUSS, DetectorConfig(2, None, rho_jump=1.0), 5, 0)
-    with pytest.raises(ValueError):
-        type_discrimination_study([sc])
+@pytest.mark.parametrize("jump, kink_per_obs, code", [(1.0, 0.0, 1), (0.0, 0.05, 2)])
+def test_wrong_kind_counts_first_alarm_kinds(jump, kink_per_obs, code):
+    # equal bins, so both statistics fire: n_wrong_kind is the number of
+    # post-change first alarms whose kind code is not the true one
+    k, horizon = 100, 40
+    n = k + horizon + 200
+    theta = SignalParams((k + horizon) / n, 0.0, jump, 0.0, kink_per_obs * n)
+    sc = Scenario(theta, n, k, GAUSS, DetectorConfig(10, 10, 0.66, 0.05), 200, 31)
+    alarm, kind = first_alarms(GAUSS, 31, 200, k, n, sc.config,
+                               signal=eval_signal_array(theta, n))
+    post = (alarm >= sc.change_index - k) & (alarm <= n - k)
+    assert set(kind[post]) == {1, 2}
+    rep = estimate_metrics(sc)
+    assert rep.n_detected == post.sum()
+    assert rep.n_wrong_kind == (kind[post] != code).sum()
 
 
 def test_rate_check_smoke_and_validation():
@@ -182,12 +194,13 @@ def test_estimate_metrics_true_kind_accuracy_fields():
     sc = _jump_scenario(size=3.0, reps=80, seed=14,
                         config=DetectorConfig(3, None, rho_jump=0.9))
     rep = estimate_metrics(sc)
-    assert rep.type_accuracy == 1.0  # only the jump statistic runs
+    assert rep.n_detected > 0
+    assert rep.n_wrong_kind == 0  # only the jump statistic runs
     null_theta = SignalParams(0.9, 0.0, 0.0, 0.0, 0.0)
     null_sc = Scenario(null_theta, 200, 40, GAUSS,
                        DetectorConfig(3, None, rho_jump=0.9), 30, 15)
     null_rep = estimate_metrics(null_sc)
-    assert null_rep.type_accuracy is None  # no true change to attribute
+    assert null_rep.n_wrong_kind is None  # no true change to attribute
 
 
 def test_signal_matrix_change_placement():
