@@ -14,8 +14,10 @@ gives the case, the CLI cases in order in one working directory and
 each demo in a directory of its own:
 
 - ``simulate`` of a fixed scenario, then ``detect`` on its CSV: plain,
-  with ``--trace``, ``--standardize``, ``--split-time``, ``--sigma`` with
-  a known line, from stdin, and on copies of the CSV that end in a
+  with ``--trace``, ``--standardize``, ``--standardize --trace`` (a
+  standardized observation column), ``--split-time``, ``--sigma`` with
+  a known line, from stdin, with ``--trace`` and only the kink statistic
+  on (empty j_stat cells), and on copies of the CSV that end in a
   comment line or hold a malformed row near the end (exit 3);
 - ``detect`` with thresholds the stream never reaches (no alarm, so the
   whole series is monitored): plain and with ``--trace``;
@@ -58,6 +60,7 @@ FILES = {
                     "beta_plus = 2.0\nn = 20000\nseed = 11\nnoise = gaussian\nsigma = 1.0\n"),
     "config.kv": "n_jump = 20\nn_kink = 200\nrho_jump = 0.9\nrho_kink = 0.35\n",
     "quiet.kv": "n_jump = 20\nn_kink = 200\nrho_jump = 50\nrho_kink = 50\n",
+    "kink.kv": "n_kink = 200\nrho_kink = 0.35\n",
     "fa.kv": ("mode = fa\nwhich = both\nreplications = 2000\neta = 0.5\nhorizon = 500\n"
               "k = 200\nn_jump = 10\nn_kink = 10\nmaster_seed = 3\n"),
     "arl.kv": ("mode = arl\nwhich = jump\nreplications = 1000\nhorizon = 300\nk = 200\n"
@@ -101,11 +104,15 @@ def _cases(root: str):
     yield "detect", cli + DETECT + data, 0, None
     yield "detect --trace", cli + DETECT + data + ["--trace", "trace.csv"], 0, None
     yield "detect --standardize", cli + DETECT + data + ["--standardize"], 0, None
+    yield "detect --standardize --trace", cli + DETECT + data + [
+        "--standardize", "--trace", "std_trace.csv"], 0, None
     yield "detect --split-time", cli + ["detect", "--config", "config.kv", "--split-time",
                                         "5000.5", "--trace", "split.csv"] + data, 0, None
     yield "detect --sigma known line", cli + DETECT + data + [
         "--sigma", "1.0", "--known-alpha", "0.0", "--known-beta", "2.0"], 0, None
     yield "detect stdin", cli + DETECT + ["--input", "-"], 0, "data.csv"
+    yield "detect kink only --trace", cli + ["detect", "--config", "kink.kv", "--k", "5000",
+                                             "--trace", "kink_trace.csv"] + data, 0, None
     yield "detect trailing comment", cli + DETECT + ["--input", "note.csv"], 0, None
     yield "detect malformed row", cli + DETECT + ["--input", "bad.csv"], 3, None
     yield "detect --sigma --standardize", cli + DETECT + data + [

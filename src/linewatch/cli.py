@@ -122,11 +122,10 @@ def _cmd_detect(args) -> int:
     if args.known_alpha is not None:
         known = KnownPrechange(args.known_alpha, args.known_beta)
 
-    result = run(values, k, config, prechange=known,
-                 collect_trace=args.trace is not None)
+    result = run(values, k, config, prechange=known)
     event, prechange = result.event, result.prechange
     if args.trace is not None:
-        ff.write_trace(args.trace, values, k, result, config)
+        ff.write_trace(args.trace, values, result)
 
     alpha, beta = _line(prechange)
     print(f"status: {'alarm' if event else 'no-alarm'}")
@@ -155,21 +154,24 @@ def _cmd_calibrate(args) -> int:
     if which not in ("jump", "kink", "both"):
         raise FileFormatError(f"which must be jump, kink or both, got {which!r}", path=path)
 
+    standardize_value = kv.get("standardize", "false").lower()
+    if standardize_value not in ("true", "false"):
+        raise FileFormatError(f"key 'standardize' is not true or false: {kv['standardize']!r}",
+                              path=path)
     try:
         spec = CalibrationSpec(
-            replications=int(kv.get("replications", "1000")),
-            eta=float(kv["eta"]) if "eta" in kv else (None if mode == "arl" else 0.5),
+            replications=ff._kv_int(kv, "replications", path, default=1000),
+            eta=(ff._kv_float(kv, "eta", path) if "eta" in kv
+                 else None if mode == "arl" else 0.5),
             arl=mode == "arl",
-            horizon=int(kv["horizon"]),
-            k=int(kv["k"]),
+            horizon=ff._kv_int(kv, "horizon", path),
+            k=ff._kv_int(kv, "k", path),
             n_jump=ff.bin_size_from_kv(kv, "n_jump", path) if which != "kink" else None,
             n_kink=ff.bin_size_from_kv(kv, "n_kink", path) if which != "jump" else None,
             noise=ff.noise_from_kv(kv, path),
-            master_seed=int(kv.get("master_seed", "0")),
-            standardize=kv.get("standardize", "false").lower() == "true",
+            master_seed=ff._kv_int(kv, "master_seed", path, default=0),
+            standardize=standardize_value == "true",
         )
-    except KeyError as exc:
-        raise FileFormatError(f"missing key {exc.args[0]!r}", path=path) from None
     except FileFormatError:
         raise
     except ValueError as exc:

@@ -28,7 +28,6 @@ import dataclasses
 import math
 import struct
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -225,18 +224,18 @@ class RunResult:
 
     ``event`` is None when nothing crossed; ``alarm_time`` then equals
     the horizon so downstream risk computations can map no-detection to
-    the end of the stream.  With a trace, ``residuals`` holds those of
-    observations k+1..n against the pre-change line.  ``state`` is the
-    detector where monitoring stopped, to go on from when nothing crossed.
+    the end of the stream.  ``residuals`` holds those of observations
+    k+1..n against the pre-change line.  ``state`` is the detector where
+    monitoring stopped, to go on from when nothing crossed; its clock
+    ``state.t`` counts the residuals monitored.
     """
 
     event: Optional[DetectionEvent]
     horizon: int
     prechange: Union[PrechangeFit, KnownPrechange]
-    trace: Optional[List[StatSnapshot]] = None
-    scaling: Optional[Tuple[float, float]] = None
-    residuals: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-    state: Optional[DetectorState] = field(default=None, compare=False, repr=False)
+    scaling: Optional[Tuple[float, float]]
+    residuals: np.ndarray = field(compare=False, repr=False)
+    state: DetectorState = field(compare=False, repr=False)
 
     @property
     def detected(self) -> bool:
@@ -272,25 +271,14 @@ def run(
     prechange: Optional[KnownPrechange] = None,
     time_unit: int = 1,
     standardize_first: bool = False,
-    collect_trace: bool = False,
 ) -> RunResult:
     """Fit (or accept) the pre-change line on observations 1..k, then
     monitor k+1..end with ``DetectorState.extend`` and stop at the first
-    threshold crossing; event, trace and state equal those of
+    threshold crossing; event and state equal those of
     ``DetectorState.step`` bit for bit."""
     resid, n, pc, scaling = _prepare(series, k, prechange, time_unit, standardize_first)
     state = DetectorState(config, pc, absolute_offset=k)
-    event = state._fold(resid)
-    if not collect_trace:
-        return RunResult(event, n, pc, scaling=scaling, state=state)
-    stop = state.t  # the snapshots up to the alarm, from one kernel pass
-    j, kk = batch_stats(resid[None, :stop], config.n_jump, config.n_kink)
-    clock = np.arange(1, stop + 1)
-    cols = [s[0].tolist() if s is not None else [None] * stop for s in (j, kk)]
-    cols += [(2 * m + clock % m + 1).tolist() if m else [None] * stop
-             for m in (config.n_jump, config.n_kink)]
-    trace = list(map(tuple.__new__, repeat(StatSnapshot), zip(clock.tolist(), *cols)))
-    return RunResult(event, n, pc, trace, scaling, resid, state)
+    return RunResult(state._fold(resid), n, pc, scaling, resid, state)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,14 @@ __all__ = [
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _GAUSS = NoiseSpec("gaussian", 1.0)
+# rate_check's design: false-alarm level per horizon, change location
+# (fraction of n), and per kind the bin-size constant and change size
+_RATE_FA_LEVEL = 0.1
+_RATE_TAU = 0.75
+_RATE_BIN_SCALE = {ChangeKind.JUMP: 2.0, ChangeKind.KINK: 0.35}
+_RATE_MAGNITUDE = {ChangeKind.JUMP: 1.0, ChangeKind.KINK: 4.0}
+# robustness_study censors null runs at this many times the ARL target
+_ROBUSTNESS_CAP_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -245,11 +253,7 @@ def rate_check(
     kind: Union[str, ChangeKind],
     replications: int,
     master_seed: int,
-    fa_level: float = 0.1,
     calib_replications: int = 400,
-    bin_scale: Optional[float] = None,
-    magnitude: Optional[float] = None,
-    tau: float = 0.75,
 ) -> RateReport:
     """Measure mean detection delay across horizons with rate-shaped
     bin sizes.
@@ -258,19 +262,17 @@ def rate_check(
     jump statistic and N ~ n^(2/3) log(n)^(1/3) for the kink statistic,
     with desk-scale constants (the theoretical constants exceed any
     tractable stream length).  Thresholds are Monte Carlo calibrated
-    per horizon to a fixed false-alarm level on the pre-change stretch,
-    and the history is k = ceil(c * n) with residuals on the time unit
-    ``time_unit = n``.
+    per horizon to a false-alarm level of 0.1 on the pre-change stretch,
+    the history is k = ceil(c * n) with residuals on the time unit
+    ``time_unit = n``, and the change (a jump of 1, or a slope change of
+    4 per unit fraction of n) sits at 3n/4.
     """
     if len(n_grid) < 2:
         raise ValueError("n_grid needs at least two horizons")
     if sorted(n_grid) != list(n_grid):
         raise ValueError("n_grid must be ascending")
     kind = ChangeKind(kind) if not isinstance(kind, ChangeKind) else kind
-    if bin_scale is None:
-        bin_scale = 2.0 if kind is ChangeKind.JUMP else 0.35
-    if magnitude is None:
-        magnitude = 1.0 if kind is ChangeKind.JUMP else 4.0
+    tau, bin_scale, magnitude = _RATE_TAU, _RATE_BIN_SCALE[kind], _RATE_MAGNITUDE[kind]
 
     points: List[RatePoint] = []
     for n in n_grid:
@@ -289,7 +291,7 @@ def rate_check(
             theta = SignalParams(tau, 0.0, 0.0, 0.0, magnitude)
         spec = CalibrationSpec(
             replications=calib_replications,
-            eta=fa_level,
+            eta=_RATE_FA_LEVEL,
             horizon=change - k,
             k=k,
             n_jump=bins[0],
@@ -360,13 +362,7 @@ class RobustnessTemplate:
     jump_size: float = 0.5
     kink_slope_per_obs: float = 0.01
     post_window: int = 1500
-    cap: Optional[int] = None
     master_seed: int = 0
-    standardize: bool = True
-
-    @property
-    def effective_cap(self) -> int:
-        return self.cap if self.cap is not None else 10 * self.target_arl
 
 
 @dataclass(frozen=True)
@@ -399,8 +395,9 @@ def robustness_study(
     historical standard deviation.
 
     ``df_grid`` entries are Student-t degrees of freedom; math.inf (or
-    None) selects the Gaussian reference arm.  The change sits at the
-    first monitored observation, so every alarm measures pure delay.
+    None) selects the Gaussian reference arm.  Null runs are censored at
+    ten times the ARL target.  The change sits at the first monitored
+    observation, so every alarm measures pure delay.
     """
     tpl = template
     arms = tuple(ChangeKind(a) if not isinstance(a, ChangeKind) else a for a in arms)
@@ -417,7 +414,7 @@ def robustness_study(
             n_kink=bins[1],
             noise=_GAUSS,
             master_seed=derive_seed(tpl.master_seed, arm_idx, 0),
-            standardize=tpl.standardize,
+            standardize=True,
         )
         cal = calibrate(spec)
         config = cal.to_config()
@@ -435,15 +432,15 @@ def robustness_study(
                 config,
                 noise,
                 tpl.k,
-                tpl.effective_cap,
+                _ROBUSTNESS_CAP_FACTOR * tpl.target_arl,
                 tpl.replications,
                 derive_seed(tpl.master_seed, arm_idx, 1, df_idx),
-                standardize=tpl.standardize,
+                standardize=True,
             )
             edd_report = estimate_metrics(_delay_scenario(
                 jump, kink_per_obs, tpl.k, config, tpl.replications,
                 derive_seed(tpl.master_seed, arm_idx, 2, df_idx),
-                tpl.post_window, noise, tpl.standardize,
+                tpl.post_window, noise, standardize=True,
             ))
             rows.append(
                 RobustnessRow(

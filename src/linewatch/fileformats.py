@@ -40,6 +40,7 @@ import numpy as np
 
 from .calibration import CalibrationResult
 from .detector import DetectorConfig, RunResult
+from .engine import batch_stats
 from .errors import FileFormatError
 from .signal import NoiseSpec, SignalParams
 
@@ -105,11 +106,14 @@ def read_kv(path: str, expect_kind: Optional[str] = None) -> Dict[str, str]:
     return out
 
 
-def _kv_float(kv: Dict[str, str], key: str, path: str) -> float:
+def _kv_float(kv: Dict[str, str], key: str, path: str,
+              default: Optional[float] = None) -> Optional[float]:
+    if key not in kv:
+        if default is not None:
+            return default
+        raise FileFormatError(f"missing key {key!r}", path=path)
     try:
         return float(kv[key])
-    except KeyError:
-        raise FileFormatError(f"missing key {key!r}", path=path) from None
     except ValueError:
         raise FileFormatError(f"key {key!r} is not a number: {kv[key]!r}", path=path) from None
 
@@ -157,7 +161,7 @@ def config_from_kv(kv: Dict[str, str], path: str = "<config>") -> DetectorConfig
 def noise_from_kv(kv: Dict[str, str], path: str = "<spec>") -> NoiseSpec:
     kind = kv.get("noise", "gaussian")
     if kind == "gaussian":
-        return NoiseSpec("gaussian", sigma=float(kv.get("sigma", "1.0")))
+        return NoiseSpec("gaussian", sigma=_kv_float(kv, "sigma", path, default=1.0))
     if kind == "student_t":
         return NoiseSpec("student_t", df=_kv_float(kv, "df", path))
     raise FileFormatError(f"unknown noise kind {kind!r}", path=path)
@@ -321,19 +325,21 @@ def _parse_rows(lines: Sequence[str], path: str) -> np.ndarray:
     return np.array(fields_read).reshape(-1, n_cols)
 
 
-def write_trace(path: str, series: np.ndarray, k: int, result: RunResult,
-                config: DetectorConfig) -> None:
-    """Statistic trace CSV of ``run(series, k, config, collect_trace=True)``,
-    one row per monitored observation.
+def write_trace(path: str, series: np.ndarray, result: RunResult) -> None:
+    """Statistic trace CSV of ``result = run(series, k, config)``, one
+    row per monitored observation up to the alarm; J and K come from one
+    ``batch_stats`` pass over ``result.residuals``, and k and the config
+    from ``result.state``.
 
     A statistic that is off has empty cells; thresholds are repeated per
     row so the file stands alone for plotting; the last row carries the
     event, if any.
     """
-    trace, event = result.trace, result.event
-    stop = len(trace)
-    _, j_stat, k_stat, _, _ = zip(*trace)
-    stats = [("",) * stop if stat[0] is None else stat for stat in (j_stat, k_stat)]
+    state, event = result.state, result.event
+    config, k, stop = state.config, state.absolute_offset, state.t
+    with np.errstate(invalid="ignore", over="ignore"):  # silent on inf - inf, as step() is
+        stats = batch_stats(result.residuals[None, :stop], config.n_jump, config.n_kink)
+    stats = [("",) * stop if stat is None else stat[0].tolist() for stat in stats]
     alarm = ["0,"] * stop
     if event is not None:
         alarm[-1] = "1," + str(event.kind)

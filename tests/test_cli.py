@@ -252,12 +252,13 @@ def test_calibrate_both_needs_both_bins(tmp_path, capsys):
     assert code == 2
 
 
-def _write_spec(tmp_path, **kv):
+def _write_spec(tmp_path, name="spec.txt", **kv):
+    """A jump calibration spec; a key given as None is left out."""
     defaults = {"mode": "fa", "which": "jump", "horizon": "50", "k": "30",
                 "n_jump": "3", "replications": "20"}
-    defaults.update({k: str(v) for k, v in kv.items()})
-    path = str(tmp_path / "spec.txt")
-    write_kv(path, "calibration-spec", defaults)
+    defaults.update(kv)
+    path = str(tmp_path / name)
+    write_kv(path, "calibration-spec", {k: str(v) for k, v in defaults.items() if v is not None})
     return path
 
 
@@ -266,7 +267,16 @@ def _write_spec(tmp_path, **kv):
     ({"mode": "arl", "eta": "2"}, "an ARL target takes no eta, got eta = 2.0"),
     ({"noise": "cauchy"}, "unknown noise kind 'cauchy'"),
     ({"n_jump": "x"}, "key 'n_jump' is not an integer: 'x'"),
-], ids=["horizon-1", "arl-eta", "noise", "bin-size"])
+    ({"standardize": "yes"}, "key 'standardize' is not true or false: 'yes'"),
+    ({"replications": "x"}, "key 'replications' is not an integer: 'x'"),
+    ({"horizon": "5.5"}, "key 'horizon' is not an integer: '5.5'"),
+    ({"horizon": None}, "missing key 'horizon'"),
+    ({"k": "x"}, "key 'k' is not an integer: 'x'"),
+    ({"master_seed": "x"}, "key 'master_seed' is not an integer: 'x'"),
+    ({"eta": "x"}, "key 'eta' is not a number: 'x'"),
+    ({"sigma": "z"}, "key 'sigma' is not a number: 'z'"),
+], ids=["horizon-1", "arl-eta", "noise", "bin-size", "standardize", "replications",
+        "horizon", "no-horizon", "k", "master-seed", "eta", "sigma"])
 def test_bad_calibrate_spec_names_its_path_once(tmp_path, capsys, spec, message):
     spec_path = _write_spec(tmp_path, **spec)
     out_path = tmp_path / "cal.txt"
@@ -274,6 +284,18 @@ def test_bad_calibrate_spec_names_its_path_once(tmp_path, capsys, spec, message)
     assert capsys.readouterr().err == f"error: {spec_path}: {message}\n"
     assert code == 3
     assert not out_path.exists()
+
+
+def test_calibrate_standardize_takes_true_or_false_in_any_case(tmp_path, capsys):
+    files = []
+    for value in ("true", "TRUE", "false", "False"):
+        out = tmp_path / f"cal_{value}.txt"
+        spec_path = _write_spec(tmp_path, f"spec_{value}.txt", standardize=value)
+        assert main(["calibrate", "--spec", spec_path, "--out", str(out)]) == 0
+        files.append(out.read_text())
+    capsys.readouterr()
+    assert files[0] == files[1] != files[2] == files[3]
+    assert "standardize = true" in files[0] and "standardize = false" in files[2]
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -26,6 +26,7 @@ from linewatch import (
     theorem_scale_config,
 )
 from linewatch.detector import _SNAP_FMT, SNAPSHOT_SIZE
+from linewatch.engine import batch_stats
 
 from oracles import (
     first_crossing_alarm,
@@ -208,25 +209,26 @@ def test_run_reports_plain_floats():
     series = np.zeros(60)
     series[40:] = 5.0
     config = DetectorConfig(2, 2, 1.0, 0.5)
-    result = run(series, 20, config, collect_trace=True)
+    result = run(series, 20, config)
     assert type(result.event.stat_value) is float
-    assert all(type(s.j_stat) is float and type(s.k_stat) is float
-               for s in result.trace)
+    assert all(type(v) is float for v in result.state.jump + result.state.kink)
     assert type(multi_bin_run(series, 20, [config]).event.stat_value) is float
 
 
-def test_trace_collection():
+def test_run_keeps_the_residuals_of_every_monitored_observation():
     series = np.zeros(50)
+    series[30:] = 50.0
     config = DetectorConfig(2, 2, 1.0, 1.0)
-    result = run(series, 10, config, collect_trace=True)
-    assert len(result.trace) == 40
-    assert [s.t for s in result.trace] == list(range(1, 41))
-    assert result.residuals.size == 40 and run(series, 10, config).residuals is None
+    quiet = run(np.zeros(50), 10, config)
+    assert quiet.state.t == 40 and quiet.residuals.size == 40
+    alarmed = run(series, 10, config)  # stops at observation 31, keeps all 40
+    assert alarmed.alarm_time == 31 and alarmed.state.t == 21
+    assert alarmed.residuals.tolist() == [0.0] * 20 + [50.0] * 20
 
 
 def test_trace_residuals_are_predict_at_index_residuals():
     series = np.random.default_rng(3).standard_normal(80) + 0.05 * np.arange(80)
-    result = run(series, 30, DetectorConfig(3, 3, 4.0, 4.0), collect_trace=True)
+    result = run(series, 30, DetectorConfig(3, 3, 4.0, 4.0))
     line = result.prechange
     want = [series[i - 1] - line.predict_at_index(i) for i in range(31, 81)]
     assert result.residuals.tolist() == want
@@ -627,18 +629,26 @@ def _bits(value):
 
 
 def _assert_run_equals_steps(series, k, config, **kwargs):
-    result = run(series, k, config, collect_trace=True, **kwargs)
+    """``run``'s event equals stepping's, and one ``batch_stats`` pass
+    over its residuals up to ``state.t`` (what a trace file holds)
+    equals every step's snapshot, bit for bit, windows included."""
+    result = run(series, k, config, **kwargs)
     event, trace = step_run(series, k, config, **kwargs)
     assert result.event == event
     if event is not None:
         assert _bits(result.event.stat_value) == _bits(event.stat_value)
         assert type(result.event.time) is int
-    assert len(result.trace) == len(trace)
-    for got, want in zip(result.trace, trace):
-        assert (got.t, got.window_jump, got.window_kink) == (
-            want.t, want.window_jump, want.window_kink)
-        assert _bits(got.j_stat) == _bits(want.j_stat)
-        assert _bits(got.k_stat) == _bits(want.k_stat)
+    stop = result.state.t
+    assert stop == len(trace)
+    with np.errstate(invalid="ignore", over="ignore"):
+        stats = batch_stats(result.residuals[None, :stop], config.n_jump, config.n_kink)
+    j, kk = ([None] * stop if s is None else s[0].tolist() for s in stats)
+    for t, want in enumerate(trace, start=1):
+        windows = tuple(None if m is None else 2 * m + t % m + 1
+                        for m in (config.n_jump, config.n_kink))
+        assert (t, *windows) == (want.t, want.window_jump, want.window_kink)
+        assert _bits(j[t - 1]) == _bits(want.j_stat)
+        assert _bits(kk[t - 1]) == _bits(want.k_stat)
     return result
 
 
@@ -806,11 +816,9 @@ def test_run_state_continues_with_extend_like_the_whole_run(m):
 
 def test_run_result_equality_and_repr_leave_out_the_state():
     series = np.random.default_rng(13).standard_normal(300)
-    for collect_trace in (False, True):
-        a, b = (run(series, 20, DetectorConfig(4, 6, 0.9, 0.1), collect_trace=collect_trace)
-                for _ in range(2))
-        assert a.state is not b.state and a == b
-        assert "state" not in repr(a)
+    a, b = (run(series, 20, DetectorConfig(4, 6, 0.9, 0.1)) for _ in range(2))
+    assert a.state is not b.state and a.residuals is not b.residuals and a == b
+    assert "state" not in repr(a) and "residuals" not in repr(a)
 
 
 @pytest.mark.parametrize("rho_jump, rho_kink, kind", [

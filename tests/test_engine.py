@@ -141,8 +141,8 @@ def test_batch_residuals_equal_run_at_huge_time_units(unit):
     k = 20
     x = np.random.default_rng(9).standard_normal((1, k + 250))
     line = KnownPrechange(0.25, 1e15, time_unit=unit)
-    traced = run(x[0], k, DetectorConfig(5, 5), prechange=line, collect_trace=True)
-    assert np.array_equal(batch_residuals(x, k, prechange=line)[0], traced.residuals)
+    result = run(x[0], k, DetectorConfig(5, 5), prechange=line)
+    assert np.array_equal(batch_residuals(x, k, prechange=line)[0], result.residuals)
 
 
 def test_batch_residuals_known_line_keeps_its_time_unit():
