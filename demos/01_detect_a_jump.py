@@ -21,7 +21,7 @@ theta = SignalParams(tau=516 / 700, alpha_minus=0.0, alpha_plus=2.0,
 series = generate_series(theta, n=700, noise=NoiseSpec("gaussian", 1.0), seed=6)
 
 config = DetectorConfig(n_jump=2, n_kink=None, rho_jump=1.5)
-result = run(series.values, k=500, config=config)
+result = run(series, k=500, config=config)
 
 print(f"history: 500 observations, fitted line "
       f"alpha={result.prechange.alpha_hat:+.4f} beta={result.prechange.beta_hat:+.6f}")
@@ -33,7 +33,7 @@ print(f"alarm: observation {result.event.time}, kind={result.event.kind}, "
 print("\nstatistic in the last few steps before the alarm:")
 # replay the monitored observations up to the alarm one step at a time
 state = DetectorState(config, result.prechange, absolute_offset=500)
-trace = [state.step(x)[0] for x in series.values[500:result.event.time]]
+trace = [state.step(x)[0] for x in series[500:result.event.time]]
 for snap in trace[-6:]:
     marker = " <-- alarm" if snap.t == result.event.time - 500 else ""
     print(f"  obs {500 + snap.t:3d}  J = {snap.j_stat:+.3f}  "

@@ -34,7 +34,7 @@ cases = {
 }
 for label, theta in cases.items():
     series = generate_series(theta, n, NoiseSpec("gaussian", 1.0), seed=77)
-    outcome = multi_bin_run(series.values, k, configs)
+    outcome = multi_bin_run(series, k, configs)
     assert outcome.detected
     print(f"{label}: alarm at {outcome.event.time} "
           f"(change at {k + 100}, fired by scale "

@@ -10,7 +10,7 @@ stand-ins for weekly excess-count estimates.
 
 import numpy as np
 
-from linewatch import DetectorConfig, NoiseSpec, SignalParams, generate_series, run
+from linewatch import DetectorConfig, run
 
 rng = np.random.default_rng(2020)
 

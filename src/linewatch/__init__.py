@@ -56,7 +56,6 @@ from .signal import (
     ChangeKind,
     NoiseSpec,
     SignalParams,
-    SyntheticSeries,
     change_index,
     eval_signal_array,
     generate_series,

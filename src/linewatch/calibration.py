@@ -27,7 +27,7 @@ import numpy as np
 from .detector import DetectorConfig
 from .engine import replicate, segment_maxima
 from .errors import CalibrationResolutionError
-from .prechange import KnownPrechange, _check_time_unit
+from .prechange import _check_time_unit
 from .signal import NoiseSpec
 
 __all__ = [
@@ -62,7 +62,6 @@ class CalibrationSpec:
     master_seed: int
     eta: Optional[float] = None
     arl: bool = False
-    prechange: Optional[KnownPrechange] = None
     time_unit: int = 1
     standardize: bool = False
 
@@ -81,7 +80,7 @@ class CalibrationSpec:
             raise ValueError(
                 f"horizon must be >= 2 (steps 1..horizon-1 are monitored), got {self.horizon}"
             )
-        if self.prechange is None and self.k < 2:
+        if self.k < 2:
             raise ValueError("need k >= 2 historical observations to fit")
         if self.n_jump is None and self.n_kink is None:
             raise ValueError("at least one statistic must have a bin size")
@@ -135,7 +134,7 @@ def _null_maxima_for_bins(
     maxima = iter(replicate(
         spec.noise, spec.master_seed, spec.replications, spec.k, spec.k + spec.horizon,
         lambda rows, residuals: segment_maxima(rows, t_mon, bins, residuals),
-        time_unit=spec.time_unit, prechange=spec.prechange, standardize_first=spec.standardize))
+        time_unit=spec.time_unit, standardize_first=spec.standardize))
     return [tuple(None if n is None else next(maxima) for n in pair) for pair in bins]
 
 

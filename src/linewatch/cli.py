@@ -191,8 +191,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_simulate(args) -> int:
     kv = ff.read_kv(args.scenario)
     theta, n, noise, seed = ff.scenario_params_from_kv(kv, args.scenario)
-    series = generate_series(theta, n, noise, seed)
-    ff.write_series(args.out, series.values)
+    ff.write_series(args.out, generate_series(theta, n, noise, seed))
     truth_path = args.truth or (args.out + ".truth")
     ff.write_kv(
         truth_path,

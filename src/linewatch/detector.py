@@ -18,8 +18,9 @@ or |K| >= rho_kink, never at an infinite threshold; state size is O(1).
 
 One ``DetectorState`` holds the bins, in ``engine.BatchBins`` column
 order; ``step`` folds in one value in pure Python, ``extend`` a block on
-the batch kernel, bit for bit alike.  ``run`` and ``multi_bin_run``
-extend a fresh state by a recorded series.
+the batch kernel, bit for bit alike.  ``run`` extends a fresh state by a
+recorded series; ``multi_bin_run`` is a ``run`` at its first scale, whose
+residuals it folds into a fresh state for each further scale.
 """
 
 from __future__ import annotations
@@ -246,23 +247,6 @@ class RunResult:
         return self.event.time if self.event is not None else self.horizon
 
 
-def _prepare(series, k, prechange, time_unit, standardize_flag):
-    """(residuals of observations k+1.., n, line, scaling) for a run."""
-    _check_time_unit(time_unit)
-    x = np.asarray(series, dtype=float)
-    n = x.size
-    if k < 0:
-        raise ValueError(f"history length k must be >= 0, got {k}")
-    if n <= k:
-        raise ValueError(f"series length {n} must exceed history length {k}")
-    scaling = None
-    if standardize_flag:
-        x, scaling = standardize(x, k)
-    if prechange is None:
-        prechange = fit_ols(x[:k], time_unit=time_unit)
-    return _residuals(x[k:], k + 1, *_line(prechange), prechange.time_unit), n, prechange, scaling
-
-
 @np.errstate(invalid="ignore", over="ignore")  # silent on inf - inf, as step() is
 def run(
     series: Sequence[float],
@@ -276,9 +260,20 @@ def run(
     monitor k+1..end with ``DetectorState.extend`` and stop at the first
     threshold crossing; event and state equal those of
     ``DetectorState.step`` bit for bit."""
-    resid, n, pc, scaling = _prepare(series, k, prechange, time_unit, standardize_first)
-    state = DetectorState(config, pc, absolute_offset=k)
-    return RunResult(state._fold(resid), n, pc, scaling, resid, state)
+    _check_time_unit(time_unit)
+    x = np.asarray(series, dtype=float)
+    if k < 0:
+        raise ValueError(f"history length k must be >= 0, got {k}")
+    if x.size <= k:
+        raise ValueError(f"series length {x.size} must exceed history length {k}")
+    scaling = None
+    if standardize_first:
+        x, scaling = standardize(x, k)
+    if prechange is None:
+        prechange = fit_ols(x[:k], time_unit=time_unit)
+    resid = _residuals(x[k:], k + 1, *_line(prechange), prechange.time_unit)
+    state = DetectorState(config, prechange, absolute_offset=k)
+    return RunResult(state._fold(resid), x.size, prechange, scaling, resid, state)
 
 
 @dataclass(frozen=True)
@@ -286,7 +281,7 @@ class MultiBinResult:
     event: Optional[DetectionEvent]
     scale_index: Optional[int]
     horizon: int
-    prechange: Union[PrechangeFit, KnownPrechange]
+    prechange: PrechangeFit
 
     @property
     def detected(self) -> bool:
@@ -294,40 +289,38 @@ class MultiBinResult:
 
 
 def multi_bin_run(
-    series: Sequence[float],
-    k: int,
-    configs: Sequence[DetectorConfig],
-    prechange: Optional[KnownPrechange] = None,
-    time_unit: int = 1,
-    standardize_first: bool = False,
+    series: Sequence[float], k: int, configs: Sequence[DetectorConfig]
 ) -> MultiBinResult:
     """Monitor one stream at several bin sizes at once.
 
-    The scales run one after another, each a fresh ``DetectorState``
-    extended as in ``run`` up to the best alarm so far.  The first
-    crossing wins; at the same observation, earlier list entries take
-    precedence (and jump before kink within a scale).
+    The first scale is ``run(series, k, configs[0])``; each later one
+    folds that run's residuals into a fresh ``DetectorState`` on its
+    fitted line, up to the best alarm so far.  The first crossing wins;
+    at the same observation, earlier list entries take precedence (and
+    jump before kink within a scale).
     """
     if len(configs) == 0:
         raise ValueError("configs must be non-empty")
-    resid, n, pc, _ = _prepare(series, k, prechange, time_unit, standardize_first)
-    event = scale = None
-    for idx, config in enumerate(configs):
+    first = run(series, k, configs[0])
+    event, scale = first.event, 0 if first.detected else None
+    for idx, config in enumerate(configs[1:], start=1):
         # a later scale must alarm strictly before the best so far
-        state = DetectorState(config, pc, absolute_offset=k)
-        found = state._fold(resid[:None if event is None else event.time - k - 1])
+        state = DetectorState(config, first.prechange, absolute_offset=k)
+        found = state._fold(first.residuals[:None if event is None else event.time - k - 1])
         if found is not None:
             event, scale = found, idx
-    return MultiBinResult(event=event, scale_index=scale, horizon=n, prechange=pc)
+    return MultiBinResult(event=event, scale_index=scale, horizon=first.horizon,
+                          prechange=first.prechange)
 
 
-def theorem_scale_config(n: float, c: float, target: str = "both") -> DetectorConfig:
-    """Bin sizes and thresholds from the rate-optimal presets.
+def theorem_scale_config(n: float, c: float) -> DetectorConfig:
+    """Bin sizes and thresholds of both statistics from the rate-optimal
+    presets.
 
     N_jump = ceil(1000 log(n) / (2 c^2)) with rho_jump = 4c/5, and
     N_kink = ceil((300/c^2)^(1/3) n^(2/3) log(n)^(1/3)) with
     rho_kink = 4c/(5n).  These pair with residuals on the time unit
-    ``time_unit = n``.  ``target`` selects 'jump', 'kink' or 'both'.
+    ``time_unit = n``.
 
     Both statistics can fire only once the stream holds at least
     3 N_kink observations after the change (K spans three kink bins);
@@ -340,18 +333,10 @@ def theorem_scale_config(n: float, c: float, target: str = "both") -> DetectorCo
         raise ValueError(f"rate constant c must lie in (0, 1], got {c}")
     if not n > 1.0:
         raise ValueError(f"horizon n must exceed 1, got {n}")
-    if target not in ("jump", "kink", "both"):
-        raise ValueError(f"target must be jump, kink or both, got {target!r}")
     log_n = math.log(n)
-    n_jump = n_kink = None
-    rho_jump = rho_kink = math.inf
-    if target in ("jump", "both"):
-        n_jump = math.ceil(1e3 * log_n / (2.0 * c * c))
-        rho_jump = 4.0 * c / 5.0
-    if target in ("kink", "both"):
-        n_kink = math.ceil((300.0 / (c * c)) ** (1.0 / 3.0) * n ** (2.0 / 3.0) * log_n ** (1.0 / 3.0))
-        rho_kink = 4.0 * c / (5.0 * n)
-    return DetectorConfig(n_jump, n_kink, rho_jump, rho_kink)
+    n_jump = math.ceil(1e3 * log_n / (2.0 * c * c))
+    n_kink = math.ceil((300.0 / (c * c)) ** (1.0 / 3.0) * n ** (2.0 / 3.0) * log_n ** (1.0 / 3.0))
+    return DetectorConfig(n_jump, n_kink, 4.0 * c / 5.0, 4.0 * c / (5.0 * n))
 
 
 # Snapshot format: fixed-size little-endian record so the serialized

@@ -26,14 +26,14 @@ that to monitor rows in doubling segments, with two reductions:
 calibration).
 
 ``replicate`` is the one Monte Carlo driver: per replication chunk it
-draws (``noise_matrix``), takes each row's pre-change line from
-``prechange`` (the same fit, standardization and residual arithmetic
-that ``detector.run`` uses, so a row gets the bits ``run`` would give
-its series, whichever rows share its chunk), and hands a reduction the
-residuals (``batch_residuals``) of each segment it asks for.  Generator
-draws are split-invariant, so every row sees the same noise as one
-full-horizon draw and only draws the steps it monitors.  Small chunks
-may run on a thread pool (LINEWATCH_THREADS, a positive integer);
+draws (``noise_matrix``), fits each row's pre-change line to its own
+history in ``prechange`` (the fit, standardization and residual
+arithmetic of ``detector.run``, so a row gets the bits ``run`` would
+give its series, whichever rows share its chunk), and hands a reduction
+the residuals (``batch_residuals``) of each segment it asks for.
+Generator draws are split-invariant, so every row sees the same noise as
+one full-horizon draw and only draws the steps it monitors.  Small
+chunks may run on a thread pool (LINEWATCH_THREADS, a positive integer);
 results depend neither on the chunking nor on completion order.
 """
 
@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .prechange import KnownPrechange, _residuals, _row_lines
+from .prechange import _residuals, _row_lines
 from .signal import NoiseSpec, replication_seed
 
 if TYPE_CHECKING:
@@ -362,12 +362,11 @@ def segment_maxima(rows: int, T: int, pairs: Sequence[Tuple[Optional[int], Optio
 def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, total: int,
               reduce: Callable[[int, Callable], Sequence[np.ndarray]],
               signal: Optional[np.ndarray] = None, time_unit: int = 1,
-              prechange: Optional[KnownPrechange] = None,
               standardize_first: bool = False) -> List[np.ndarray]:
     """The Monte Carlo driver over replications of up to ``total``
     observations (noise plus ``signal``, history k).  Per chunk of rows
-    it builds each row's generator, draws the history, fits or takes the
-    line, and joins over the chunks the per-row arrays of ``reduce(rows,
+    it builds each row's generator, draws the history, fits the line,
+    and joins over the chunks the per-row arrays of ``reduce(rows,
     residuals)``: ``residuals(t0, length, active)`` draws the next
     ``length`` observations of the rows ``active`` and gives their
     residuals at monitoring steps t0 + 1 .. t0 + length."""
@@ -381,7 +380,7 @@ def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, tot
         hist = noise_matrix(noise, rngs, k)
         if signal is not None:
             hist += signal[:k]
-        line = _row_lines(hist, time_unit, prechange, standardize_first)
+        line = _row_lines(hist, time_unit, standardize_first)
 
         def residuals(t0: int, length: int, active: np.ndarray) -> np.ndarray:
             x = noise_matrix(noise, [rngs[i] for i in active], length)
@@ -406,7 +405,6 @@ def first_alarms(
     config: DetectorConfig,
     signal: Optional[np.ndarray] = None,
     time_unit: int = 1,
-    prechange: Optional[KnownPrechange] = None,
     standardize_first: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(alarm step, kind) per replication of ``total`` observations
@@ -417,5 +415,5 @@ def first_alarms(
     alarm, kind, _ = replicate(
         noise, master_seed, replications, k, total,
         lambda rows, residuals: segment_alarms(rows, total - k, config, residuals),
-        signal, time_unit, prechange, standardize_first)
+        signal, time_unit, standardize_first)
     return alarm, kind

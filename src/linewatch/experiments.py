@@ -19,7 +19,7 @@ import numpy as np
 from .calibration import CalibrationSpec, calibrate
 from .detector import DetectorConfig
 from .engine import first_alarms
-from .prechange import KnownPrechange, _check_time_unit
+from .prechange import _check_time_unit
 from .signal import (
     ChangeKind,
     NoiseSpec,
@@ -69,7 +69,6 @@ class Scenario:
     master_seed: int
     standardize: bool = False
     time_unit: int = 1
-    prechange: Optional[KnownPrechange] = None
 
     def __post_init__(self) -> None:
         _check_time_unit(self.time_unit)
@@ -153,7 +152,7 @@ def estimate_metrics(scenario: Scenario) -> MetricsReport:
     alarm, kind = first_alarms(
         s.noise, s.master_seed, s.replications, s.k, s.n, s.config,
         signal=eval_signal_array(s.theta, s.n), time_unit=s.time_unit,
-        prechange=s.prechange, standardize_first=s.standardize,
+        standardize_first=s.standardize,
     )
     c_rel = s.change_index - s.k  # change position on the monitoring clock
     detected = alarm <= T

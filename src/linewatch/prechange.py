@@ -158,22 +158,15 @@ def standardize(
     return z, (float(mean[0]), float(sd[0]))
 
 
-def _row_lines(hist: np.ndarray, time_unit: int, prechange: Optional[KnownPrechange],
-               standardize_first: bool):
+def _row_lines(hist: np.ndarray, time_unit: int, standardize_first: bool):
     """(alpha, beta, time unit, scaling) of a block of replication rows
     with history ``hist`` (rows x k), as ``detector.run`` gives each row
-    its line: each row standardized by its own history when
+    its fitted line: each row standardized by its own history when
     ``standardize_first`` (scaling then holds the (mean, sd) columns,
-    else None), then fitted, unless the known line ``prechange`` is
-    given.  alpha and beta are (rows, 1) columns."""
-    _check_time_unit(time_unit)
+    else None), then fitted.  alpha and beta are (rows, 1) columns."""
     scaling = None
     if standardize_first:
         hist, scaling = _standardize_rows(hist, hist.shape[-1])
-    if prechange is not None:
-        column = (hist.shape[0], 1)
-        return (np.full(column, prechange.alpha), np.full(column, prechange.beta),
-                prechange.time_unit, scaling)
     alpha, beta = _fit_rows(hist, time_unit)[:2]
     return alpha[:, None], beta[:, None], time_unit, scaling
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "ChangeKind",
     "NoiseSpec",
     "SignalParams",
-    "SyntheticSeries",
     "change_index",
     "eval_signal_array",
     "generate_series",
@@ -103,20 +102,6 @@ class NoiseSpec:
         return rng.standard_t(self.df, size)
 
 
-@dataclass(frozen=True)
-class SyntheticSeries:
-    """A generated stream together with the truth that produced it."""
-
-    values: np.ndarray
-    n: int
-    truth: SignalParams
-    seed: int
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.n:
-            raise ValueError("values length must equal n")
-
-
 def eval_signal_array(theta: SignalParams, n: int) -> np.ndarray:
     """Signal values at i = 1..n; i/n == tau takes the pre-change branch."""
     if n < 1:
@@ -146,21 +131,6 @@ def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([master_seed, index])
 
 
-def generate_series(
-    theta: SignalParams,
-    n: int,
-    noise: NoiseSpec,
-    seed: Union[int, np.random.SeedSequence],
-) -> SyntheticSeries:
+def generate_series(theta: SignalParams, n: int, noise: NoiseSpec, seed: int) -> np.ndarray:
     """Sample X_i = signal(i/n) + noise, i = 1..n, deterministically."""
-    if n < 1:
-        raise ValueError(f"horizon n must be >= 1, got {n}")
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-        seed_label = int(seq.entropy[0]) if isinstance(seq.entropy, list) else -1
-    else:
-        seq = np.random.SeedSequence(seed)
-        seed_label = int(seed)
-    rng = np.random.default_rng(seq)
-    values = eval_signal_array(theta, n) + noise.draw(rng, n)
-    return SyntheticSeries(values=values, n=n, truth=theta, seed=seed_label)
+    return eval_signal_array(theta, n) + noise.draw(np.random.default_rng(seed), n)

@@ -7,10 +7,10 @@ solving the 2x2 normal equations.  The exceptions are ``step_run`` and
 ``step_multi_bin_run``: they monitor one ``DetectorState.step`` per
 observation, the streaming reference that the batch-kernel ``run`` and
 ``multi_bin_run`` must reproduce bit for bit; and ``noise_matrix``,
-``batch_residuals`` and ``config_alarms``: they draw, fit and monitor
-every replication's full horizon in one matrix, the reference that the
-segmented Monte Carlo driver (``engine.replicate``) must reproduce bit
-for bit.
+``batch_residuals`` and ``config_alarms``: they draw, fit the
+pre-change line per row and monitor every replication's full horizon
+in one matrix, the reference that the segmented Monte Carlo driver
+(``engine.replicate``) must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from linewatch import DetectorState, KnownPrechange, NoiseSpec, fit_ols, standardize
+from linewatch import DetectorState, NoiseSpec, fit_ols, standardize
 from linewatch import engine
 from linewatch.engine import batch_alarms, batch_stats
 from linewatch.prechange import _row_lines
@@ -137,12 +137,11 @@ def step_run(series, k, config, prechange=None, time_unit=1, standardize_first=F
     return None, trace
 
 
-def step_multi_bin_run(series, k, configs, prechange=None, time_unit=1,
-                       standardize_first=False):
+def step_multi_bin_run(series, k, configs):
     """(event, index of its config) of stepping every config per
-    observation; at one observation the earlier config wins."""
-    values, states = _step_states(series, k, configs, prechange, time_unit,
-                                  standardize_first)
+    observation on the line fitted to ``series[:k]``; at one
+    observation the earlier config wins."""
+    values, states = _step_states(series, k, configs, None, 1, False)
     for value in values:
         for idx, state in enumerate(states):
             _, event = state.step(value)
@@ -167,22 +166,16 @@ def noise_matrix(noise: NoiseSpec, master_seed: int, first: int, last: int,
     return engine.noise_matrix(noise, rngs, T)
 
 
-def batch_residuals(
-    x: np.ndarray,
-    k: int,
-    time_unit: int = 1,
-    prechange: Optional[KnownPrechange] = None,
-    standardize_first: bool = False,
-) -> np.ndarray:
+def batch_residuals(x: np.ndarray, k: int, time_unit: int = 1,
+                    standardize_first: bool = False) -> np.ndarray:
     """Residuals of the monitored segment for a (replications, k + T)
-    observation matrix at times index / ``time_unit``; the pre-change
-    line is fitted per row on the first k columns unless ``prechange``
-    is given (a known line keeps its own time unit)."""
+    observation matrix at times index / ``time_unit``, against the
+    pre-change line fitted per row on the first k columns."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     total = x.shape[1]
     if total <= k:
         raise ValueError(f"stream length {total} must exceed history {k}")
-    line = _row_lines(x[:, :k], time_unit, prechange, standardize_first)
+    line = _row_lines(x[:, :k], time_unit, standardize_first)
     return engine.batch_residuals(line, x[:, k:], k + 1)
 
 
@@ -193,7 +186,7 @@ def full_horizon_maxima(spec, pairs):
     calibration maxima."""
     x = noise_matrix(spec.noise, spec.master_seed, 0, spec.replications,
                      spec.k + spec.horizon)
-    resid = batch_residuals(x, spec.k, time_unit=spec.time_unit, prechange=spec.prechange,
+    resid = batch_residuals(x, spec.k, time_unit=spec.time_unit,
                             standardize_first=spec.standardize)[:, :spec.horizon - 1]
     return [tuple(None if s is None else np.abs(s).max(axis=1)
                   for s in batch_stats(resid, nj, nk)) for nj, nk in pairs]

@@ -10,7 +10,6 @@ from linewatch import (
     CalibrationSpec,
     DetectorConfig,
     DetectorState,
-    KnownPrechange,
     NoiseSpec,
     calibrate,
     calibrate_multi_bin,
@@ -90,15 +89,10 @@ def _assert_maxima_equal_reference(spec, more_pairs):
                                    NoiseSpec("student_t", df=3.0)],
                          ids=["gaussian", "student_t"])
 @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
-@pytest.mark.parametrize("line, time_unit", [
-    (None, 1),
-    (None, 2500),
-    (KnownPrechange(0.1, 0.0005), 1),
-    (KnownPrechange(0.0, 0.5, time_unit=2500), 2500),
-], ids=["fitted_index", "fitted_fraction", "known_index", "known_fraction"])
-def test_null_maxima_equal_full_horizon_reference(noise, standardize, line, time_unit):
+@pytest.mark.parametrize("time_unit", [1, 2500], ids=["fitted_index", "fitted_fraction"])
+def test_null_maxima_equal_full_horizon_reference(noise, standardize, time_unit):
     spec = _spec(replications=23, k=150, horizon=1200, n_jump=8, n_kink=20, noise=noise,
-                 prechange=line, time_unit=time_unit, standardize=standardize)
+                 time_unit=time_unit, standardize=standardize)
     _assert_maxima_equal_reference(spec, [(5, 5), (None, 9), (12, None)])
 
 
@@ -267,6 +261,15 @@ def test_horizon_below_two_is_rejected(horizon):
         _spec(horizon=horizon)
     with pytest.raises(ValueError, match="horizon must be >= 2"):
         _spec(horizon=horizon, eta=None, arl=True)
+
+
+@pytest.mark.parametrize("k", [1, 0])
+def test_history_below_two_is_rejected(k):
+    # every replication fits its pre-change line on its k-point history
+    with pytest.raises(ValueError, match="need k >= 2"):
+        _spec(k=k)
+    with pytest.raises(ValueError, match="need k >= 2"):
+        _spec(k=k, eta=None, arl=True)
 
 
 def test_arl_5000_threshold_matches_published_value():

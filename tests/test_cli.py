@@ -156,7 +156,7 @@ def test_simulate_round_trip_recovers_values(tmp_path):
     values, _ = read_series(data)
     theta = SignalParams(516 / 700, 0.0, 2.0, 0.0, 0.0)
     series = generate_series(theta, 700, NoiseSpec("gaussian", 0.0), seed=6)
-    assert np.array_equal(values, series.values)
+    assert np.array_equal(values, series)
     truth = read_kv(data + ".truth", expect_kind="truth")
     assert truth["change_index"] == str(change_index(theta, 700))
 
@@ -178,7 +178,7 @@ def test_simulated_jumps_alarm_after_truth_index():
     after = 0
     for seed in range(100):
         series = generate_series(theta, n, NoiseSpec("gaussian", 1.0), seed)
-        result = run(series.values, k, config)
+        result = run(series, k, config)
         if result.detected and result.event.time >= change:
             after += 1
     assert after >= 95

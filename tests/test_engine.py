@@ -140,17 +140,10 @@ def test_batch_residuals_equal_run_at_huge_time_units(unit):
     # divide each index exactly, as predict_at_index does
     k = 20
     x = np.random.default_rng(9).standard_normal((1, k + 250))
-    line = KnownPrechange(0.25, 1e15, time_unit=unit)
-    result = run(x[0], k, DetectorConfig(5, 5), prechange=line)
-    assert np.array_equal(batch_residuals(x, k, prechange=line)[0], result.residuals)
-
-
-def test_batch_residuals_known_line_keeps_its_time_unit():
-    line = KnownPrechange(0.0, 1.0, time_unit=10)
-    resid = batch_residuals(np.zeros((1, 12)), 5, prechange=line)
-    expected = [-line.predict_at_index(i) for i in range(6, 13)]
-    assert np.array_equal(resid[0], expected)
-    assert resid[0, 0] == -0.6
+    result = run(x[0], k, DetectorConfig(5, 5),
+                 prechange=KnownPrechange(0.25, 1e15, time_unit=unit))
+    line = (np.array([[0.25]]), np.array([[1e15]]), unit, None)
+    assert np.array_equal(engine.batch_residuals(line, x[:, k:], k + 1)[0], result.residuals)
 
 
 def test_batch_residuals_invariant_to_prechange_line():
@@ -222,19 +215,14 @@ def _reference_alarms(noise, seed, reps, k, total, config, signal=None, **kw):
                                    NoiseSpec("student_t", df=3.0)],
                          ids=["gaussian", "student_t"])
 @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
-@pytest.mark.parametrize("line, time_unit", [
-    (None, 1),
-    (None, 2500),
-    (KnownPrechange(0.1, 0.0005), 1),
-    (KnownPrechange(0.0, 0.5, time_unit=2500), 2500),
-], ids=["fitted_index", "fitted_fraction", "known_index", "known_fraction"])
-def test_first_alarms_equal_full_horizon_reference(noise, standardize, line, time_unit):
+@pytest.mark.parametrize("time_unit", [1, 2500], ids=["fitted_index", "fitted_fraction"])
+def test_first_alarms_equal_full_horizon_reference(noise, standardize, time_unit):
     k, total = 150, 2500
     signal = np.where(np.arange(total) >= 1400, 0.8, 0.0)
     for config in (DetectorConfig(8, 20, 0.9, 0.1), DetectorConfig(10, 10, 0.9, 0.08),
                    DetectorConfig(None, 15, rho_kink=0.09),
                    DetectorConfig(5, 9, 60.0, 60.0)):  # never alarms
-        kw = dict(time_unit=time_unit, prechange=line, standardize_first=standardize)
+        kw = dict(time_unit=time_unit, standardize_first=standardize)
         got = first_alarms(noise, 3, 23, k, total, config, signal=signal, **kw)
         want = _reference_alarms(noise, 3, 23, k, total, config, signal, **kw)
         assert np.array_equal(got[0], want[0])

@@ -154,8 +154,7 @@ def test_type_study_scale_separated_noiseless_jump_fires_jump_first():
     n = k + 30 + 300
     theta = SignalParams((k + 30) / n, 0.0, 1.0, 0.0, 0.0)
     config = DetectorConfig(n_jump=4, n_kink=60, rho_jump=0.5, rho_kink=0.01)
-    sc = Scenario(theta, n, k, NoiseSpec("gaussian", 0.0), config, 3, 0,
-                  prechange=None)
+    sc = Scenario(theta, n, k, NoiseSpec("gaussian", 0.0), config, 3, 0)
     rep = estimate_metrics(sc)
     assert rep.n_detected == 3
     assert rep.n_wrong_kind == 0

@@ -113,9 +113,9 @@ def test_block_fit_is_tiling_invariant_and_equals_fit_ols(standardize_first, k, 
 
     rows = 1000
     hist = np.random.default_rng(7).standard_normal((rows, k)) * 1.7 + 0.3
-    alpha, beta, _, _ = _row_lines(hist, time_unit, None, standardize_first)
+    alpha, beta, _, _ = _row_lines(hist, time_unit, standardize_first)
     for tile in (1, 3, 333):
-        parts = [_row_lines(hist[lo:lo + tile], time_unit, None, standardize_first)
+        parts = [_row_lines(hist[lo:lo + tile], time_unit, standardize_first)
                  for lo in range(0, rows, tile)]
         assert np.array_equal(np.concatenate([p[0] for p in parts]), alpha)
         assert np.array_equal(np.concatenate([p[1] for p in parts]), beta)

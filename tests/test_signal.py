@@ -53,16 +53,16 @@ def test_generate_noiseless_equals_signal():
     theta = SignalParams(0.4, 1.0, 2.0, 0.5, -0.5)
     s = generate_series(theta, 50, NoiseSpec("gaussian", 0.0), seed=1)
     expected = [signal_at(theta, i, 50) for i in range(1, 51)]
-    assert np.array_equal(s.values, np.array(expected))
+    assert np.array_equal(s, np.array(expected))
 
 
 def test_generate_determinism():
     theta = SignalParams(0.4, 0.0, 1.0, 0.0, 0.0)
     a = generate_series(theta, 200, NoiseSpec("gaussian", 1.0), seed=42)
     b = generate_series(theta, 200, NoiseSpec("gaussian", 1.0), seed=42)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     c = generate_series(theta, 200, NoiseSpec("gaussian", 1.0), seed=43)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 def test_generate_law_of_large_numbers():
@@ -70,8 +70,8 @@ def test_generate_law_of_large_numbers():
     theta = SignalParams(0.5, 0.0, 0.0, 0.0, 0.0)
     n = 10**5
     s = generate_series(theta, n, NoiseSpec("gaussian", 1.0), seed=11)
-    assert abs(s.values.mean()) <= 4.0 / math.sqrt(n)
-    assert abs(s.values.var(ddof=1) - 1.0) <= 0.05
+    assert abs(s.mean()) <= 4.0 / math.sqrt(n)
+    assert abs(s.var(ddof=1) - 1.0) <= 0.05
 
 
 def test_student_t_infinite_df_rejected():
@@ -87,7 +87,7 @@ def test_student_t_df3_variance_stable_across_seeds():
     theta = SignalParams(0.5, 0.0, 0.0, 0.0, 0.0)
     noise = NoiseSpec("student_t", df=3.0)
     variances = [
-        generate_series(theta, 20000, noise, seed=s).values.var() for s in range(5)
+        generate_series(theta, 20000, noise, seed=s).var() for s in range(5)
     ]
     assert all(np.isfinite(v) for v in variances)
     assert max(variances) < 3.0 * 3.0  # df=3 variance is 3; allow wide slack
