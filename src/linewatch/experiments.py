@@ -195,6 +195,8 @@ def estimate_arl(
     the estimate downward (the censored count is reported)."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
     alarm, _ = first_alarms(
         noise, master_seed, replications, k, k + cap, config,
         standardize_first=standardize,

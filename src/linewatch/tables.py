@@ -3,15 +3,19 @@
 Each builder reproduces one published-table layout at configurable
 replication counts and returns (headers, rows) of formatted strings;
 values are Monte Carlo estimates, so expect sampling noise around the
-published numbers at the default counts.
+published numbers at the default counts.  ``table2`` and ``table3``
+calibrate jump alone, kink alone and both from one null simulation per
+setting, on the ``both`` mode's seed, so the modes' thresholds in a row
+share common random numbers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .calibration import CalibrationSpec, calibrate
+from .calibration import CalibrationSpec, calibrate, simulate_null_maxima
 from .detector import DetectorConfig
 from .experiments import (
     RobustnessTemplate,
@@ -55,23 +59,63 @@ def _edd_cells(
     mode: str, k: int, config: DetectorConfig, replications: int, seed_base: int
 ) -> List[str]:
     cells: List[str] = []
-    for idx, jump in enumerate(_JUMP_SIZES):
-        if mode == "kink":
-            cells.append("-")
-            continue
-        rep = estimate_metrics(
-            _delay_scenario(jump, 0.0, k, config, replications, derive_seed(seed_base, 1, idx))
-        )
-        cells.append(_fmt(rep.edd, 3))
-    for idx, slope in enumerate(_KINK_SLOPES):
-        if mode == "jump":
-            cells.append("-")
-            continue
-        rep = estimate_metrics(
-            _delay_scenario(0.0, slope, k, config, replications, derive_seed(seed_base, 2, idx))
-        )
-        cells.append(_fmt(rep.edd, 3))
+    for kind, sizes in (("jump", _JUMP_SIZES), ("kink", _KINK_SLOPES)):
+        for idx, size in enumerate(sizes):
+            if mode not in (kind, "both"):
+                cells.append("-")
+                continue
+            jump, slope = (size, 0.0) if kind == "jump" else (0.0, size)
+            seed = derive_seed(seed_base, _MODE_ID[kind], idx)
+            rep = estimate_metrics(_delay_scenario(jump, slope, k, config, replications, seed))
+            cells.append(_fmt(rep.edd, 3))
     return cells
+
+
+def _mode_rows(
+    settings: Sequence[Tuple[int, int, int]],
+    eta: Optional[float],
+    calib_replications: int,
+    replications: int,
+    master_seed: int,
+) -> Tuple[List[str], List[List[str]]]:
+    """Rows of jump alone, kink alone and both at each (N, horizon, k)
+    setting, mode-major, calibrated to false-alarm level ``eta`` with the
+    change at step ``horizon``, or with ``eta`` None to an ARL of
+    ``horizon``.  A setting's one null simulation of both statistics runs
+    on the ``both`` mode's calibration seed; each row's FA (or ARL) and
+    delay scenarios run on seeds of its own mode."""
+    arl = eta is None
+    headers = ["mode", "N", "target_arl" if arl else "target_fa", "k", "rho_jump",
+               "rho_kink", "arl" if arl else "fa",
+               *(f"jump_edd_{jump:g}" for jump in _JUMP_SIZES),
+               *(f"kink_edd_{slope:g}" for slope in _KINK_SLOPES)]
+    rows: Dict[str, List[List[str]]] = {mode: [] for mode in _MODE_ID}
+    for row_idx, (n_bin, horizon, k) in enumerate(settings):
+        joint = CalibrationSpec(
+            replications=calib_replications, eta=eta, arl=arl, horizon=horizon, k=k,
+            n_jump=n_bin, n_kink=n_bin, noise=_GAUSS,
+            master_seed=derive_seed(derive_seed(master_seed, _MODE_ID["both"], row_idx), 0),
+        )
+        maxima = simulate_null_maxima(joint)
+        for mode, spec in (("jump", replace(joint, n_kink=None)),
+                           ("kink", replace(joint, n_jump=None)), ("both", joint)):
+            cal = calibrate(spec, maxima=maxima)
+            config = cal.to_config()
+            seed = derive_seed(master_seed, _MODE_ID[mode], row_idx)
+            if arl:
+                value = _fmt(estimate_arl(config, _GAUSS, k, 10 * horizon, replications,
+                                          derive_seed(seed, 4)).arl, 6)
+            else:
+                value = _fmt(estimate_metrics(_fa_scenario(
+                    k, horizon, config, replications, derive_seed(seed, 3))).fa_prob, 2)
+            rows[mode].append([
+                mode, str(n_bin), str(horizon if arl else eta), str(k),
+                _fmt(cal.rho_jump if mode != "kink" else None, 3),
+                _fmt(cal.rho_kink if mode != "jump" else None, 3),
+                value,
+                *_edd_cells(mode, k, config, replications, seed),
+            ])
+    return headers, [row for mode in _MODE_ID for row in rows[mode]]
 
 
 def table2(
@@ -80,35 +124,12 @@ def table2(
     master_seed: int = 20260201,
 ) -> Tuple[List[str], List[List[str]]]:
     """False-alarm-calibrated thresholds and detection delays across
-    bin sizes and history lengths (target FA 0.5)."""
-    headers = ["mode", "N", "target_fa", "k", "rho_jump", "rho_kink", "fa",
-               "jump_edd_2", "jump_edd_1", "jump_edd_0.5",
-               "kink_edd_0.5", "kink_edd_0.1", "kink_edd_0.02"]
-    settings = [(5, 500), (10, 500), (10, 1000), (10, 5000), (15, 500)]
-    rows: List[List[str]] = []
-    for mode in ("jump", "kink", "both"):
-        for row_idx, (n_bin, k) in enumerate(settings):
-            horizon = 10000 if k == 5000 else 1000
-            seed = derive_seed(master_seed, _MODE_ID[mode], row_idx)
-            spec = CalibrationSpec(
-                replications=calib_replications, eta=0.5, horizon=horizon, k=k,
-                n_jump=n_bin if mode in ("jump", "both") else None,
-                n_kink=n_bin if mode in ("kink", "both") else None,
-                noise=_GAUSS, master_seed=derive_seed(seed, 0),
-            )
-            cal = calibrate(spec)
-            config = cal.to_config()
-            fa_rep = estimate_metrics(
-                _fa_scenario(k, horizon, config, replications, derive_seed(seed, 3))
-            )
-            rows.append([
-                mode, str(n_bin), "0.5", str(k),
-                _fmt(cal.rho_jump if mode != "kink" else None, 3),
-                _fmt(cal.rho_kink if mode != "jump" else None, 3),
-                _fmt(fa_rep.fa_prob, 2),
-                *_edd_cells(mode, k, config, replications, seed),
-            ])
-    return headers, rows
+    bin sizes and history lengths (target FA 0.5).  Jump alone, kink
+    alone and both share one null simulation per setting, on the
+    ``both`` mode's calibration seed."""
+    settings = [(5, 1000, 500), (10, 1000, 500), (10, 1000, 1000), (10, 10000, 5000),
+                (15, 1000, 500)]  # (N, horizon, k)
+    return _mode_rows(settings, 0.5, calib_replications, replications, master_seed)
 
 
 def table3(
@@ -116,34 +137,11 @@ def table3(
     replications: int = 100,
     master_seed: int = 20260202,
 ) -> Tuple[List[str], List[List[str]]]:
-    """ARL-calibrated thresholds, achieved ARLs and detection delays."""
-    headers = ["mode", "N", "target_arl", "k", "rho_jump", "rho_kink", "arl",
-               "jump_edd_2", "jump_edd_1", "jump_edd_0.5",
-               "kink_edd_0.5", "kink_edd_0.1", "kink_edd_0.02"]
+    """ARL-calibrated thresholds, achieved ARLs and detection delays.
+    Jump alone, kink alone and both share one null simulation per
+    setting, on the ``both`` mode's calibration seed."""
     settings = [(10, 1000, 1000), (15, 1000, 1000), (10, 1000, 5000), (10, 5000, 2500)]
-    rows: List[List[str]] = []
-    for mode in ("jump", "kink", "both"):
-        for row_idx, (n_bin, target, k) in enumerate(settings):
-            seed = derive_seed(master_seed, _MODE_ID[mode], row_idx)
-            spec = CalibrationSpec(
-                replications=calib_replications, arl=True, horizon=target, k=k,
-                n_jump=n_bin if mode in ("jump", "both") else None,
-                n_kink=n_bin if mode in ("kink", "both") else None,
-                noise=_GAUSS, master_seed=derive_seed(seed, 0),
-            )
-            cal = calibrate(spec)
-            config = cal.to_config()
-            arl_rep = estimate_arl(
-                config, _GAUSS, k, 10 * target, replications, derive_seed(seed, 4)
-            )
-            rows.append([
-                mode, str(n_bin), str(target), str(k),
-                _fmt(cal.rho_jump if mode != "kink" else None, 3),
-                _fmt(cal.rho_kink if mode != "jump" else None, 3),
-                _fmt(arl_rep.arl, 6),
-                *_edd_cells(mode, k, config, replications, seed),
-            ])
-    return headers, rows
+    return _mode_rows(settings, None, calib_replications, replications, master_seed)
 
 
 def table5(

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -378,3 +379,15 @@ def test_experiment_table3_row_shape(tmp_path, capsys):
     assert header[:7] == ["mode", "N", "target_arl", "k", "rho_jump",
                           "rho_kink", "arl"]
     assert len(header) == 13  # six delay columns
+
+
+def test_experiment_without_replications_is_a_usage_error(tmp_path, capsys):
+    # refused with a located message, not a warning about an empty mean
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["experiment", "--name", "table3", "--out-dir", str(tmp_path),
+                     "--replications", "0", "--calib-replications", "50"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "replications must be >= 1" in err
+    assert "RuntimeWarning" not in err

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from linewatch import (
     rate_check,
     robustness_study,
 )
+from linewatch import calibration, tables
 from linewatch.engine import first_alarms
-from linewatch.experiments import Z95
+from linewatch.experiments import Z95, derive_seed
 from linewatch.signal import eval_signal_array
 
 from oracles import config_alarms, noise_matrix
@@ -102,6 +105,50 @@ def test_arl_cap_must_be_positive():
     with pytest.raises(ValueError, match="cap must be >= 1"):
         estimate_arl(DetectorConfig(3, 3, 0.9, 0.12), GAUSS, k=20, cap=0,
                      replications=5, master_seed=5)
+
+
+@pytest.mark.parametrize("replications", [0, -2])
+def test_arl_replications_must_be_positive(replications):
+    # refused before any simulation, so no mean of an empty sample warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="replications must be >= 1"):
+            estimate_arl(DetectorConfig(3, 3, 0.9, 0.12), GAUSS, k=20, cap=50,
+                         replications=replications, master_seed=5)
+
+
+@pytest.mark.parametrize("name, settings", [("table2", 5), ("table3", 4)])
+def test_tables_calibrate_every_mode_from_one_simulation_per_setting(
+    monkeypatch, name, settings
+):
+    # one null simulation of both statistics per setting, on the both
+    # mode's calibration seed; each mode's thresholds equal a calibration
+    # of that mode alone at that seed
+    sims = []
+    replicate = calibration.replicate
+
+    def spy(noise, master_seed, replications, k, n, *args, **kwargs):
+        sims.append((master_seed, k, n - k))
+        return replicate(noise, master_seed, replications, k, n, *args, **kwargs)
+
+    monkeypatch.setattr(calibration, "replicate", spy)
+    _, rows = tables.EXPERIMENTS[name](calib_replications=40, replications=1, master_seed=4)
+    monkeypatch.undo()
+    assert len(sims) == settings
+    assert [row[0] for row in rows] == [m for m in ("jump", "kink", "both") for _ in sims]
+    for row_idx, (seed, k, horizon) in enumerate(sims):
+        assert seed == derive_seed(derive_seed(4, 3, row_idx), 0)
+        n_bin = int(rows[row_idx][1])
+        joint = CalibrationSpec(
+            replications=40, horizon=horizon, k=k, n_jump=n_bin, n_kink=n_bin, noise=GAUSS,
+            master_seed=seed, **({"arl": True} if name == "table3" else {"eta": 0.5}))
+        for row, spec in zip(rows[row_idx::settings], (dataclasses.replace(joint, n_kink=None),
+                                                      dataclasses.replace(joint, n_jump=None),
+                                                      joint)):
+            assert (row[1], row[3]) == (str(n_bin), str(k))
+            cal = calibrate(spec)
+            assert row[4:6] == [tables._fmt(cal.rho_jump if spec.n_jump else None, 3),
+                                tables._fmt(cal.rho_kink if spec.n_kink else None, 3)]
 
 
 def test_shared_seed_threshold_coupling():
