@@ -36,7 +36,6 @@ from .errors import (
     FileFormatError,
     InsufficientDataError,
     LinewatchError,
-    SingularDesignError,
 )
 from .experiments import (
     MetricsReport,

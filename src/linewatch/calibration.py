@@ -84,6 +84,7 @@ class CalibrationSpec:
             raise ValueError("need k >= 2 historical observations to fit")
         if self.n_jump is None and self.n_kink is None:
             raise ValueError("at least one statistic must have a bin size")
+        DetectorConfig(self.n_jump, self.n_kink)  # the bin-size rule
 
     @property
     def level(self) -> float:
@@ -250,6 +251,8 @@ def calibrate_multi_bin(spec: CalibrationSpec, scales: Sequence[int]) -> MultiBi
     is bisected so the union exceedance meets the spec's target."""
     if len(scales) == 0:
         raise ValueError("scales must be non-empty")
+    for n in scales:
+        DetectorConfig(n, n)  # the bin-size rule
     per_scale = _null_maxima_for_bins(spec, [(n, n) for n in scales])
     families = [f for pair in per_scale for f in pair]
     eta_m, rhos, union = _thresholds(families, spec.level, spec.replications)

@@ -9,8 +9,6 @@ Subcommands:
 
 Exit codes: 0 = completed (alarm or not, distinguished in the
 report), 2 = usage or argument error, 3 = I/O or parse error.
-LINEWATCH_THREADS sets the default worker count for replication
-fan-out.
 """
 
 from __future__ import annotations
@@ -222,7 +220,7 @@ def _cmd_experiment(args) -> int:
     kwargs = {}
     if args.replications is not None:
         kwargs["replications"] = args.replications
-    if args.calib_replications is not None and args.name != "rates":
+    if args.calib_replications is not None:
         kwargs["calib_replications"] = args.calib_replications
     if args.master_seed is not None:
         kwargs["master_seed"] = args.master_seed

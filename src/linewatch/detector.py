@@ -364,8 +364,6 @@ def save_state(state: DetectorState) -> bytes:
     cfg = state.config
     pc = state.prechange
     ts_kind, ts_n = (0, 0) if pc.time_unit == 1 else (1, pc.time_unit)
-    if ts_n >= 2**63:
-        raise ValueError(f"time unit {pc.time_unit} exceeds the LWSNAP01 limit of 2**63 - 1")
     if isinstance(pc, PrechangeFit):
         pc_kind = 0
         pc_vals = (pc.k, pc.alpha_hat, pc.beta_hat, pc.mean_t, pc.mean_x,
@@ -442,7 +440,7 @@ def load_state(blob: bytes) -> DetectorState:
         raise ValueError(f"corrupt snapshot: event kind {ev_kind} is not 0 or 1")
     if not stopped:
         _check_zeros("event fields of a running detector", (ev_time, ev_stat, ev_rho, ev_kind))
-    time_unit = ts_n if ts_kind == 1 else 1
+    time_unit = ts_n if ts_kind == 1 else 1  # a unit above 2**53 fails in the line's check
     if pc_kind == 0:
         pc: Union[PrechangeFit, KnownPrechange] = PrechangeFit(
             alpha_hat=alpha, beta_hat=beta, k=pc_k, time_unit=time_unit,

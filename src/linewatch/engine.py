@@ -32,15 +32,12 @@ arithmetic of ``detector.run``, so a row gets the bits ``run`` would
 give its series, whichever rows share its chunk), and hands a reduction
 the residuals (``batch_residuals``) of each segment it asks for.
 Generator draws are split-invariant, so every row sees the same noise as
-one full-horizon draw and only draws the steps it monitors.  Small
-chunks may run on a thread pool (LINEWATCH_THREADS, a positive integer);
-results depend neither on the chunking nor on completion order.
+one full-horizon draw and only draws the steps it monitors.  Chunks run
+one after another; results do not depend on the chunking.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
@@ -256,16 +253,13 @@ def noise_matrix(noise: NoiseSpec, rngs: Sequence[np.random.Generator], length: 
 
 
 def chunked_replications(replications: int, T: int, worker: Callable[[int, int], None]) -> None:
-    """Run ``worker(first, last)`` over replication chunks, on
-    LINEWATCH_THREADS worker threads (default 1; any value but a
-    positive integer raises ValueError).
+    """Run ``worker(first, last)`` over replication chunks, in order.
 
     A chunk holds max(1, ``_CHUNK_ELEMENTS`` // T) rows, so each of a
     segment's matrices is 1 MB at most (or one row) at any replication
-    count, and a few hundred rows make chunks for every thread: a full
-    ``calibrate`` (10k x 2000 steps) peaked at 41 MB resident, not 136 MB
-    as with 4M-element chunks.  Each worker call must touch only the rows
-    [first, last), keeping results independent of scheduling order.
+    count: a full ``calibrate`` (10k x 2000 steps) peaked at 41 MB
+    resident, not 136 MB as with 4M-element chunks.  Each worker call
+    must touch only the rows [first, last).
     """
     # Freeing one untouched 16 MB block raises glibc's mmap and trim
     # thresholds: the heap then keeps the pages chunks free, not faulting
@@ -273,20 +267,8 @@ def chunked_replications(replications: int, T: int, worker: Callable[[int, int],
     # it, a dozen and 1.7 s with it); other allocators ignore it.
     np.empty(2**21)
     chunk = max(1, _CHUNK_ELEMENTS // max(T, 1))
-    spans = [
-        (lo, min(lo + chunk, replications)) for lo in range(0, replications, chunk)
-    ]
-    raw = os.environ.get("LINEWATCH_THREADS", "1")
-    n_threads = int(raw) if raw.strip().isdigit() else 0
-    if n_threads < 1:
-        raise ValueError(f"LINEWATCH_THREADS must be a positive integer, got {raw!r}")
-    if n_threads == 1 or len(spans) == 1:
-        for lo, hi in spans:
-            worker(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        for future in [pool.submit(worker, lo, hi) for lo, hi in spans]:
-            future.result()
+    for lo in range(0, replications, chunk):
+        worker(lo, min(lo + chunk, replications))
 
 
 def _segments(rows, T, residuals, visit) -> None:
@@ -372,7 +354,7 @@ def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, tot
     residuals at monitoring steps t0 + 1 .. t0 + length."""
     if total <= k:
         raise ValueError(f"stream length {total} must exceed history {k}")
-    parts = {}
+    parts = []
 
     def worker(lo: int, hi: int) -> None:
         rngs = [np.random.default_rng(replication_seed(master_seed, rep))
@@ -388,12 +370,12 @@ def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, tot
                 x += signal[k + t0:k + t0 + length]
             return batch_residuals(line, x, k + t0 + 1, active)
 
-        parts[lo] = reduce(hi - lo, residuals)
+        parts.append(reduce(hi - lo, residuals))
 
     chunked_replications(replications, total, worker)
     if not parts:  # no replications: an empty chunk gives the empty arrays
         worker(0, 0)
-    return [np.concatenate(col) for col in zip(*(parts[lo] for lo in sorted(parts)))]
+    return [np.concatenate(col) for col in zip(*parts)]
 
 
 def first_alarms(

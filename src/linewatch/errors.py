@@ -11,10 +11,6 @@ class InsufficientDataError(LinewatchError, ValueError):
     """Fewer observations than the operation needs."""
 
 
-class SingularDesignError(LinewatchError, ValueError):
-    """Regression design has no spread in the time axis."""
-
-
 class DegenerateScaleError(LinewatchError, ValueError):
     """Historical segment has zero variance, cannot standardize."""
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateScaleError, InsufficientDataError, SingularDesignError
+from .errors import DegenerateScaleError, InsufficientDataError
 
 __all__ = [
     "KnownPrechange",
@@ -34,8 +34,10 @@ __all__ = [
 
 
 def _check_time_unit(time_unit: int) -> None:
-    if time_unit < 1:
-        raise ValueError(f"time unit must be >= 1, got {time_unit}")
+    # up to 2**53 a unit is an exact float, so NumPy divides by it as
+    # ``predict_at_index`` does
+    if not 1 <= time_unit <= 2**53:
+        raise ValueError(f"time unit must lie in [1, 2**53], got {time_unit}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,9 @@ class PrechangeFit:
     s_xx: float
     resid_sd: float
 
+    def __post_init__(self) -> None:
+        _check_time_unit(self.time_unit)
+
     def predict_at_index(self, index: int) -> float:
         return self.alpha_hat + self.beta_hat * (index / self.time_unit)
 
@@ -80,13 +85,8 @@ class KnownPrechange:
 
 def _times(first_index: int, length: int, time_unit: int) -> np.ndarray:
     """index / ``time_unit`` for ``length`` indices from ``first_index``,
-    divided as ``predict_at_index`` divides: NumPy would round a unit
-    above 2**53 to a float first, so such a unit takes Python's exact
-    integer division."""
-    index = np.arange(first_index, first_index + length)
-    if time_unit <= 2**53:
-        return index / time_unit
-    return np.array([i / time_unit for i in index.tolist()], dtype=float)
+    divided as ``predict_at_index`` divides."""
+    return np.arange(first_index, first_index + length) / time_unit
 
 
 def _line(prechange) -> Tuple[float, float]:
@@ -107,9 +107,7 @@ def _fit_rows(hist: np.ndarray, time_unit: int):
     t = _times(1, k, time_unit)
     mean_t = t.mean()
     dt = t - mean_t
-    s_tt = (dt * dt).sum()
-    if s_tt <= 0.0:
-        raise SingularDesignError("design times have no spread; slope is not identifiable")
+    s_tt = (dt * dt).sum()  # > 0: k >= 2 distinct times, none below 2**-53
     mean_x = hist.mean(axis=-1)
     products = hist - mean_x[..., None]
     products *= dt

@@ -168,6 +168,7 @@ def table5(
 
 
 def rates_table(
+    calib_replications: int = 400,
     replications: int = 200,
     master_seed: int = 20260204,
     n_grid: Sequence[int] = tuple(2 ** p for p in range(10, 17)),
@@ -178,7 +179,7 @@ def rates_table(
     rows: List[List[str]] = []
     for kind in ("jump", "kink"):
         rep = rate_check(0.5, list(n_grid), kind, replications,
-                         derive_seed(master_seed, _MODE_ID[kind]))
+                         derive_seed(master_seed, _MODE_ID[kind]), calib_replications)
         for point, ratio in zip(rep.points, rep.delay_over_log):
             rows.append([
                 kind, str(point.n), str(point.k), str(point.bin_size),

@@ -196,6 +196,18 @@ def test_spec_states_one_target():
     assert _spec(eta=0.3).level == 0.3
 
 
+@pytest.mark.parametrize("n", [0, -3, 2.5])
+def test_spec_refuses_a_bin_size_that_is_not_a_positive_integer(n):
+    for key in ("n_jump", "n_kink"):
+        with pytest.raises(ValueError, match=f"{key} must be an integer >= 1, got {n!r}"):
+            _spec(**{key: n})
+
+
+def test_multi_bin_calibration_refuses_a_zero_scale_before_simulating():
+    with pytest.raises(ValueError, match="must be an integer >= 1, got 0"):
+        calibrate_multi_bin(_spec(), [0, 3])
+
+
 def test_arl_delegates_to_single_at_fixed_eta():
     spec = _spec(replications=500, horizon=80, n_kink=None)
     mx = simulate_null_maxima(spec)
@@ -308,19 +320,6 @@ def test_multi_bin_arl_calibration_hits_target_band():
             alarm = np.minimum(alarm, a)
         lengths[lo:hi] = np.minimum(alarm, cap)
     assert 350.0 <= lengths.mean() <= 700.0
-
-
-def test_threads_do_not_change_results(monkeypatch):
-    import linewatch.engine as engine
-
-    spec = _spec(replications=300, k=50, horizon=120)
-    # many small chunks so the pool really interleaves work
-    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 5000)
-    base = simulate_null_maxima(spec)
-    monkeypatch.setenv("LINEWATCH_THREADS", "4")
-    threaded = simulate_null_maxima(spec)
-    assert np.array_equal(base.jump, threaded.jump)
-    assert np.array_equal(base.kink, threaded.kink)
 
 
 def test_chunk_size_does_not_change_results(monkeypatch):

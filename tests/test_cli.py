@@ -276,8 +276,11 @@ def _write_spec(tmp_path, name="spec.txt", **kv):
     ({"master_seed": "x"}, "key 'master_seed' is not an integer: 'x'"),
     ({"eta": "x"}, "key 'eta' is not a number: 'x'"),
     ({"sigma": "z"}, "key 'sigma' is not a number: 'z'"),
+    ({"n_jump": "0"}, "n_jump must be an integer >= 1, got 0"),
+    ({"n_jump": "-3"}, "n_jump must be an integer >= 1, got -3"),
 ], ids=["horizon-1", "arl-eta", "noise", "bin-size", "standardize", "replications",
-        "horizon", "no-horizon", "k", "master-seed", "eta", "sigma"])
+        "horizon", "no-horizon", "k", "master-seed", "eta", "sigma", "bin-size-0",
+        "bin-size-negative"])
 def test_bad_calibrate_spec_names_its_path_once(tmp_path, capsys, spec, message):
     spec_path = _write_spec(tmp_path, **spec)
     out_path = tmp_path / "cal.txt"
@@ -310,20 +313,6 @@ def test_bad_detect_config_names_its_path_once(tmp_path, capsys, key, value, mes
     code = main(["detect", "--input", data, "--config", cfg, "--k", "5"])
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
     assert code == 3
-
-
-@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
-def test_bad_thread_count_is_a_usage_error(tmp_path, capsys, monkeypatch, threads):
-    spec_path = str(tmp_path / "spec.txt")
-    write_kv(spec_path, "calibration-spec", {
-        "mode": "fa", "which": "jump", "horizon": "50", "k": "30", "n_jump": "3",
-        "replications": "20",
-    })
-    monkeypatch.setenv("LINEWATCH_THREADS", threads)
-    code = main(["calibrate", "--spec", spec_path, "--out", str(tmp_path / "cal.txt")])
-    assert capsys.readouterr().err == (
-        f"error: LINEWATCH_THREADS must be a positive integer, got {threads!r}\n")
-    assert code == 2
 
 
 def test_exit_code_3_on_parse_errors(tmp_path, capsys):
@@ -367,6 +356,23 @@ def test_experiment_rates_smoke(tmp_path, capsys):
     assert code == 0
     assert "only 1 replications" in out  # wide-interval warning
     assert os.path.exists(tmp_path / "rates.csv")
+
+
+def test_experiment_passes_calib_replications_to_rates(tmp_path, capsys, monkeypatch):
+    import linewatch.cli as cli
+
+    seen = {}
+
+    def builder(**kwargs):
+        seen.update(kwargs)
+        return ["n"], [["1"]]
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "rates", builder)
+    code = main(["experiment", "--name", "rates", "--out-dir", str(tmp_path),
+                 "--calib-replications", "50"])
+    capsys.readouterr()
+    assert code == 0
+    assert seen == {"calib_replications": 50}
 
 
 def test_experiment_table3_row_shape(tmp_path, capsys):

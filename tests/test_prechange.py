@@ -5,7 +5,6 @@ from linewatch import (
     DegenerateScaleError,
     InsufficientDataError,
     KnownPrechange,
-    SingularDesignError,
     fit_ols,
     standardize,
 )
@@ -54,9 +53,9 @@ def test_insufficient_and_degenerate_errors():
     for values in ([1.0], 1.0):
         with pytest.raises(InsufficientDataError):
             fit_ols(values)
-    # a horizon so large that the times are subnormal floats leaves
-    # their squared spread no value but zero
-    with pytest.raises(SingularDesignError):
+    # a unit so large that the times would be subnormal floats, with
+    # no squared spread, is refused before any fit
+    with pytest.raises(ValueError, match="time unit must lie in"):
         fit_ols([1.0, 2.0, 3.0], time_unit=10**320)
 
 
