@@ -9,9 +9,8 @@ checked against its parent; pass HEAD~1 once the change is committed)
 is exported with ``git archive`` into a temporary directory, so no
 worktree is registered in the repository.  The change side is the
 working tree as it stands.  Each side runs these cases with
-``PYTHONPATH`` set to its own ``src`` and with the variables ``ENV``
-gives the case, the CLI cases in order in one working directory and
-each demo in a directory of its own:
+``PYTHONPATH`` set to its own ``src``, the CLI cases in order in one
+working directory and each demo in a directory of its own:
 
 - ``simulate`` of a fixed scenario, then ``detect`` on its CSV: plain,
   with ``--trace``, ``--standardize``, ``--standardize --trace`` (a
@@ -24,13 +23,12 @@ each demo in a directory of its own:
 - ``detect --sigma --standardize`` (exit 2);
 - ``calibrate`` in FA mode (joint) and in ARL mode (jump only and
   joint), in FA mode for the kink alone on standardized Student-t
-  noise, and jointly at horizon 513, whose 512 monitored steps end on
-  the first segment edge; ``calibrate`` of a joint spec without a kink
-  bin (exit 2); and ``detect`` with the FA calibration file as its
-  config;
+  noise, jointly at horizon 513, whose 512 monitored steps end on the
+  first segment edge, and jointly with bins of 300, which the kernel
+  sums with one cumulative sum along each bin, not with vector adds
+  across bins; ``calibrate`` of a joint spec without a kink bin
+  (exit 2); and ``detect`` with the FA calibration file as its config;
 - ``experiment`` for every study name, at small fixed sizes and seed;
-- ``calibrate`` in FA mode (joint) and ``experiment table3`` again, at
-  ``LINEWATCH_THREADS=2`` and into files of their own;
 - every script in ``demos/``.
 
 A case passes when it exits with the code it expects and its exit
@@ -74,11 +72,10 @@ FILES = {
                      "master_seed = 5\n"),
     "fa_edge.kv": ("mode = fa\nwhich = both\nreplications = 1000\neta = 0.5\nhorizon = 513\n"
                    "k = 200\nn_jump = 8\nn_kink = 8\nmaster_seed = 6\n"),
+    "fa_wide.kv": ("mode = fa\nwhich = both\nreplications = 20\neta = 0.5\nhorizon = 2000\n"
+                   "k = 100\nn_jump = 300\nn_kink = 300\nmaster_seed = 10\n"),
 }
 DETECT = ["detect", "--config", "config.kv", "--k", "5000"]
-# Environment variables of the cases that need their own.
-ENV = {"calibrate fa LINEWATCH_THREADS=2": {"LINEWATCH_THREADS": "2"},
-       "experiment table3 LINEWATCH_THREADS=2": {"LINEWATCH_THREADS": "2"}}
 EXPERIMENTS = ("table2", "table3", "table5", "rates", "types")
 
 
@@ -121,8 +118,6 @@ def _cases(root: str):
     yield "detect no alarm", quiet, 0, None
     yield "detect no alarm --trace", quiet + ["--trace", "quiet_trace.csv"], 0, None
     yield "calibrate fa", cli + ["calibrate", "--spec", "fa.kv", "--out", "cal_fa.kv"], 0, None
-    yield "calibrate fa LINEWATCH_THREADS=2", cli + [
-        "calibrate", "--spec", "fa.kv", "--out", "cal_fa_2t.kv"], 0, None
     yield "calibrate arl", cli + ["calibrate", "--spec", "arl.kv", "--out", "cal_arl.kv"], 0, None
     yield "calibrate arl joint", cli + [
         "calibrate", "--spec", "arl_joint.kv", "--out", "cal_arl_joint.kv"], 0, None
@@ -132,15 +127,14 @@ def _cases(root: str):
         "calibrate", "--spec", "fa_kink_t.kv", "--out", "cal_kink_t.kv"], 0, None
     yield "calibrate fa horizon 513", cli + [
         "calibrate", "--spec", "fa_edge.kv", "--out", "cal_edge.kv"], 0, None
+    yield "calibrate fa bins 300", cli + [
+        "calibrate", "--spec", "fa_wide.kv", "--out", "cal_wide.kv"], 0, None
     yield "detect calibrated", cli + ["detect", "--input", "data.csv", "--config",
                                       "cal_fa.kv", "--k", "5000", "--standardize"], 0, None
     for name in EXPERIMENTS:
         yield f"experiment {name}", cli + [
             "experiment", "--name", name, "--out-dir", "reports", "--replications", "20",
             "--calib-replications", "200", "--master-seed", "7"], 0, None
-    yield "experiment table3 LINEWATCH_THREADS=2", cli + [
-        "experiment", "--name", "table3", "--out-dir", "reports_2t", "--replications", "20",
-        "--calib-replications", "200", "--master-seed", "7"], 0, None
     for demo in sorted(os.listdir(os.path.join(root, "demos"))):
         if demo.endswith(".py"):
             yield f"demo {demo}", [sys.executable, os.path.join(root, "demos", demo)], 0, None
@@ -174,7 +168,7 @@ def _side(root: str, scratch: str) -> dict:
         before = _files(workdir)
         t0 = time.perf_counter()
         with open(os.path.join(workdir, stdin) if stdin else os.devnull, "rb") as fh:
-            proc = subprocess.run(argv, cwd=workdir, env=dict(env, **ENV.get(case, {})),
+            proc = subprocess.run(argv, cwd=workdir, env=env,
                                   stdin=fh, capture_output=True)
         seconds = time.perf_counter() - t0
         written = {name: data for name, data in _files(workdir).items()

@@ -14,6 +14,7 @@ report), 2 = usage or argument error, 3 = I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -105,8 +106,8 @@ def _cmd_detect(args) -> int:
     if args.sigma is not None:
         if args.standardize:
             raise ValueError("--sigma and --standardize are mutually exclusive")
-        if args.sigma <= 0:
-            raise ValueError("--sigma must be > 0")
+        if not (math.isfinite(args.sigma) and args.sigma > 0):
+            raise ValueError(f"--sigma must be finite and > 0, got {args.sigma}")
         values = values / args.sigma
         scaling = (0.0, args.sigma)
     elif args.standardize:

@@ -78,6 +78,9 @@ class KnownPrechange:
 
     def __post_init__(self) -> None:
         _check_time_unit(self.time_unit)
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"known line must be finite, got alpha = {self.alpha}, "
+                             f"beta = {self.beta}")
 
     def predict_at_index(self, index: int) -> float:
         return self.alpha + self.beta * (index / self.time_unit)

@@ -150,6 +150,28 @@ def test_detect_sigma_with_known_line_matches_run(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--sigma", "nan"], "--sigma must be finite and > 0, got nan"),
+    (["--sigma", "inf"], "--sigma must be finite and > 0, got inf"),
+    (["--sigma", "0"], "--sigma must be finite and > 0, got 0.0"),
+    (["--known-alpha", "nan", "--known-beta", "0"], "known line must be finite"),
+    (["--known-alpha", "0", "--known-beta", "inf"], "known line must be finite"),
+    (["--known-alpha=-inf", "--known-beta", "0"], "known line must be finite"),
+], ids=["sigma-nan", "sigma-inf", "sigma-zero", "alpha-nan", "beta-inf", "alpha-minus-inf"])
+def test_detect_refuses_a_non_finite_scale_or_known_line(tmp_path, capsys, flags, message):
+    # each of these used to run: nan and inf reported no alarm, and an
+    # infinite slope alarmed at the first monitored step
+    data = str(tmp_path / "jump.csv")
+    main(["simulate", "--scenario", _write_scenario(tmp_path), "--out", data])
+    cfg = _write_config(tmp_path)
+    capsys.readouterr()
+    code = main(["detect", "--input", data, "--config", cfg, "--k", "500"] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert "status:" not in captured.out
+
+
 def test_simulate_round_trip_recovers_values(tmp_path):
     scen = _write_scenario(tmp_path, sigma="0.0")
     data = str(tmp_path / "clean.csv")

@@ -79,6 +79,45 @@ def test_batch_stats_in_pieces_equal_one_pass_and_streaming(
     assert np.array_equal(k[1], sk)
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 10, 200, 5000])
+@pytest.mark.parametrize("rows", [1, 3, 64])
+def test_batch_stats_equal_streaming_row_by_row_on_both_sides_of_the_scan_rule(rows, n):
+    # narrow bins in blocks of many (row, block) pairs take their running
+    # sums as vector adds across the pairs, the others as one cumulative
+    # sum per bin; uneven pieces put one stream on both sides of that rule
+    length = {1: 400, 10: 900, 200: 1000, 5000: 2 * 5000 + 100}[n]
+    rng = np.random.default_rng(rows * 10_007 + n)
+    res = rng.standard_normal((rows, length)) + 0.3
+    res[:, n - 1::n] = -0.0  # every bin opens on a -0.0
+    res[0, n - 1:4 * n - 1] = -0.0  # and three whole bins of -0.0 in row 0
+    j, k = batch_stats(res, n, n)
+    bins = BatchBins()
+    edges = [0, 1, 2 + length // 7, length // 3, length // 3, length - 5, length]
+    pieces = [batch_stats(res[:, a:b], n, n, bins) for a, b in zip(edges[:-1], edges[1:])]
+    assert bins.t == length
+    j_pieces = np.concatenate([p[0] for p in pieces], axis=1)
+    k_pieces = np.concatenate([p[1] for p in pieces], axis=1)
+    for row in range(rows):
+        sj, sk = _streaming_stats(res[row], n, n)
+        for got in (j[row], j_pieces[row]):
+            assert np.array_equal(_bits(got), _bits(sj))
+        for got in (k[row], k_pieces[row]):
+            assert np.array_equal(_bits(got), _bits(sk))
+
+
+def test_scan_rule_covers_both_sides_in_the_row_by_row_test():
+    # the one-pass blocks of the test above: length // n + 1 blocks a row
+    assert engine._across(64, 900 // 10 + 1, 10) and engine._across(3, 900 // 10 + 1, 10)
+    assert engine._across(1, 400 // 1 + 1, 1)
+    assert not engine._across(1, 900 // 10 + 1, 10)
+    assert not engine._across(64, 1000 // 200 + 1, 200)
+    assert not engine._across(64, 10_100 // 5000 + 1, 5000)
+
+
 def test_batch_alarms_match_scan_oracle():
     rng = np.random.default_rng(1)
     for _ in range(50):

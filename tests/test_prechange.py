@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,13 @@ def test_predict_examples():
     assert KnownPrechange(0.0, 2.0, time_unit=4).predict_at_index(3) == 1.5
     fit = fit_ols(np.random.default_rng(2).normal(size=30))
     assert fit.predict_at_index(11) - fit.predict_at_index(10) == pytest.approx(fit.beta_hat)
+
+
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                         (0.0, -math.inf)])
+def test_known_line_must_be_finite(alpha, beta):
+    with pytest.raises(ValueError, match="known line must be finite"):
+        KnownPrechange(alpha, beta)
 
 
 def test_normal_equation_invariants():
