@@ -40,14 +40,19 @@ that to monitor rows in doubling segments, with two reductions:
 calibration).
 
 ``replicate`` is the one Monte Carlo driver: per replication chunk it
-draws (``noise_matrix``), fits each row's pre-change line to its own
-history in ``prechange`` (the fit, standardization and residual
-arithmetic of ``detector.run``, so a row gets the bits ``run`` would
-give its series, whichever rows share its chunk), and hands a reduction
-the residuals (``batch_residuals``) of each segment it asks for.
-Generator draws are split-invariant, so every row sees the same noise as
-one full-horizon draw and only draws the steps it monitors.  Chunks run
-one after another; results do not depend on the chunking.
+gives each row its pre-change line in ``prechange``, and hands a
+reduction the residuals (``batch_residuals``) of each segment it asks
+for.  Under Gaussian noise a row draws its line from the law of the
+fit, three values at most instead of its k history values
+(``_history_draws``, ``prechange._sampled_row_lines``); under Student-t
+noise, which has no such closed form, it draws its history and fits it
+with the fit, standardization and residual arithmetic of
+``detector.run``, so a Student-t row gets the bits ``run`` would give
+its series.  Either way a row's bits do not depend on which rows share
+its chunk.  Generator draws are split-invariant, so every row sees the
+same monitored noise as one full-horizon draw and only draws the steps
+it monitors.  Chunks run one after another; results do not depend on
+the chunking.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .prechange import _residuals, _row_lines
+from .prechange import _residuals, _row_lines, _sampled_row_lines
 from .signal import NoiseSpec, replication_seed
 
 if TYPE_CHECKING:
@@ -297,14 +302,32 @@ def noise_matrix(noise: NoiseSpec, rngs: Sequence[np.random.Generator], length: 
     return out
 
 
+def _history_draws(noise: NoiseSpec, rngs: Sequence[np.random.Generator], k: int,
+                   standardize_first: bool) -> np.ndarray:
+    """The history stage of ``replicate`` under Gaussian noise: per
+    generator in ``rngs``, sigma z0 and sigma z1 and, when
+    ``standardize_first``, sigma^2 chi^2_{k-2}, the draws from which
+    ``prechange._sampled_row_lines`` forms its row's line, drawn before
+    its monitored noise."""
+    draws = noise_matrix(noise, rngs, 2)
+    if not standardize_first:
+        return draws
+    rss = np.zeros(len(rngs))
+    # chi^2_0 is 0, which chisquare(0) refuses; sigma = 0 draws nothing,
+    # as ``NoiseSpec.draw`` draws nothing
+    if k > 2 and noise.sigma > 0.0:
+        rss[:] = [noise.sigma**2 * rng.chisquare(k - 2) for rng in rngs]
+    return np.column_stack([draws, rss])
+
+
 def chunked_replications(replications: int, T: int, worker: Callable[[int, int], None]) -> None:
     """Run ``worker(first, last)`` over replication chunks, in order.
 
     A chunk holds max(1, ``_CHUNK_ELEMENTS`` // T) rows, so each of a
-    segment's matrices is 1 MB at most (or one row) at any replication
-    count: a full ``calibrate`` (10k x 2000 steps) peaked at 41 MB
-    resident, not 136 MB as with 4M-element chunks.  Each worker call
-    must touch only the rows [first, last).
+    chunk's matrices of T steps a row is 1 MB at most (or one row) at
+    any replication count: a full ``calibrate`` (10k x 2000 steps)
+    peaked at 41 MB resident, not 136 MB as with 4M-element chunks.
+    Each worker call must touch only the rows [first, last).
     """
     # Freeing one untouched 16 MB block raises glibc's mmap and trim
     # thresholds: the heap then keeps the pages chunks free, not faulting
@@ -391,23 +414,30 @@ def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, tot
               signal: Optional[np.ndarray] = None, time_unit: int = 1,
               standardize_first: bool = False) -> List[np.ndarray]:
     """The Monte Carlo driver over replications of up to ``total``
-    observations (noise plus ``signal``, history k).  Per chunk of rows
-    it builds each row's generator, draws the history, fits the line,
-    and joins over the chunks the per-row arrays of ``reduce(rows,
+    observations (noise plus ``signal``, history k, over which the
+    signal is one line).  Per chunk of rows it builds each row's
+    generator, gives the row its line (drawn from the law of the fit
+    under Gaussian noise, fitted to the drawn history otherwise), and
+    joins over the chunks the per-row arrays of ``reduce(rows,
     residuals)``: ``residuals(t0, length, active)`` draws the next
     ``length`` observations of the rows ``active`` and gives their
     residuals at monitoring steps t0 + 1 .. t0 + length."""
     if total <= k:
         raise ValueError(f"stream length {total} must exceed history {k}")
+    gaussian = noise.kind == "gaussian"
+    hist_signal = np.zeros(k) if signal is None else signal[:k]
     parts = []
 
     def worker(lo: int, hi: int) -> None:
         rngs = [np.random.default_rng(replication_seed(master_seed, rep))
                 for rep in range(lo, hi)]
-        hist = noise_matrix(noise, rngs, k)
-        if signal is not None:
-            hist += signal[:k]
-        line = _row_lines(hist, time_unit, standardize_first)
+        if gaussian:
+            line = _sampled_row_lines(hist_signal,
+                                      _history_draws(noise, rngs, k, standardize_first),
+                                      time_unit, standardize_first)
+        else:
+            line = _row_lines(noise_matrix(noise, rngs, k) + hist_signal, time_unit,
+                              standardize_first)
 
         def residuals(t0: int, length: int, active: np.ndarray) -> np.ndarray:
             x = noise_matrix(noise, [rngs[i] for i in active], length)
@@ -417,7 +447,8 @@ def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, tot
 
         parts.append(reduce(hi - lo, residuals))
 
-    chunked_replications(replications, total, worker)
+    # a Gaussian chunk holds no history, only its monitored steps
+    chunked_replications(replications, total - k if gaussian else total, worker)
     if not parts:  # no replications: an empty chunk gives the empty arrays
         worker(0, 0)
     return [np.concatenate(col) for col in zip(*parts)]

@@ -11,12 +11,12 @@ byte-identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .calibration import CalibrationSpec, calibrate
+from .calibration import CalibrationSpec, calibrate, simulate_null_maxima
 from .detector import DetectorConfig
 from .engine import first_alarms
 from .prechange import _check_time_unit
@@ -391,10 +391,11 @@ def robustness_study(
     template: RobustnessTemplate,
     arms: Sequence[Union[str, ChangeKind]] = (ChangeKind.JUMP, ChangeKind.KINK),
 ) -> RobustnessReport:
-    """Calibrate once under Gaussian noise to an ARL target, then apply
-    the thresholds to heavy-tailed streams standardized by the
+    """Calibrate each arm under Gaussian noise to an ARL target, then
+    apply its threshold to heavy-tailed streams standardized by the
     historical standard deviation.
 
+    The arms calibrate on one null simulation of their statistics.
     ``df_grid`` entries are Student-t degrees of freedom; math.inf (or
     None) selects the Gaussian reference arm.  Null runs are censored at
     ten times the ARL target.  The change sits at the first monitored
@@ -402,22 +403,24 @@ def robustness_study(
     """
     tpl = template
     arms = tuple(ChangeKind(a) if not isinstance(a, ChangeKind) else a for a in arms)
+    joint = CalibrationSpec(
+        replications=tpl.calib_replications,
+        arl=True,
+        horizon=tpl.target_arl,
+        k=tpl.k,
+        n_jump=tpl.bin_size if ChangeKind.JUMP in arms else None,
+        n_kink=tpl.bin_size if ChangeKind.KINK in arms else None,
+        noise=_GAUSS,
+        master_seed=derive_seed(tpl.master_seed, 0, 0),
+        standardize=True,
+    )
+    maxima = simulate_null_maxima(joint)
     rows: List[RobustnessRow] = []
     rho_jump = rho_kink = None
     for arm_idx, arm in enumerate(arms):
-        bins = (tpl.bin_size, None) if arm is ChangeKind.JUMP else (None, tpl.bin_size)
-        spec = CalibrationSpec(
-            replications=tpl.calib_replications,
-            arl=True,
-            horizon=tpl.target_arl,
-            k=tpl.k,
-            n_jump=bins[0],
-            n_kink=bins[1],
-            noise=_GAUSS,
-            master_seed=derive_seed(tpl.master_seed, arm_idx, 0),
-            standardize=True,
-        )
-        cal = calibrate(spec)
+        alone = (replace(joint, n_kink=None) if arm is ChangeKind.JUMP
+                 else replace(joint, n_jump=None))
+        cal = calibrate(alone, maxima=maxima)
         config = cal.to_config()
         if arm is ChangeKind.JUMP:
             rho_jump = cal.rho_jump

@@ -13,6 +13,13 @@ is the one-row case of the block.  The fit is held in centered form
 (means plus centered second moments) to avoid cancellation on long
 histories, and is built from NumPy row reductions, so each row gets
 the same bits whichever rows it is fitted with.
+
+A row of Gaussian noise need not hold its history to get its line:
+the fit's sufficient statistics have a closed-form law, so
+``_sampled_row_lines`` forms each row's line, and its standardizing
+(mean, sd), from two draws (three when standardized) instead of k (see
+there).  Rows of other
+noise are fitted to their drawn history (``_row_lines``).
 """
 
 from __future__ import annotations
@@ -170,6 +177,41 @@ def _row_lines(hist: np.ndarray, time_unit: int, standardize_first: bool):
         hist, scaling = _standardize_rows(hist, hist.shape[-1])
     alpha, beta = _fit_rows(hist, time_unit)[:2]
     return alpha[:, None], beta[:, None], time_unit, scaling
+
+
+def _sampled_row_lines(signal: np.ndarray, draws: np.ndarray, time_unit: int,
+                       standardize_first: bool):
+    """(alpha, beta, time unit, scaling) of a block of replication rows,
+    as ``_row_lines`` gives them, for rows whose history is the k values
+    of ``signal``, which lie on one line, plus Gaussian noise of scale
+    sigma: drawn from its law, not fitted to drawn values.
+
+    Under Gaussian errors the OLS line is normal with covariance
+    sigma^2 (X'X)^-1 and independent of the residual sum of squares,
+    which is sigma^2 chi^2_{k-2} (Seber & Lee, *Linear Regression
+    Analysis*, 2003, ch. 3; Cochran, 1934).  Row i of ``draws`` holds
+    sigma z0, sigma z1 for independent standard normals and, when
+    ``standardize_first``, an RSS drawn as sigma^2 chi^2_{k-2}.  The
+    history then has mean(signal) + sigma z0 / sqrt(k) and centered
+    cross moment s_tx(signal) + sigma z1 sqrt(s_tt) (the centered times
+    sum to zero, so the two are independent), and, the signal being
+    one line, centered square sum s_tx^2 / s_tt + RSS, which gives its
+    standard deviation (ddof=1).  Standardized by its own mean and sd,
+    the history has mean 0 and cross moment s_tx / sd.
+    """
+    k = signal.shape[-1]
+    _, _, mean_t, mean_x, s_tt, s_tx = _fit_rows(signal, time_unit)
+    mean_x = mean_x + draws[:, 0] / math.sqrt(k)
+    s_tx = s_tx + draws[:, 1] * math.sqrt(s_tt)
+    scaling = None
+    if standardize_first:
+        sd = np.sqrt((s_tx * s_tx / s_tt + draws[:, 2]) / (k - 1))
+        if np.any(sd == 0.0):
+            raise DegenerateScaleError("historical segment has zero variance")
+        scaling = (mean_x[:, None], sd[:, None])
+        mean_x, s_tx = 0.0, s_tx / sd
+    beta = s_tx / s_tt
+    return (mean_x - beta * mean_t)[:, None], beta[:, None], time_unit, scaling
 
 
 def _residuals(x: np.ndarray, first_index: int, alpha, beta, time_unit: int,

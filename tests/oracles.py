@@ -6,11 +6,18 @@ explicitly stored window, and regression coefficients come from
 solving the 2x2 normal equations.  The exceptions are ``step_run`` and
 ``step_multi_bin_run``: they monitor one ``DetectorState.step`` per
 observation, the streaming reference that the batch-kernel ``run`` and
-``multi_bin_run`` must reproduce bit for bit; and ``noise_matrix``,
-``batch_residuals`` and ``config_alarms``: they draw, fit the
-pre-change line per row and monitor every replication's full horizon
-in one matrix, the reference that the segmented Monte Carlo driver
-(``engine.replicate``) must reproduce bit for bit.
+``multi_bin_run`` must reproduce bit for bit; and ``replication_rows``,
+``replication_residuals``, ``full_horizon_maxima`` and
+``config_alarms``: they rebuild every replication row from its own
+generator, its pre-change line and then all its monitored noise, and
+monitor its full horizon in one matrix, the reference that the
+segmented Monte Carlo driver (``engine.replicate``) must reproduce bit
+for bit.  A Gaussian row's line comes from its drawn sufficient
+statistics (``prechange._sampled_row_lines``), so a full-horizon
+reference cannot rebuild it from a history series; a Student-t row's
+comes from its drawn history, and ``full_history`` draws and fits a
+history for Gaussian rows too, the law that the sampled lines must
+reproduce.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 from linewatch import DetectorState, NoiseSpec, fit_ols, standardize
 from linewatch import engine
 from linewatch.engine import batch_alarms, batch_stats
-from linewatch.prechange import _row_lines
+from linewatch.prechange import _row_lines, _sampled_row_lines
 from linewatch.signal import replication_seed
 
 
@@ -179,14 +186,57 @@ def batch_residuals(x: np.ndarray, k: int, time_unit: int = 1,
     return engine.batch_residuals(line, x[:, k:], k + 1)
 
 
-def full_horizon_maxima(spec, pairs):
+def replication_rows(noise: NoiseSpec, master_seed: int, first: int, last: int, k: int,
+                     T: int, signal=None, time_unit: int = 1, standardize_first: bool = False,
+                     full_history: bool = False):
+    """(line, x) of replications [first, last) of k + T observations
+    (noise plus ``signal``): each row's pre-change line, as the
+    (alpha, beta, time unit, scaling) of ``prechange``, and its T
+    monitored observations, one row each.
+
+    Each row's generator draws first its line: under Gaussian noise
+    sigma z0, sigma z1 and, standardized, sigma^2 chi^2_{k-2} (no draw
+    for k = 2 or sigma = 0); under other noise, or with
+    ``full_history``, its k history values.  Then it draws its T
+    monitored values in one call."""
+    signal = np.zeros(k + T) if signal is None else np.asarray(signal, dtype=float)
+    rngs = [np.random.default_rng(replication_seed(master_seed, rep))
+            for rep in range(first, last)]
+    if noise.kind == "gaussian" and not full_history:
+        draws = []
+        for rng in rngs:
+            row = list(noise.draw(rng, 2))
+            if standardize_first:
+                chi2 = rng.chisquare(k - 2) if k > 2 and noise.sigma > 0.0 else 0.0
+                row.append(noise.sigma ** 2 * chi2)
+            draws.append(row)
+        draws = np.array(draws, dtype=float).reshape(len(rngs), 3 if standardize_first else 2)
+        line = _sampled_row_lines(signal[:k], draws, time_unit, standardize_first)
+    else:
+        hist = engine.noise_matrix(noise, rngs, k) + signal[:k]
+        line = _row_lines(hist, time_unit, standardize_first)
+    return line, engine.noise_matrix(noise, rngs, T) + signal[k:k + T]
+
+
+def replication_residuals(noise: NoiseSpec, master_seed: int, first: int, last: int, k: int,
+                          T: int, signal=None, time_unit: int = 1,
+                          standardize_first: bool = False,
+                          full_history: bool = False) -> np.ndarray:
+    """The residuals of the T monitored observations of the rows of
+    ``replication_rows`` against their lines."""
+    line, x = replication_rows(noise, master_seed, first, last, k, T, signal, time_unit,
+                               standardize_first, full_history)
+    return engine.batch_residuals(line, x, k + 1)
+
+
+def full_horizon_maxima(spec, pairs, full_history: bool = False):
     """(max |J|, max |K|) per replication for each (n_jump, n_kink) of
     ``pairs`` over monitoring steps 1 .. horizon - 1 of a calibration
     spec, from one full-horizon matrix: the reference for the
-    calibration maxima."""
-    x = noise_matrix(spec.noise, spec.master_seed, 0, spec.replications,
-                     spec.k + spec.horizon)
-    resid = batch_residuals(x, spec.k, time_unit=spec.time_unit,
-                            standardize_first=spec.standardize)[:, :spec.horizon - 1]
+    calibration maxima (with ``full_history``, their law)."""
+    resid = replication_residuals(spec.noise, spec.master_seed, 0, spec.replications, spec.k,
+                                  spec.horizon - 1, time_unit=spec.time_unit,
+                                  standardize_first=spec.standardize,
+                                  full_history=full_history)
     return [tuple(None if s is None else np.abs(s).max(axis=1)
                   for s in batch_stats(resid, nj, nk)) for nj, nk in pairs]

@@ -8,8 +8,10 @@ import pytest
 from linewatch import (
     CalibrationResolutionError,
     CalibrationSpec,
+    DegenerateScaleError,
     DetectorConfig,
     DetectorState,
+    KnownPrechange,
     NoiseSpec,
     calibrate,
     calibrate_multi_bin,
@@ -21,9 +23,8 @@ from linewatch.calibration import (
     _order_statistic,
     _thresholds,
 )
-from linewatch.prechange import fit_ols
 
-from oracles import full_horizon_maxima, noise_matrix
+from oracles import full_horizon_maxima, noise_matrix, replication_rows
 
 GAUSS = NoiseSpec("gaussian", 1.0)
 
@@ -53,21 +54,25 @@ def test_maxima_deterministic_under_fixed_seed():
     assert not np.array_equal(a.jump, c.jump)
 
 
+def _row_state(spec, line, row):
+    """A fresh detector of ``spec``'s bins on row ``row`` of ``line``."""
+    alpha, beta, time_unit, _ = line
+    return DetectorState(DetectorConfig(spec.n_jump, spec.n_kink),
+                         KnownPrechange(float(alpha[row, 0]), float(beta[row, 0]), time_unit),
+                         absolute_offset=spec.k)
+
+
 def test_tiny_run_matches_exhaustive_streaming_trace():
-    # r = 5 replications recomputed with the production step() path,
-    # storing every statistic and taking the max
+    # r = 5 replications recomputed with the production step() path on
+    # their drawn lines, storing every statistic and taking the max
     spec = _spec(replications=5, horizon=40, k=20, n_jump=2, n_kink=4)
     mx = simulate_null_maxima(spec)
-    total = spec.k + spec.horizon
+    line, x = replication_rows(spec.noise, spec.master_seed, 0, 5, spec.k, spec.horizon - 1)
     for rep in range(5):
-        x = noise_matrix(spec.noise, spec.master_seed, rep, rep + 1, total)[0]
-        fit = fit_ols(x[: spec.k])
-        state = DetectorState(
-            DetectorConfig(spec.n_jump, spec.n_kink), fit, absolute_offset=spec.k
-        )
+        state = _row_state(spec, line, rep)
         js, ks = [], []
-        for t in range(spec.k, spec.k + spec.horizon - 1):
-            snap, _ = state.step(float(x[t]))
+        for value in x[rep]:
+            snap, _ = state.step(float(value))
             js.append(abs(snap.j_stat))
             ks.append(abs(snap.k_stat))
         assert mx.jump[rep] == pytest.approx(max(js), rel=1e-9, abs=1e-12)
@@ -102,6 +107,36 @@ def test_null_maxima_at_segment_edges(monitored):
     # 1537 start the next ones
     spec = _spec(replications=12, k=100, horizon=monitored + 1, n_jump=4, n_kink=6)
     _assert_maxima_equal_reference(spec, [(3, 3), (40, 40)])
+
+
+@pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
+def test_two_point_histories_draw_their_lines(standardize):
+    # k = 2 leaves no residual: a standardized row draws no chi^2_0
+    spec = _spec(replications=30, k=2, horizon=50, standardize=standardize)
+    _assert_maxima_equal_reference(spec, [])
+
+
+def test_noiseless_flat_standardized_history_is_refused():
+    spec = _spec(noise=NoiseSpec("gaussian", 0.0), replications=5, standardize=True)
+    with pytest.raises(DegenerateScaleError, match="^historical segment has zero variance$"):
+        simulate_null_maxima(spec)
+
+
+@pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
+def test_null_maxima_follow_the_law_of_fitted_histories(standardize):
+    # two-sample Kolmogorov-Smirnov at the 99% level: 20,000 rows on
+    # drawn lines against 20,000 on lines fitted to drawn histories
+    rows = 20_000
+    spec = _spec(replications=rows, k=40, horizon=60, noise=NoiseSpec("gaussian", 1.7),
+                 time_unit=100, standardize=standardize)
+    mx = simulate_null_maxima(spec)
+    ((jump, kink),) = full_horizon_maxima(dataclasses.replace(spec, master_seed=321),
+                                          [(spec.n_jump, spec.n_kink)], full_history=True)
+    for drawn, fitted in ((mx.jump, jump), (mx.kink, kink)):
+        both = np.sort(np.concatenate([drawn, fitted]))
+        gap = np.abs(np.searchsorted(np.sort(drawn), both, side="right")
+                     - np.searchsorted(np.sort(fitted), both, side="right")).max() / rows
+        assert gap <= 1.628 * math.sqrt(2 / rows)
 
 
 def test_order_statistic_conventions():
@@ -248,21 +283,13 @@ def test_null_streams_invariant_to_true_prechange_line():
     # noise, so calibrating on zero-line nulls loses no generality
     spec = _spec(replications=50, k=40, horizon=80)
     mx = simulate_null_maxima(spec)
-    total = spec.k + spec.horizon
-    t = np.arange(1, total + 1)
+    total = spec.k + spec.horizon - 1
+    line = 4.0 + 0.3 * np.arange(1, total + 1)  # arbitrary true pre-change line
+    drawn, x = replication_rows(GAUSS, spec.master_seed, 0, 50, spec.k, spec.horizon - 1, line)
     jmax2 = np.zeros(50)
     for rep in range(50):
-        x = noise_matrix(GAUSS, spec.master_seed, rep, rep + 1, total)[0]
-        x = x + (4.0 + 0.3 * t)  # arbitrary true pre-change line
-        fit = fit_ols(x[: spec.k])
-        state = DetectorState(
-            DetectorConfig(spec.n_jump, spec.n_kink), fit, absolute_offset=spec.k
-        )
-        js = [
-            abs(state.step(float(x[i]))[0].j_stat)
-            for i in range(spec.k, spec.k + spec.horizon - 1)
-        ]
-        jmax2[rep] = max(js)
+        state = _row_state(spec, drawn, rep)
+        jmax2[rep] = max(abs(state.step(float(value))[0].j_stat) for value in x[rep])
     assert np.allclose(jmax2, mx.jump, atol=1e-9)
 
 

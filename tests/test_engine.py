@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from linewatch import DetectorConfig, DetectorState, KnownPrechange, NoiseSpec, engine, run
 from linewatch.engine import (BatchBins, batch_alarms, batch_stats, first_alarms, replicate,
                               segment_alarms)
-from linewatch.prechange import fit_ols
+from linewatch.prechange import _row_lines, _sampled_row_lines, fit_ols
 from linewatch.signal import replication_seed
 
-from oracles import batch_residuals, config_alarms, first_crossing_alarm, noise_matrix
+from oracles import (batch_residuals, config_alarms, first_crossing_alarm, noise_matrix,
+                     replication_residuals, replication_rows)
 
 
 def _streaming_stats(res, n_jump, n_kink):
@@ -232,10 +233,8 @@ def test_config_alarms_match_streaming_run():
 
 
 def _reference_alarms(noise, seed, reps, k, total, config, signal=None, **kw):
-    x = noise_matrix(noise, seed, 0, reps, total)
-    if signal is not None:
-        x += signal
-    return config_alarms(batch_residuals(x, k, **kw), config)
+    resid = replication_residuals(noise, seed, 0, reps, k, total - k, signal, **kw)
+    return config_alarms(resid, config)
 
 
 @pytest.mark.parametrize("noise", [NoiseSpec("gaussian", 1.5),
@@ -259,8 +258,8 @@ def test_first_alarms_equal_full_horizon_reference(noise, standardize, time_unit
 @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
 @pytest.mark.parametrize("time_unit", [1, 2500], ids=["index", "fraction"])
 def test_replications_alarm_as_run_does_on_their_series(standardize, time_unit):
-    # each row's fitted line, and so its alarm statistic, has the bits
-    # run() gives the same series, whichever rows share its chunk
+    # each row's alarm statistic has the bits run() gives its monitored
+    # series on its drawn line (and scaling), whichever rows share its chunk
     k, total, reps = 150, 2500, 23
     noise = NoiseSpec("gaussian", 1.5)
     signal = np.where(np.arange(total) >= 1400, 0.8, 0.0)
@@ -269,10 +268,13 @@ def test_replications_alarm_as_run_does_on_their_series(standardize, time_unit):
         noise, 3, reps, k, total,
         lambda rows, residuals: segment_alarms(rows, total - k, config, residuals),
         signal, time_unit, standardize_first=standardize)
-    x = noise_matrix(noise, 3, 0, reps, total) + signal
+    (alpha, beta, _, scaling), x = replication_rows(noise, 3, 0, reps, k, total - k, signal,
+                                                    time_unit, standardize)
+    if standardize:
+        x = (x - scaling[0]) / scaling[1]
     for row in range(reps):
-        event = run(x[row], k, config, time_unit=time_unit,
-                    standardize_first=standardize).event
+        line = KnownPrechange(float(alpha[row, 0]), float(beta[row, 0]), time_unit)
+        event = run(np.concatenate([np.zeros(k), x[row]]), k, config, line).event
         assert event is not None and alarm[row] <= total - k
         assert (event.time, event.stat_value) == (k + alarm[row], value[row])
         assert event.kind.value == {1: "jump", 2: "kink"}[int(kind[row])]
@@ -325,3 +327,56 @@ def test_first_alarms_of_no_replications_are_empty():
                                DetectorConfig(3, 3, 1.0, 1.0))
     assert alarm.shape == kind.shape == (0,)
     assert alarm.dtype == np.int64 and kind.dtype == np.int8
+
+
+_Z99 = 2.5758  # two-sided 99% normal quantile
+
+
+def _assert_same_moments(a, b):
+    """Each column's mean, and each pair of columns' covariance (each
+    column's variance among them), agree between the row samples ``a``
+    and ``b`` within two-sample 99% intervals."""
+    def agree(x, y):
+        gap = abs(x.mean() - y.mean())
+        assert gap <= _Z99 * math.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
+
+    da, db = a - a.mean(axis=0), b - b.mean(axis=0)
+    for i in range(a.shape[1]):
+        agree(a[:, i], b[:, i])
+        for j in range(i, a.shape[1]):
+            agree(da[:, i] * da[:, j], db[:, i] * db[:, j])
+
+
+@pytest.mark.parametrize("standardize,k", [(False, 40), (True, 40), (True, 2)],
+                         ids=["raw", "standardized", "standardized-two-point"])
+def test_sampled_lines_follow_the_law_of_fitted_lines(standardize, k):
+    # 20,000 rows' drawn lines against 20,000 lines fitted to drawn
+    # histories on a sloped line at fractional times
+    rows, time_unit = 20_000, 250
+    noise = NoiseSpec("gaussian", 1.7)
+    signal = 2.0 - 3.0 * np.arange(1, k + 1) / time_unit
+
+    def rngs(seed):
+        return [np.random.default_rng(replication_seed(seed, rep)) for rep in range(rows)]
+
+    drawn = _sampled_row_lines(signal, engine._history_draws(noise, rngs(5), k, standardize),
+                               time_unit, standardize)
+    fitted = _row_lines(engine.noise_matrix(noise, rngs(6), k) + signal, time_unit,
+                        standardize)
+
+    def columns(line):
+        alpha, beta, _, scaling = line
+        return np.hstack([alpha, beta, *(scaling or ())])
+
+    _assert_same_moments(columns(drawn), columns(fitted))
+
+
+def test_noiseless_rows_take_the_signals_own_line():
+    k, total, time_unit = 30, 90, 7
+    signal = 1.5 + 0.25 * np.arange(1, total + 1) / time_unit
+    resid, = replicate(NoiseSpec("gaussian", 0.0), 4, 3, k, total,
+                       lambda rows, residuals: [residuals(0, total - k, np.arange(rows))],
+                       signal, time_unit)
+    fit = fit_ols(signal[:k], time_unit)
+    want = signal[k:] - (fit.alpha_hat + fit.beta_hat * (np.arange(k + 1, total + 1) / time_unit))
+    assert np.array_equal(resid, np.tile(want, (3, 1)))

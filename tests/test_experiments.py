@@ -17,6 +17,7 @@ from linewatch import (
     estimate_metrics,
     rate_check,
     robustness_study,
+    simulate_null_maxima,
 )
 from linewatch import calibration, tables
 from linewatch.engine import first_alarms
@@ -184,6 +185,13 @@ def test_robustness_rows_cover_grid_and_arms():
     assert rep.rho_jump is not None and rep.rho_kink is not None
     arms = {(str(r.arm), math.isinf(r.df)) for r in rep.rows}
     assert len(arms) == 4
+    # both arms calibrate on one null simulation of both statistics
+    joint = CalibrationSpec(replications=200, arl=True, horizon=60, k=50, n_jump=3, n_kink=3,
+                            noise=GAUSS, master_seed=derive_seed(10, 0, 0), standardize=True)
+    maxima = simulate_null_maxima(joint)
+    jump = calibrate(dataclasses.replace(joint, n_kink=None), maxima=maxima)
+    kink = calibrate(dataclasses.replace(joint, n_jump=None), maxima=maxima)
+    assert (rep.rho_jump, rep.rho_kink) == (jump.rho_jump, kink.rho_kink)
 
 
 def test_type_study_kink_disabled_cannot_misattribute_jump():
