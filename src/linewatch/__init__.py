@@ -58,7 +58,6 @@ from .signal import (
     change_index,
     eval_signal_array,
     generate_series,
-    replication_seed,
 )
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ Null streams (zero line plus noise) run through the engine's Monte
 Carlo driver with its running-max reduction: each replication keeps its
 max |J| and |K| over the monitored range, startup transient included,
 as it goes segment by segment, and thresholds are read off as
-empirical quantiles.
+empirical quantiles.  Each row's pre-change line is fitted on
+observation indices; the thresholds are in residual units, which no
+rescaling of time changes.
 
 Conventions: a stream with the change nominally at monitoring step
 ``horizon`` is drawn for k + horizon - 1 observations and monitored
@@ -27,7 +29,6 @@ import numpy as np
 from .detector import DetectorConfig
 from .engine import replicate, segment_maxima
 from .errors import CalibrationResolutionError
-from .prechange import _check_time_unit
 from .signal import NoiseSpec
 
 __all__ = [
@@ -49,8 +50,7 @@ class CalibrationSpec:
     at monitoring step ``horizon``, or with ``arl`` (and no eta) an
     average run length of ``horizon`` steps.  Thresholds are left to the
     calibration; only the bin sizes are specified here, and the
-    statistics without one are not calibrated.  Times are observation
-    indices divided by ``time_unit``.
+    statistics without one are not calibrated.
     """
 
     replications: int
@@ -62,11 +62,9 @@ class CalibrationSpec:
     master_seed: int
     eta: Optional[float] = None
     arl: bool = False
-    time_unit: int = 1
     standardize: bool = False
 
     def __post_init__(self) -> None:
-        _check_time_unit(self.time_unit)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.arl:
@@ -135,7 +133,7 @@ def _null_maxima_for_bins(
     maxima = iter(replicate(
         spec.noise, spec.master_seed, spec.replications, spec.k, spec.k + spec.horizon,
         lambda rows, residuals: segment_maxima(rows, t_mon, bins, residuals),
-        time_unit=spec.time_unit, standardize_first=spec.standardize))
+        standardize_first=spec.standardize))
     return [tuple(None if n is None else next(maxima) for n in pair) for pair in bins]
 
 

@@ -38,7 +38,6 @@ from .errors import DetectorStoppedError
 from .prechange import (
     KnownPrechange,
     PrechangeFit,
-    _check_time_unit,
     _line,
     _residuals,
     fit_ols,
@@ -112,10 +111,10 @@ class StatSnapshot(NamedTuple):
 class DetectorState:
     """Mutable runtime state; single writer, constant size.
 
-    ``prechange`` supplies the fitted (or known) line and its time
-    unit; residuals are always computed against the absolute
-    observation index ``absolute_offset + t``.  ``jump`` and ``kink``
-    hold the bins of an enabled statistic (None when it is off).
+    ``prechange`` supplies the fitted (or known) line; residuals are
+    always computed against the absolute observation index
+    ``absolute_offset + t``.  ``jump`` and ``kink`` hold the bins of an
+    enabled statistic (None when it is off).
     """
 
     def __init__(
@@ -185,10 +184,9 @@ class DetectorState:
         ``t``, the bins and ``stopped`` end as that many ``step`` calls
         would leave them; memory is that of the block's residuals.
         """
-        pc = self.prechange
         first = self.absolute_offset + self.t + 1
-        return self._fold(_residuals(np.asarray(values, dtype=float), first, *_line(pc),
-                                     pc.time_unit))
+        return self._fold(_residuals(np.asarray(values, dtype=float), first,
+                                     *_line(self.prechange)))
 
     @np.errstate(invalid="ignore", over="ignore")  # silent on inf - inf, as step() is
     def _fold(self, resid: np.ndarray) -> Optional[DetectionEvent]:
@@ -253,14 +251,12 @@ def run(
     k: int,
     config: DetectorConfig,
     prechange: Optional[KnownPrechange] = None,
-    time_unit: int = 1,
     standardize_first: bool = False,
 ) -> RunResult:
     """Fit (or accept) the pre-change line on observations 1..k, then
     monitor k+1..end with ``DetectorState.extend`` and stop at the first
     threshold crossing; event and state equal those of
     ``DetectorState.step`` bit for bit."""
-    _check_time_unit(time_unit)
     x = np.asarray(series, dtype=float)
     if k < 0:
         raise ValueError(f"history length k must be >= 0, got {k}")
@@ -270,8 +266,8 @@ def run(
     if standardize_first:
         x, scaling = standardize(x, k)
     if prechange is None:
-        prechange = fit_ols(x[:k], time_unit=time_unit)
-    resid = _residuals(x[k:], k + 1, *_line(prechange), prechange.time_unit)
+        prechange = fit_ols(x[:k])
+    resid = _residuals(x[k:], k + 1, *_line(prechange))
     state = DetectorState(config, prechange, absolute_offset=k)
     return RunResult(state._fold(resid), x.size, prechange, scaling, resid, state)
 
@@ -319,8 +315,8 @@ def theorem_scale_config(n: float, c: float) -> DetectorConfig:
 
     N_jump = ceil(1000 log(n) / (2 c^2)) with rho_jump = 4c/5, and
     N_kink = ceil((300/c^2)^(1/3) n^(2/3) log(n)^(1/3)) with
-    rho_kink = 4c/(5n).  These pair with residuals on the time unit
-    ``time_unit = n``.
+    rho_kink = 4c/(5n).  Both thresholds are in residual units, which
+    do not depend on the time scale the pre-change line is fitted on.
 
     Both statistics can fire only once the stream holds at least
     3 N_kink observations after the change (K spans three kink bins);
@@ -347,7 +343,7 @@ _SNAP_FMT = (
     "<8s"  # magic
     "qq"  # n_jump, n_kink (-1 = disabled)
     "dd"  # rho_jump, rho_kink
-    "Bq"  # time kind (0 index, 1 fraction of horizon n), n
+    "Bq"  # reserved time kind and unit: always zero (lines are fitted on indices)
     "Bq"  # prechange kind (0 fit, 1 known), fit k
     "dddddddd"  # alpha, beta, mean_t, mean_x, s_tt, s_tx, s_xx, resid_sd
     "qq"  # t, absolute_offset
@@ -363,7 +359,6 @@ def save_state(state: DetectorState) -> bytes:
     """Serialize to the fixed-size binary snapshot (version LWSNAP01)."""
     cfg = state.config
     pc = state.prechange
-    ts_kind, ts_n = (0, 0) if pc.time_unit == 1 else (1, pc.time_unit)
     if isinstance(pc, PrechangeFit):
         pc_kind = 0
         pc_vals = (pc.k, pc.alpha_hat, pc.beta_hat, pc.mean_t, pc.mean_x,
@@ -387,8 +382,8 @@ def save_state(state: DetectorState) -> bytes:
         -1 if cfg.n_kink is None else cfg.n_kink,
         cfg.rho_jump,
         cfg.rho_kink,
-        ts_kind,
-        ts_n,
+        0,
+        0,
         pc_kind,
         *pc_vals,
         state.t,
@@ -424,12 +419,7 @@ def load_state(blob: bytes) -> DetectorState:
      t, offset, stopped, ev_time, ev_stat, ev_rho, ev_kind) = fields[:24]
     jump_raw = fields[24:31]
     kink_raw = fields[31:38]
-    if ts_kind not in (0, 1):
-        raise ValueError(f"corrupt snapshot: time kind {ts_kind} is not 0 or 1")
-    if ts_kind == 1 and ts_n < 2:
-        raise ValueError(f"corrupt snapshot: time unit {ts_n} of time kind 1 is below 2")
-    if ts_kind == 0:
-        _check_zeros("time unit of time kind 0", (ts_n,))
+    _check_zeros("reserved time kind and time unit", (ts_kind, ts_n))
     if pc_kind not in (0, 1):
         raise ValueError(f"corrupt snapshot: prechange kind {pc_kind} is not 0 or 1")
     if t < 0:
@@ -440,17 +430,16 @@ def load_state(blob: bytes) -> DetectorState:
         raise ValueError(f"corrupt snapshot: event kind {ev_kind} is not 0 or 1")
     if not stopped:
         _check_zeros("event fields of a running detector", (ev_time, ev_stat, ev_rho, ev_kind))
-    time_unit = ts_n if ts_kind == 1 else 1  # a unit above 2**53 fails in the line's check
     if pc_kind == 0:
         pc: Union[PrechangeFit, KnownPrechange] = PrechangeFit(
-            alpha_hat=alpha, beta_hat=beta, k=pc_k, time_unit=time_unit,
+            alpha_hat=alpha, beta_hat=beta, k=pc_k,
             mean_t=mean_t, mean_x=mean_x, s_tt=s_tt, s_tx=s_tx, s_xx=s_xx,
             resid_sd=resid_sd,
         )
     else:
         _check_zeros("known line k and moments",
                      (pc_k, mean_t, mean_x, s_tt, s_tx, s_xx, resid_sd))
-        pc = KnownPrechange(alpha=alpha, beta=beta, time_unit=time_unit)
+        pc = KnownPrechange(alpha=alpha, beta=beta)
     config = DetectorConfig(  # -1 is off; other values below 1 fail here
         None if nj == -1 else nj, None if nk == -1 else nk, rho_j, rho_k
     )

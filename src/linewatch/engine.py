@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .prechange import _residuals, _row_lines, _sampled_row_lines
-from .signal import NoiseSpec, replication_seed
+from .signal import NoiseSpec
 
 if TYPE_CHECKING:
     from .detector import DetectorConfig
@@ -287,10 +287,10 @@ def batch_residuals(line, x: np.ndarray, first_index: int,
     columns ``x`` at indices ``first_index ..`` against the lines of the
     given rows of ``line``'s block, as ``prechange._row_lines`` gives
     them."""
-    alpha, beta, time_unit, scaling = line
+    alpha, beta, scaling = line
     if scaling is not None:
         scaling = tuple(column[rows] for column in scaling)
-    return _residuals(x, first_index, alpha[rows], beta[rows], time_unit, scaling)
+    return _residuals(x, first_index, alpha[rows], beta[rows], scaling)
 
 
 def noise_matrix(noise: NoiseSpec, rngs: Sequence[np.random.Generator], length: int) -> np.ndarray:
@@ -411,12 +411,14 @@ def segment_maxima(rows: int, T: int, pairs: Sequence[Tuple[Optional[int], Optio
 
 def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, total: int,
               reduce: Callable[[int, Callable], Sequence[np.ndarray]],
-              signal: Optional[np.ndarray] = None, time_unit: int = 1,
+              signal: Optional[np.ndarray] = None,
               standardize_first: bool = False) -> List[np.ndarray]:
     """The Monte Carlo driver over replications of up to ``total``
     observations (noise plus ``signal``, history k, over which the
     signal is one line).  Per chunk of rows it builds each row's
-    generator, gives the row its line (drawn from the law of the fit
+    generator, row i's being ``np.random.default_rng([master_seed, i])``
+    (so seeded by ``SeedSequence([master_seed, i])``) whatever its
+    chunk, gives the row its line (drawn from the law of the fit
     under Gaussian noise, fitted to the drawn history otherwise), and
     joins over the chunks the per-row arrays of ``reduce(rows,
     residuals)``: ``residuals(t0, length, active)`` draws the next
@@ -429,15 +431,13 @@ def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, tot
     parts = []
 
     def worker(lo: int, hi: int) -> None:
-        rngs = [np.random.default_rng(replication_seed(master_seed, rep))
-                for rep in range(lo, hi)]
+        rngs = [np.random.default_rng([master_seed, rep]) for rep in range(lo, hi)]
         if gaussian:
             line = _sampled_row_lines(hist_signal,
                                       _history_draws(noise, rngs, k, standardize_first),
-                                      time_unit, standardize_first)
+                                      standardize_first)
         else:
-            line = _row_lines(noise_matrix(noise, rngs, k) + hist_signal, time_unit,
-                              standardize_first)
+            line = _row_lines(noise_matrix(noise, rngs, k) + hist_signal, standardize_first)
 
         def residuals(t0: int, length: int, active: np.ndarray) -> np.ndarray:
             x = noise_matrix(noise, [rngs[i] for i in active], length)
@@ -462,7 +462,6 @@ def first_alarms(
     total: int,
     config: DetectorConfig,
     signal: Optional[np.ndarray] = None,
-    time_unit: int = 1,
     standardize_first: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(alarm step, kind) per replication of ``total`` observations
@@ -473,5 +472,5 @@ def first_alarms(
     alarm, kind, _ = replicate(
         noise, master_seed, replications, k, total,
         lambda rows, residuals: segment_alarms(rows, total - k, config, residuals),
-        signal, time_unit, standardize_first)
+        signal, standardize_first)
     return alarm, kind

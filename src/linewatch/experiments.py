@@ -19,7 +19,6 @@ import numpy as np
 from .calibration import CalibrationSpec, calibrate, simulate_null_maxima
 from .detector import DetectorConfig
 from .engine import first_alarms
-from .prechange import _check_time_unit
 from .signal import (
     ChangeKind,
     NoiseSpec,
@@ -57,8 +56,7 @@ _ROBUSTNESS_CAP_FACTOR = 10
 @dataclass(frozen=True)
 class Scenario:
     """One simulation setting: signal, horizon, history, noise,
-    detector configuration, replication count and master seed.
-    Residual times are observation indices divided by ``time_unit``."""
+    detector configuration, replication count and master seed."""
 
     theta: SignalParams
     n: int
@@ -68,10 +66,8 @@ class Scenario:
     replications: int
     master_seed: int
     standardize: bool = False
-    time_unit: int = 1
 
     def __post_init__(self) -> None:
-        _check_time_unit(self.time_unit)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.n <= self.k:
@@ -151,8 +147,7 @@ def estimate_metrics(scenario: Scenario) -> MetricsReport:
     T = s.n - s.k
     alarm, kind = first_alarms(
         s.noise, s.master_seed, s.replications, s.k, s.n, s.config,
-        signal=eval_signal_array(s.theta, s.n), time_unit=s.time_unit,
-        standardize_first=s.standardize,
+        signal=eval_signal_array(s.theta, s.n), standardize_first=s.standardize,
     )
     c_rel = s.change_index - s.k  # change position on the monitoring clock
     detected = alarm <= T
@@ -264,9 +259,9 @@ def rate_check(
     with desk-scale constants (the theoretical constants exceed any
     tractable stream length).  Thresholds are Monte Carlo calibrated
     per horizon to a false-alarm level of 0.1 on the pre-change stretch,
-    the history is k = ceil(c * n) with residuals on the time unit
-    ``time_unit = n``, and the change (a jump of 1, or a slope change of
-    4 per unit fraction of n) sits at 3n/4.
+    the history is k = ceil(c * n), and the change (a jump of 1, or a
+    slope change of 4 per unit fraction of n, 4/n per observation) sits
+    at 3n/4.
     """
     if len(n_grid) < 2:
         raise ValueError("n_grid needs at least two horizons")
@@ -299,7 +294,6 @@ def rate_check(
             n_kink=bins[1],
             noise=_GAUSS,
             master_seed=derive_seed(master_seed, n, 0),
-            time_unit=n,
         )
         cal = calibrate(spec)
         config = cal.to_config()
@@ -311,7 +305,6 @@ def rate_check(
             config=config,
             replications=replications,
             master_seed=derive_seed(master_seed, n, 1),
-            time_unit=n,
         )
         report = estimate_metrics(scenario)
         threshold = config.rho_jump if kind is ChangeKind.JUMP else config.rho_kink

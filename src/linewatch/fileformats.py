@@ -1,10 +1,10 @@
 """On-disk formats: key-value config files, data/trace CSVs, reports.
 
 Every file written by this package starts with a version header
-comment ``# linewatch <kind> v1``.  Readers tolerate a missing header
-(hand-written files) but reject mismatched kinds.  Floats are written
-with ``repr`` (shortest round-trip), so rereading a file recovers the
-exact values and rerunning a command reproduces output byte for byte.
+comment ``# linewatch <kind> v1``.  Readers skip it as a comment, so a
+hand-written file needs none.  Floats are written with ``repr``
+(shortest round-trip), so rereading a file recovers the exact values
+and rerunning a command reproduces output byte for byte.
 
 Key-value files hold one ``key = value`` pair per line; ``#`` starts a
 comment.  Config/calibration keys (units in parentheses):
@@ -76,28 +76,16 @@ def write_kv(path: str, kind: str, mapping: Dict[str, str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_kv(path: str, expect_kind: Optional[str] = None) -> Dict[str, str]:
+def read_kv(path: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
     try:
         with open(path) as fh:
             raw = fh.read()
     except OSError as exc:
         raise FileFormatError(str(exc), path=path) from exc
-    seen_header = False
     for lineno, line in enumerate(raw.splitlines(), start=1):
         text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            if not seen_header and text.startswith("# linewatch "):
-                seen_header = True
-                parts = text.split()
-                if expect_kind is not None and parts[2] != expect_kind:
-                    raise FileFormatError(
-                        f"expected a {expect_kind} file, found {parts[2]}",
-                        path=path,
-                        line=lineno,
-                    )
+        if not text or text.startswith("#"):
             continue
         if "=" not in text:
             raise FileFormatError("expected 'key = value'", path=path, line=lineno)

@@ -1,10 +1,11 @@
 """The pre-change line: least-squares fit, standardization and residuals.
 
-The fit is ordinary simple linear regression of observation on time.
-Time is the 1-based observation index divided by an integer
-``time_unit``: 1 (the default) keeps raw indices, and a horizon n
-gives fractions of that horizon, as the rate-scaling experiments use.
-Every fit records its unit so the two cannot be mixed accidentally.
+The fit is ordinary simple linear regression of observation on the
+1-based observation index.  No other time scale is needed: rescaling
+the regressor rescales the fitted slope by the same factor and leaves
+the fitted values, and so every residual, unchanged (Seber & Lee,
+*Linear Regression Analysis*, 2003, ch. 3), and the detector sees only
+residuals.
 
 This module holds the only arithmetic of the line, for one series
 (``fit_ols``, ``standardize``, ``detector.run``) and for a block of
@@ -40,13 +41,6 @@ __all__ = [
 ]
 
 
-def _check_time_unit(time_unit: int) -> None:
-    # up to 2**53 a unit is an exact float, so NumPy divides by it as
-    # ``predict_at_index`` does
-    if not 1 <= time_unit <= 2**53:
-        raise ValueError(f"time unit must lie in [1, 2**53], got {time_unit}")
-
-
 @dataclass(frozen=True)
 class PrechangeFit:
     """OLS line through the first k observations.
@@ -60,7 +54,6 @@ class PrechangeFit:
     alpha_hat: float
     beta_hat: float
     k: int
-    time_unit: int
     mean_t: float
     mean_x: float
     s_tt: float
@@ -68,11 +61,8 @@ class PrechangeFit:
     s_xx: float
     resid_sd: float
 
-    def __post_init__(self) -> None:
-        _check_time_unit(self.time_unit)
-
     def predict_at_index(self, index: int) -> float:
-        return self.alpha_hat + self.beta_hat * (index / self.time_unit)
+        return self.alpha_hat + self.beta_hat * index
 
 
 @dataclass(frozen=True)
@@ -81,22 +71,21 @@ class KnownPrechange:
 
     alpha: float
     beta: float
-    time_unit: int = 1
 
     def __post_init__(self) -> None:
-        _check_time_unit(self.time_unit)
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError(f"known line must be finite, got alpha = {self.alpha}, "
                              f"beta = {self.beta}")
 
     def predict_at_index(self, index: int) -> float:
-        return self.alpha + self.beta * (index / self.time_unit)
+        return self.alpha + self.beta * index
 
 
-def _times(first_index: int, length: int, time_unit: int) -> np.ndarray:
-    """index / ``time_unit`` for ``length`` indices from ``first_index``,
-    divided as ``predict_at_index`` divides."""
-    return np.arange(first_index, first_index + length) / time_unit
+def _times(first_index: int, length: int) -> np.ndarray:
+    """``length`` indices from ``first_index`` as floats, each rounded as
+    ``predict_at_index`` rounds its index (a float ``arange`` would
+    round differently past 2**53)."""
+    return np.arange(first_index, first_index + length).astype(float)
 
 
 def _line(prechange) -> Tuple[float, float]:
@@ -106,18 +95,17 @@ def _line(prechange) -> Tuple[float, float]:
     return prechange.alpha, prechange.beta
 
 
-def _fit_rows(hist: np.ndarray, time_unit: int):
+def _fit_rows(hist: np.ndarray):
     """The OLS fit of each row of ``hist`` (its last axis, k values) on
-    times 1..k / ``time_unit``: (alpha, beta, mean_t, mean_x, s_tt,
-    s_tx), the per-row ones with one value per row."""
-    _check_time_unit(time_unit)
+    indices 1..k: (alpha, beta, mean_t, mean_x, s_tt, s_tx), the per-row
+    ones with one value per row."""
     k = hist.shape[-1]
     if k < 2:
         raise InsufficientDataError(f"need history k >= 2 to fit, got {k}")
-    t = _times(1, k, time_unit)
+    t = _times(1, k)
     mean_t = t.mean()
     dt = t - mean_t
-    s_tt = (dt * dt).sum()  # > 0: k >= 2 distinct times, none below 2**-53
+    s_tt = (dt * dt).sum()  # > 0: k >= 2 distinct indices
     mean_x = hist.mean(axis=-1)
     products = hist - mean_x[..., None]
     products *= dt
@@ -126,16 +114,15 @@ def _fit_rows(hist: np.ndarray, time_unit: int):
     return mean_x - beta * mean_t, beta, mean_t, mean_x, s_tt, s_tx
 
 
-def fit_ols(values: Sequence[float], time_unit: int = 1) -> PrechangeFit:
-    """Fit the pre-change line to ``values`` observed at indices 1, 2,
-    ..., at times index / ``time_unit``."""
+def fit_ols(values: Sequence[float]) -> PrechangeFit:
+    """Fit the pre-change line to ``values`` observed at indices 1, 2, ..."""
     x = np.atleast_1d(np.asarray(values, dtype=float))
-    alpha, beta, mean_t, mean_x, s_tt, s_tx = map(float, _fit_rows(x, time_unit))
+    alpha, beta, mean_t, mean_x, s_tt, s_tx = map(float, _fit_rows(x))
     dx = x - mean_x
     s_xx = float((dx * dx).sum())
     k = x.size
     resid_sd = math.sqrt(max(s_xx - beta * s_tx, 0.0) / (k - 2)) if k >= 3 else 0.0
-    return PrechangeFit(alpha, beta, k, time_unit, mean_t, mean_x, s_tt, s_tx, s_xx, resid_sd)
+    return PrechangeFit(alpha, beta, k, mean_t, mean_x, s_tt, s_tx, s_xx, resid_sd)
 
 
 def _standardize_rows(x: np.ndarray, k: int):
@@ -166,24 +153,23 @@ def standardize(
     return z, (float(mean[0]), float(sd[0]))
 
 
-def _row_lines(hist: np.ndarray, time_unit: int, standardize_first: bool):
-    """(alpha, beta, time unit, scaling) of a block of replication rows
-    with history ``hist`` (rows x k), as ``detector.run`` gives each row
-    its fitted line: each row standardized by its own history when
+def _row_lines(hist: np.ndarray, standardize_first: bool):
+    """(alpha, beta, scaling) of a block of replication rows with
+    history ``hist`` (rows x k), as ``detector.run`` gives each row its
+    fitted line: each row standardized by its own history when
     ``standardize_first`` (scaling then holds the (mean, sd) columns,
     else None), then fitted.  alpha and beta are (rows, 1) columns."""
     scaling = None
     if standardize_first:
         hist, scaling = _standardize_rows(hist, hist.shape[-1])
-    alpha, beta = _fit_rows(hist, time_unit)[:2]
-    return alpha[:, None], beta[:, None], time_unit, scaling
+    alpha, beta = _fit_rows(hist)[:2]
+    return alpha[:, None], beta[:, None], scaling
 
 
-def _sampled_row_lines(signal: np.ndarray, draws: np.ndarray, time_unit: int,
-                       standardize_first: bool):
-    """(alpha, beta, time unit, scaling) of a block of replication rows,
-    as ``_row_lines`` gives them, for rows whose history is the k values
-    of ``signal``, which lie on one line, plus Gaussian noise of scale
+def _sampled_row_lines(signal: np.ndarray, draws: np.ndarray, standardize_first: bool):
+    """(alpha, beta, scaling) of a block of replication rows, as
+    ``_row_lines`` gives them, for rows whose history is the k values of
+    ``signal``, which lie on one line, plus Gaussian noise of scale
     sigma: drawn from its law, not fitted to drawn values.
 
     Under Gaussian errors the OLS line is normal with covariance
@@ -193,14 +179,14 @@ def _sampled_row_lines(signal: np.ndarray, draws: np.ndarray, time_unit: int,
     sigma z0, sigma z1 for independent standard normals and, when
     ``standardize_first``, an RSS drawn as sigma^2 chi^2_{k-2}.  The
     history then has mean(signal) + sigma z0 / sqrt(k) and centered
-    cross moment s_tx(signal) + sigma z1 sqrt(s_tt) (the centered times
+    cross moment s_tx(signal) + sigma z1 sqrt(s_tt) (the centered indices
     sum to zero, so the two are independent), and, the signal being
     one line, centered square sum s_tx^2 / s_tt + RSS, which gives its
     standard deviation (ddof=1).  Standardized by its own mean and sd,
     the history has mean 0 and cross moment s_tx / sd.
     """
     k = signal.shape[-1]
-    _, _, mean_t, mean_x, s_tt, s_tx = _fit_rows(signal, time_unit)
+    _, _, mean_t, mean_x, s_tt, s_tx = _fit_rows(signal)
     mean_x = mean_x + draws[:, 0] / math.sqrt(k)
     s_tx = s_tx + draws[:, 1] * math.sqrt(s_tt)
     scaling = None
@@ -211,16 +197,16 @@ def _sampled_row_lines(signal: np.ndarray, draws: np.ndarray, time_unit: int,
         scaling = (mean_x[:, None], sd[:, None])
         mean_x, s_tx = 0.0, s_tx / sd
     beta = s_tx / s_tt
-    return (mean_x - beta * mean_t)[:, None], beta[:, None], time_unit, scaling
+    return (mean_x - beta * mean_t)[:, None], beta[:, None], scaling
 
 
-def _residuals(x: np.ndarray, first_index: int, alpha, beta, time_unit: int,
+def _residuals(x: np.ndarray, first_index: int, alpha, beta,
                scaling: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """Residuals of the observations ``x`` (along its last axis) at
-    indices ``first_index`` .. against alpha + beta * (index /
-    ``time_unit``), with ``predict_at_index``'s operations; ``x`` is
-    standardized first by ``scaling`` = (mean, sd) when given."""
+    indices ``first_index`` .. against alpha + beta * index, with
+    ``predict_at_index``'s operations; ``x`` is standardized first by
+    ``scaling`` = (mean, sd) when given."""
     if scaling is not None:
         mean, sd = scaling
         x = (x - mean) / sd
-    return x - (alpha + beta * _times(first_index, x.shape[-1], time_unit))
+    return x - (alpha + beta * _times(first_index, x.shape[-1]))

@@ -22,7 +22,6 @@ __all__ = [
     "change_index",
     "eval_signal_array",
     "generate_series",
-    "replication_seed",
 ]
 
 
@@ -119,16 +118,6 @@ def change_index(theta: SignalParams, n: int) -> int:
     intended integer (tau is typically constructed as c / n).
     """
     return int(math.ceil(n * theta.tau - 1e-9))
-
-
-def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
-    """Deterministic per-replication seed derivation.
-
-    Replication ``index`` under ``master_seed`` always draws from
-    ``default_rng(SeedSequence([master_seed, index]))``; experiment
-    reports record the master seed so runs are repeatable.
-    """
-    return np.random.SeedSequence([master_seed, index])
 
 
 def generate_series(theta: SignalParams, n: int, noise: NoiseSpec, seed: int) -> np.ndarray:

@@ -31,7 +31,6 @@ from linewatch import DetectorState, NoiseSpec, fit_ols, standardize
 from linewatch import engine
 from linewatch.engine import batch_alarms, batch_stats
 from linewatch.prechange import _row_lines, _sampled_row_lines
-from linewatch.signal import replication_seed
 
 
 def window_stats(
@@ -121,20 +120,19 @@ def first_crossing_alarm(
     return None, None
 
 
-def _step_states(series, k, configs, prechange, time_unit, standardize_first):
+def _step_states(series, k, configs, prechange, standardize_first):
     x = np.asarray(series, dtype=float)
     if standardize_first:
         x, _ = standardize(x, k)
     if prechange is None:
-        prechange = fit_ols(x[:k], time_unit=time_unit)
+        prechange = fit_ols(x[:k])
     return x[k:].tolist(), [DetectorState(c, prechange, absolute_offset=k) for c in configs]
 
 
-def step_run(series, k, config, prechange=None, time_unit=1, standardize_first=False):
+def step_run(series, k, config, prechange=None, standardize_first=False):
     """(event, trace) of monitoring ``series[k:]`` one step at a time,
     stopping at the first alarm."""
-    values, (state,) = _step_states(series, k, [config], prechange, time_unit,
-                                    standardize_first)
+    values, (state,) = _step_states(series, k, [config], prechange, standardize_first)
     trace: List = []
     for value in values:
         snap, event = state.step(value)
@@ -148,7 +146,7 @@ def step_multi_bin_run(series, k, configs):
     """(event, index of its config) of stepping every config per
     observation on the line fitted to ``series[:k]``; at one
     observation the earlier config wins."""
-    values, states = _step_states(series, k, configs, None, 1, False)
+    values, states = _step_states(series, k, configs, None, False)
     for value in values:
         for idx, state in enumerate(states):
             _, event = state.step(value)
@@ -168,30 +166,28 @@ def noise_matrix(noise: NoiseSpec, master_seed: int, first: int, last: int,
                  T: int) -> np.ndarray:
     """Noise rows for replication indices [first, last), each the first
     T draws of its own deterministic per-replication stream."""
-    rngs = [np.random.default_rng(replication_seed(master_seed, rep))
-            for rep in range(first, last)]
+    rngs = [np.random.default_rng([master_seed, rep]) for rep in range(first, last)]
     return engine.noise_matrix(noise, rngs, T)
 
 
-def batch_residuals(x: np.ndarray, k: int, time_unit: int = 1,
-                    standardize_first: bool = False) -> np.ndarray:
+def batch_residuals(x: np.ndarray, k: int, standardize_first: bool = False) -> np.ndarray:
     """Residuals of the monitored segment for a (replications, k + T)
-    observation matrix at times index / ``time_unit``, against the
+    observation matrix, against the
     pre-change line fitted per row on the first k columns."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     total = x.shape[1]
     if total <= k:
         raise ValueError(f"stream length {total} must exceed history {k}")
-    line = _row_lines(x[:, :k], time_unit, standardize_first)
+    line = _row_lines(x[:, :k], standardize_first)
     return engine.batch_residuals(line, x[:, k:], k + 1)
 
 
 def replication_rows(noise: NoiseSpec, master_seed: int, first: int, last: int, k: int,
-                     T: int, signal=None, time_unit: int = 1, standardize_first: bool = False,
+                     T: int, signal=None, standardize_first: bool = False,
                      full_history: bool = False):
     """(line, x) of replications [first, last) of k + T observations
     (noise plus ``signal``): each row's pre-change line, as the
-    (alpha, beta, time unit, scaling) of ``prechange``, and its T
+    (alpha, beta, scaling) of ``prechange``, and its T
     monitored observations, one row each.
 
     Each row's generator draws first its line: under Gaussian noise
@@ -200,8 +196,7 @@ def replication_rows(noise: NoiseSpec, master_seed: int, first: int, last: int, 
     ``full_history``, its k history values.  Then it draws its T
     monitored values in one call."""
     signal = np.zeros(k + T) if signal is None else np.asarray(signal, dtype=float)
-    rngs = [np.random.default_rng(replication_seed(master_seed, rep))
-            for rep in range(first, last)]
+    rngs = [np.random.default_rng([master_seed, rep]) for rep in range(first, last)]
     if noise.kind == "gaussian" and not full_history:
         draws = []
         for rng in rngs:
@@ -211,20 +206,19 @@ def replication_rows(noise: NoiseSpec, master_seed: int, first: int, last: int, 
                 row.append(noise.sigma ** 2 * chi2)
             draws.append(row)
         draws = np.array(draws, dtype=float).reshape(len(rngs), 3 if standardize_first else 2)
-        line = _sampled_row_lines(signal[:k], draws, time_unit, standardize_first)
+        line = _sampled_row_lines(signal[:k], draws, standardize_first)
     else:
         hist = engine.noise_matrix(noise, rngs, k) + signal[:k]
-        line = _row_lines(hist, time_unit, standardize_first)
+        line = _row_lines(hist, standardize_first)
     return line, engine.noise_matrix(noise, rngs, T) + signal[k:k + T]
 
 
 def replication_residuals(noise: NoiseSpec, master_seed: int, first: int, last: int, k: int,
-                          T: int, signal=None, time_unit: int = 1,
-                          standardize_first: bool = False,
+                          T: int, signal=None, standardize_first: bool = False,
                           full_history: bool = False) -> np.ndarray:
     """The residuals of the T monitored observations of the rows of
     ``replication_rows`` against their lines."""
-    line, x = replication_rows(noise, master_seed, first, last, k, T, signal, time_unit,
+    line, x = replication_rows(noise, master_seed, first, last, k, T, signal,
                                standardize_first, full_history)
     return engine.batch_residuals(line, x, k + 1)
 
@@ -235,8 +229,7 @@ def full_horizon_maxima(spec, pairs, full_history: bool = False):
     spec, from one full-horizon matrix: the reference for the
     calibration maxima (with ``full_history``, their law)."""
     resid = replication_residuals(spec.noise, spec.master_seed, 0, spec.replications, spec.k,
-                                  spec.horizon - 1, time_unit=spec.time_unit,
-                                  standardize_first=spec.standardize,
+                                  spec.horizon - 1, standardize_first=spec.standardize,
                                   full_history=full_history)
     return [tuple(None if s is None else np.abs(s).max(axis=1)
                   for s in batch_stats(resid, nj, nk)) for nj, nk in pairs]

@@ -141,17 +141,17 @@ def test_03_constant_memory_and_step_time():
 
 def test_04_ols_estimator_variances():
     # empirical variance of the fitted coefficients against the exact
-    # sampling variances for fraction-scale designs
-    k, n, reps = 200, 1000, 10**4
+    # sampling variances of the design on indices 1..k
+    k, reps = 200, 10**4
     rng = np.random.default_rng(404)
     alphas = np.empty(reps)
     betas = np.empty(reps)
     for i in range(reps):
-        fit = fit_ols(rng.standard_normal(k), time_unit=n)
+        fit = fit_ols(rng.standard_normal(k))
         alphas[i] = fit.alpha_hat
         betas[i] = fit.beta_hat
     var_alpha_expected = (4 * k + 2) / (k**2 - k)
-    var_beta_expected = 12 * n**2 / (k**3 - k)
+    var_beta_expected = 12 / (k**3 - k)
     rel_a = abs(alphas.var(ddof=1) / var_alpha_expected - 1.0)
     rel_b = abs(betas.var(ddof=1) / var_beta_expected - 1.0)
     ok = rel_a <= 0.10 and rel_b <= 0.10
@@ -251,12 +251,12 @@ def test_06_table3_arl_reproduction():
 
 def test_07_type_discrimination():
     # First-to-fire attribution where the method separates the types: at
-    # the theorem-scale presets for n = 1e6, c = 1 (residuals on the
-    # time unit n, k = n/10, change at tau = 1/2, so the 500,000
-    # post-change steps cover 3 N_kink) the jump bins (N ~ log n) are
-    # far shorter than the kink bins (N ~ n^(2/3) log(n)^(1/3)).  A jump
-    # of 1 then crosses rho_jump long before K moves, while a kink of
-    # slope 1 drives K past rho_kink before J reaches rho_jump.
+    # the theorem-scale presets for n = 1e6, c = 1 (k = n/10, change at
+    # tau = 1/2, so the 500,000 post-change steps cover 3 N_kink) the
+    # jump bins (N ~ log n) are far shorter than the kink bins
+    # (N ~ n^(2/3) log(n)^(1/3)).  A jump of 1 then crosses rho_jump long
+    # before K moves, while a kink of slope 1 drives K past rho_kink
+    # before J reaches rho_jump.
     # With equal bins (N_jump = N_kink = 10, the `types` experiment) the
     # two statistics cross at the same step on most alarms, and
     # attribution there is near a coin flip (wrong-type rates 0.41 for
@@ -267,9 +267,9 @@ def test_07_type_discrimination():
     k, tau = n // 10, 0.5
     scenarios = [
         Scenario(SignalParams(tau, 0.0, c, 0.0, 0.0), n, k, GAUSS,
-                 config, reps, 4242, time_unit=n),
+                 config, reps, 4242),
         Scenario(SignalParams(tau, 0.0, 0.0, 0.0, c), n, k, GAUSS,
-                 config, reps, 4243, time_unit=n),
+                 config, reps, 4243),
     ]
     reports = {str(s.true_kind): estimate_metrics(s) for s in scenarios}
     rates = {kind: r.n_wrong_kind / r.n_detected if r.n_detected else None

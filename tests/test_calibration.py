@@ -56,9 +56,9 @@ def test_maxima_deterministic_under_fixed_seed():
 
 def _row_state(spec, line, row):
     """A fresh detector of ``spec``'s bins on row ``row`` of ``line``."""
-    alpha, beta, time_unit, _ = line
+    alpha, beta, _ = line
     return DetectorState(DetectorConfig(spec.n_jump, spec.n_kink),
-                         KnownPrechange(float(alpha[row, 0]), float(beta[row, 0]), time_unit),
+                         KnownPrechange(float(alpha[row, 0]), float(beta[row, 0])),
                          absolute_offset=spec.k)
 
 
@@ -94,10 +94,9 @@ def _assert_maxima_equal_reference(spec, more_pairs):
                                    NoiseSpec("student_t", df=3.0)],
                          ids=["gaussian", "student_t"])
 @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
-@pytest.mark.parametrize("time_unit", [1, 2500], ids=["fitted_index", "fitted_fraction"])
-def test_null_maxima_equal_full_horizon_reference(noise, standardize, time_unit):
+def test_null_maxima_equal_full_horizon_reference(noise, standardize):
     spec = _spec(replications=23, k=150, horizon=1200, n_jump=8, n_kink=20, noise=noise,
-                 time_unit=time_unit, standardize=standardize)
+                 standardize=standardize)
     _assert_maxima_equal_reference(spec, [(5, 5), (None, 9), (12, None)])
 
 
@@ -128,7 +127,7 @@ def test_null_maxima_follow_the_law_of_fitted_histories(standardize):
     # drawn lines against 20,000 on lines fitted to drawn histories
     rows = 20_000
     spec = _spec(replications=rows, k=40, horizon=60, noise=NoiseSpec("gaussian", 1.7),
-                 time_unit=100, standardize=standardize)
+                 standardize=standardize)
     mx = simulate_null_maxima(spec)
     ((jump, kink),) = full_horizon_maxima(dataclasses.replace(spec, master_seed=321),
                                           [(spec.n_jump, spec.n_kink)], full_history=True)

@@ -180,7 +180,9 @@ def test_simulate_round_trip_recovers_values(tmp_path):
     theta = SignalParams(516 / 700, 0.0, 2.0, 0.0, 0.0)
     series = generate_series(theta, 700, NoiseSpec("gaussian", 0.0), seed=6)
     assert np.array_equal(values, series)
-    truth = read_kv(data + ".truth", expect_kind="truth")
+    with open(data + ".truth") as fh:
+        assert fh.readline() == "# linewatch truth v1\n"
+    truth = read_kv(data + ".truth")
     assert truth["change_index"] == str(change_index(theta, 700))
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import struct
 import warnings
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linewatch import (
-    CalibrationSpec,
     ChangeKind,
     DetectionEvent,
     DetectorConfig,
@@ -18,7 +16,6 @@ from linewatch import (
     DetectorStoppedError,
     KnownPrechange,
     NoiseSpec,
-    Scenario,
     SignalParams,
     fit_ols,
     generate_series,
@@ -254,12 +251,11 @@ def test_snapshot_roundtrip_bitexact_and_fixed_size():
 
 
 def test_snapshot_resume_continues_identically():
-    # a known line on raw indices, and a line fitted on the first 40
-    # observations with times as fractions of the horizon 400
+    # a known line, and a line fitted on the first 40 observations
     rng = np.random.default_rng(8)
     xs = rng.standard_normal(400)
     config = DetectorConfig(5, 7, 5.0, 5.0)
-    cases = [(KnownPrechange(0.0, 0.0), 0), (fit_ols(xs[:40], time_unit=400), 40)]
+    cases = [(KnownPrechange(0.0, 0.0), 0), (fit_ols(xs[:40]), 40)]
     for prechange, offset in cases:
         a = DetectorState(config, prechange, absolute_offset=offset)
         for x in xs[offset:250]:
@@ -275,8 +271,7 @@ def test_snapshot_resume_continues_identically():
 
 def _stopped_snapshot_fields():
     config = DetectorConfig(3, 4, rho_jump=1.0)
-    state = DetectorState(config, KnownPrechange(0.0, 0.0, time_unit=10),
-                          absolute_offset=5)
+    state = DetectorState(config, KnownPrechange(0.0, 0.0), absolute_offset=5)
     event = None
     while event is None:
         _, event = state.step(0.5 if state.t < 20 else 3.0)
@@ -287,7 +282,7 @@ def _stopped_snapshot_fields():
 # the valid fields, the field the error must name)
 _CORRUPTIONS = [
     (5, lambda f: 2, "time kind"),
-    (6, lambda f: 0, "time unit"),
+    (6, lambda f: 10, "time unit"),
     (7, lambda f: 2, "prechange kind"),
     (17, lambda f: -1, "clock t"),
     (24, lambda f: (f[24] + 1) % 3, "jump bin position"),
@@ -320,8 +315,7 @@ _CONSTANT_FIELDS = {
     "known_line_k": ({8: 3}, "known line k and moments"),
     "known_line_s_xx": ({15: 0.5}, "known line k and moments"),
     "running_event_fields": ({19: 0}, "event fields of a running detector"),
-    "index_time_unit": ({5: 0}, "time unit of time kind 0"),
-    "fraction_time_unit_one": ({6: 1}, "time unit 1 of time kind 1"),
+    "reserved_time_fields": ({5: 1, 6: 400}, "reserved time kind and time unit"),
 }
 
 
@@ -335,14 +329,14 @@ def test_load_state_rejects_fields_saved_as_constants(changes, field):
 
 
 def _snapshot_bases():
-    """Field lists of saved states: fitted and known lines, time units 1
-    and 7, one or both statistics, running and stopped."""
+    """Field lists of saved states: fitted and known lines, one or both
+    statistics, running and stopped."""
     xs = generate_series(SignalParams(0.5, 0.0, 2.0, 0.0, 0.0), 80,
                          NoiseSpec("gaussian", 1.0), seed=5)
     bases = []
     for config in (DetectorConfig(3, 4, 1.0, 2.0), DetectorConfig(None, 5, rho_kink=0.1),
                    DetectorConfig(2, None, rho_jump=1.5)):
-        for line in (fit_ols(xs[:20], time_unit=7), KnownPrechange(0.5, -0.25)):
+        for line in (fit_ols(xs[:20]), KnownPrechange(0.5, -0.25)):
             state = DetectorState(config, line, absolute_offset=20)
             for x in xs[20:].tolist():
                 bases.append(struct.unpack(_SNAP_FMT, save_state(state)))
@@ -354,8 +348,9 @@ def _snapshot_bases():
 
 _BASES = _snapshot_bases()[::7]
 _BYTE_FIELDS = {5, 7, 19, 23}  # the "B" fields of the record
-# Bin sizes, time and line kinds, time unit, fit k and the stopped flag
-# decide which other fields are constants, so they are drawn more often.
+# Bin sizes, the reserved time fields, the line kind, fit k and the
+# stopped flag decide which other fields are constants, so they are
+# drawn more often.
 _LAYOUT_FIELDS = [1, 2, 5, 6, 7, 8, 19]
 
 
@@ -397,31 +392,6 @@ def test_snapshot_preserves_fitted_prechange_and_event():
         clone.step(0.0)
 
 
-def test_save_state_rejects_a_time_unit_past_the_snapshot_field():
-    """Units are bounded at 2**53, the largest that NumPy divides by
-    exactly; every line, run, spec and snapshot holds to that bound."""
-    edge = DetectorState(DetectorConfig(2, None), KnownPrechange(0, 0, time_unit=2**53), 0)
-    assert load_state(save_state(edge)).prechange.time_unit == 2**53
-    past = 2**53 + 1
-    fit = fit_ols(np.arange(5.0))
-    noise = NoiseSpec("gaussian", 1.0)
-    builds = [
-        lambda: KnownPrechange(0, 0, time_unit=past),
-        lambda: dataclasses.replace(fit, time_unit=past),
-        lambda: run(np.arange(10.0), 5, DetectorConfig(2, None), time_unit=past),
-        lambda: CalibrationSpec(20, 50, 30, 3, None, noise, 0, eta=0.5, time_unit=past),
-        lambda: Scenario(SignalParams(0.5, 0.0, 1.0, 0.0, 0.0), 100, 20, noise,
-                         DetectorConfig(2, None), 5, 0, time_unit=past),
-    ]
-    for build in builds:
-        with pytest.raises(ValueError, match=f"time unit must lie in .*got {past}"):
-            build()
-    fields = list(struct.unpack(_SNAP_FMT, save_state(edge)))
-    fields[6] = past
-    with pytest.raises(ValueError, match=f"time unit must lie in .*got {past}"):
-        load_state(struct.pack(_SNAP_FMT, *fields))
-
-
 def test_stat_snapshot_is_an_immutable_named_tuple():
     state = DetectorState(DetectorConfig(2, None), KnownPrechange(0.0, 0.0), 0)
     snap, _ = state.step(3.0)
@@ -440,10 +410,22 @@ def test_stat_snapshot_is_an_immutable_named_tuple():
         "window_jump": Optional[int], "window_kink": Optional[int]}
 
 
-# A snapshot written before StatSnapshot became a named tuple: bins
-# 5/7, thresholds 1.0/0.3, a line fitted on sin(1..40) with time unit
-# 400, offset 40, after the observations sin(i) + 0.1 cos(3i), i = 41..250.
+# A snapshot written by a release that still had a time unit, with the
+# line on raw indices: bins 5/7, thresholds 1.0/0.3, a line fitted on
+# sin(1..40), offset 40, after the observations sin(i) + 0.1 cos(3i),
+# i = 41..250.
 _OLD_SNAPSHOT = bytes.fromhex(
+    "4c57534e4150303105000000000000000700000000000000000000000000f03f333333333333d33f"
+    "00000000000000000000280000000000000086153ea624e7a53f351861a3f9e52d3f000000000080"
+    "3440f65bd3230f4ca83f0000000000d2b44050dc5c3cf173f33f4c3f43d8d8583440aba20769676a"
+    "e73fd200000000000000280000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000005f6646c11b71e6bfbe14d7155aeae73f88c314734831f2bf00000000"
+    "00000000000000000000000000000000000000000000000000000000b202c88ab276edbf275a91d4"
+    "8447f3bf88c314734831f2bfc7b96079bf8e0140d4f9a443c1fff4bf88c314734831f2bf")
+# The same detector written before StatSnapshot became a named tuple,
+# with its line fitted on times as fractions of the horizon 400 (time
+# kind 1, unit 400).
+_FRACTION_TIME_SNAPSHOT = bytes.fromhex(
     "4c57534e4150303105000000000000000700000000000000000000000000f03f333333333333d33f"
     "01900100000000000000280000000000000081153ea624e7a53f18dba307ab5bb73f3d0ad7a3703d"
     "aa3ff65bd3230f4ca83f75931804560ea13fc1dc768053e6683f4c3f43d8d8583440aba20769676a"
@@ -468,29 +450,33 @@ def test_old_snapshot_resumes_with_the_same_bits():
             break
     assert len(steps) == 25
     assert steps[:2] + steps[-2:] == [
-        (211, "-0x1.0226e99c07439p-3", "-0x1.576283ed122fcp-6", 12, 16),
-        (212, "-0x1.37e1ba0f25e0bp-4", "-0x1.9c70c0cd17060p-7", 13, 17),
-        (234, "0x1.229bfee8d7ee4p-1", "0x1.22d43a9453af7p-4", 15, 18),
-        (235, "0x1.02957f2484f72p+0", "0x1.14b3032994b37p-4", 11, 19),
+        (211, "-0x1.0226e99c0742cp-3", "-0x1.576283ed122f3p-6", 12, 16),
+        (212, "-0x1.37e1ba0f25df2p-4", "-0x1.9c70c0cd1704ep-7", 13, 17),
+        (234, "0x1.229bfee8d7ee9p-1", "0x1.22d43a9453af9p-4", 15, 18),
+        (235, "0x1.02957f2484f74p+0", "0x1.14b3032994b3ap-4", 11, 19),
     ]
-    assert event == DetectionEvent(275, ChangeKind.JUMP, 1.0100936378630334, 1.0)
-    assert _bits(event.stat_value) == "0x1.02957f2484f72p+0"
+    assert event == DetectionEvent(275, ChangeKind.JUMP, 1.0100936378630339, 1.0)
+    assert _bits(event.stat_value) == "0x1.02957f2484f74p+0"
+
+
+def test_fraction_time_snapshot_is_refused():
+    with pytest.raises(ValueError, match=r"reserved time kind and time unit \(1, 400\)"):
+        load_state(_FRACTION_TIME_SNAPSHOT)
 
 
 @st.composite
 def _stepping_cases(draw):
     """(config, prechange, offset, observations) for the live detector:
     bin sizes 1..30 with a statistic possibly off, known or fitted
-    lines, time units, and NaN or +-inf observations."""
+    lines, and NaN or +-inf observations."""
     n_jump = draw(st.one_of(st.none(), st.integers(1, 30)))
     n_kink = draw(st.integers(1, 30) if n_jump is None
                   else st.one_of(st.none(), st.integers(1, 30)))
     config = DetectorConfig(n_jump, n_kink, draw(st.sampled_from([0.8, 1.5, math.inf])),
                             draw(st.sampled_from([0.1, 0.4, math.inf])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    unit = draw(st.sampled_from([1, 7, 1000]))
-    prechange = (KnownPrechange(-1.5, 0.3, time_unit=unit) if draw(st.booleans())
-                 else fit_ols(rng.standard_normal(20), time_unit=unit))
+    prechange = (KnownPrechange(-1.5, 0.3) if draw(st.booleans())
+                 else fit_ols(rng.standard_normal(20)))
     xs = rng.standard_normal(draw(st.integers(1, 400)))
     xs[draw(st.integers(0, xs.size)):] += draw(st.sampled_from([0.0, 1.0, 4.0]))
     for _ in range(draw(st.integers(0, 2))):
@@ -685,7 +671,7 @@ def _assert_run_equals_steps(series, k, config, **kwargs):
 def _monitoring_cases(draw):
     """(series, k, configs, run keyword arguments) over bin sizes 1..40
     with a statistic possibly off or never alarming, known or fitted
-    lines, time units, standardization, and NaN or +-inf observations."""
+    lines, standardization, and NaN or +-inf observations."""
     bin_size = st.integers(1, 40)
     configs = []
     for _ in range(draw(st.integers(1, 3))):
@@ -698,11 +684,10 @@ def _monitoring_cases(draw):
         ))
     known = draw(st.booleans())
     k = draw(st.integers(0 if known else 2, 40))
-    kwargs = {"time_unit": draw(st.sampled_from([1, 7, 1000]))}
+    kwargs = {}
     if known:
         kwargs["prechange"] = KnownPrechange(
-            draw(st.sampled_from([0.0, -1.5])), draw(st.sampled_from([0.0, 0.3, 1e16])),
-            time_unit=draw(st.sampled_from([1, 50, 2**53])))
+            draw(st.sampled_from([0.0, -1.5])), draw(st.sampled_from([0.0, 0.3, 1e16])))
     if k >= 3:
         kwargs["standardize_first"] = draw(st.booleans())
     steps = draw(st.integers(1, 1800))
@@ -762,10 +747,8 @@ def _block_cases(draw):
     config = DetectorConfig(n_jump, n_kink, draw(st.sampled_from([0.8, 1.5, 3.0, math.inf])),
                             draw(st.sampled_from([0.1, 0.4, 1.0, math.inf])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    unit = draw(st.sampled_from([1, 7, 1000]))
     prechange = draw(st.sampled_from([
-        KnownPrechange(0.0, 0.0, time_unit=unit), KnownPrechange(-1.5, 0.3, time_unit=unit),
-        fit_ols(rng.standard_normal(20), time_unit=unit)]))
+        KnownPrechange(0.0, 0.0), KnownPrechange(-1.5, 0.3), fit_ols(rng.standard_normal(20))]))
     xs = rng.standard_normal(draw(st.integers(0, 1800)))
     xs[draw(st.integers(0, xs.size)):] += draw(st.sampled_from([0.0, 1.0, 4.0]))
     lo = draw(st.integers(0, xs.size))

@@ -13,7 +13,6 @@ from linewatch import DetectorConfig, DetectorState, KnownPrechange, NoiseSpec, 
 from linewatch.engine import (BatchBins, batch_alarms, batch_stats, first_alarms, replicate,
                               segment_alarms)
 from linewatch.prechange import _row_lines, _sampled_row_lines, fit_ols
-from linewatch.signal import replication_seed
 
 from oracles import (batch_residuals, config_alarms, first_crossing_alarm, noise_matrix,
                      replication_residuals, replication_rows)
@@ -162,18 +161,6 @@ def test_batch_residuals_match_fit_ols():
         assert np.array_equal(resid[row], expected)
 
 
-def test_batch_residuals_fraction_time():
-    rng = np.random.default_rng(3)
-    n, k = 150, 50
-    x = rng.standard_normal((3, n))
-    resid = batch_residuals(x, k, time_unit=n)
-    for row in range(3):
-        fit = fit_ols(x[row, :k], time_unit=n)
-        t = np.arange(k + 1, n + 1) / n
-        expected = x[row, k:] - (fit.alpha_hat + fit.beta_hat * t)
-        assert np.array_equal(resid[row], expected)
-
-
 def test_batch_residuals_invariant_to_prechange_line():
     # OLS equivariance: adding any line to the data leaves monitored
     # residuals unchanged when the line is fitted
@@ -205,7 +192,7 @@ def test_noise_matrix_rows_are_per_replication_streams():
     noise = NoiseSpec("gaussian", 2.0)
     block = noise_matrix(noise, 99, 3, 6, 50)
     for row, rep in enumerate(range(3, 6)):
-        rng = np.random.default_rng(replication_seed(99, rep))
+        rng = np.random.default_rng(np.random.SeedSequence([99, rep]))
         assert np.array_equal(block[row], noise.draw(rng, 50))
 
 
@@ -241,23 +228,22 @@ def _reference_alarms(noise, seed, reps, k, total, config, signal=None, **kw):
                                    NoiseSpec("student_t", df=3.0)],
                          ids=["gaussian", "student_t"])
 @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
-@pytest.mark.parametrize("time_unit", [1, 2500], ids=["fitted_index", "fitted_fraction"])
-def test_first_alarms_equal_full_horizon_reference(noise, standardize, time_unit):
+def test_first_alarms_equal_full_horizon_reference(noise, standardize):
     k, total = 150, 2500
     signal = np.where(np.arange(total) >= 1400, 0.8, 0.0)
     for config in (DetectorConfig(8, 20, 0.9, 0.1), DetectorConfig(10, 10, 0.9, 0.08),
                    DetectorConfig(None, 15, rho_kink=0.09),
                    DetectorConfig(5, 9, 60.0, 60.0)):  # never alarms
-        kw = dict(time_unit=time_unit, standardize_first=standardize)
-        got = first_alarms(noise, 3, 23, k, total, config, signal=signal, **kw)
-        want = _reference_alarms(noise, 3, 23, k, total, config, signal, **kw)
+        got = first_alarms(noise, 3, 23, k, total, config, signal=signal,
+                           standardize_first=standardize)
+        want = _reference_alarms(noise, 3, 23, k, total, config, signal,
+                                 standardize_first=standardize)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
-@pytest.mark.parametrize("time_unit", [1, 2500], ids=["index", "fraction"])
-def test_replications_alarm_as_run_does_on_their_series(standardize, time_unit):
+def test_replications_alarm_as_run_does_on_their_series(standardize):
     # each row's alarm statistic has the bits run() gives its monitored
     # series on its drawn line (and scaling), whichever rows share its chunk
     k, total, reps = 150, 2500, 23
@@ -267,13 +253,13 @@ def test_replications_alarm_as_run_does_on_their_series(standardize, time_unit):
     alarm, kind, value = replicate(
         noise, 3, reps, k, total,
         lambda rows, residuals: segment_alarms(rows, total - k, config, residuals),
-        signal, time_unit, standardize_first=standardize)
-    (alpha, beta, _, scaling), x = replication_rows(noise, 3, 0, reps, k, total - k, signal,
-                                                    time_unit, standardize)
+        signal, standardize_first=standardize)
+    (alpha, beta, scaling), x = replication_rows(noise, 3, 0, reps, k, total - k, signal,
+                                                 standardize)
     if standardize:
         x = (x - scaling[0]) / scaling[1]
     for row in range(reps):
-        line = KnownPrechange(float(alpha[row, 0]), float(beta[row, 0]), time_unit)
+        line = KnownPrechange(float(alpha[row, 0]), float(beta[row, 0]))
         event = run(np.concatenate([np.zeros(k), x[row]]), k, config, line).event
         assert event is not None and alarm[row] <= total - k
         assert (event.time, event.stat_value) == (k + alarm[row], value[row])
@@ -351,32 +337,31 @@ def _assert_same_moments(a, b):
                          ids=["raw", "standardized", "standardized-two-point"])
 def test_sampled_lines_follow_the_law_of_fitted_lines(standardize, k):
     # 20,000 rows' drawn lines against 20,000 lines fitted to drawn
-    # histories on a sloped line at fractional times
-    rows, time_unit = 20_000, 250
+    # histories on a sloped line
+    rows = 20_000
     noise = NoiseSpec("gaussian", 1.7)
-    signal = 2.0 - 3.0 * np.arange(1, k + 1) / time_unit
+    signal = 2.0 - 3.0 * np.arange(1, k + 1) / 250
 
     def rngs(seed):
-        return [np.random.default_rng(replication_seed(seed, rep)) for rep in range(rows)]
+        return [np.random.default_rng([seed, rep]) for rep in range(rows)]
 
     drawn = _sampled_row_lines(signal, engine._history_draws(noise, rngs(5), k, standardize),
-                               time_unit, standardize)
-    fitted = _row_lines(engine.noise_matrix(noise, rngs(6), k) + signal, time_unit,
-                        standardize)
+                               standardize)
+    fitted = _row_lines(engine.noise_matrix(noise, rngs(6), k) + signal, standardize)
 
     def columns(line):
-        alpha, beta, _, scaling = line
+        alpha, beta, scaling = line
         return np.hstack([alpha, beta, *(scaling or ())])
 
     _assert_same_moments(columns(drawn), columns(fitted))
 
 
 def test_noiseless_rows_take_the_signals_own_line():
-    k, total, time_unit = 30, 90, 7
-    signal = 1.5 + 0.25 * np.arange(1, total + 1) / time_unit
+    k, total = 30, 90
+    signal = 1.5 + 0.25 * np.arange(1, total + 1) / 7
     resid, = replicate(NoiseSpec("gaussian", 0.0), 4, 3, k, total,
                        lambda rows, residuals: [residuals(0, total - k, np.arange(rows))],
-                       signal, time_unit)
-    fit = fit_ols(signal[:k], time_unit)
-    want = signal[k:] - (fit.alpha_hat + fit.beta_hat * (np.arange(k + 1, total + 1) / time_unit))
+                       signal)
+    fit = fit_ols(signal[:k])
+    want = signal[k:] - (fit.alpha_hat + fit.beta_hat * np.arange(k + 1, total + 1))
     assert np.array_equal(resid, np.tile(want, (3, 1)))

@@ -27,15 +27,8 @@ from linewatch.fileformats import (
 def test_kv_round_trip(tmp_path):
     path = str(tmp_path / "cfg.txt")
     write_kv(path, "config", {"n_jump": "10", "rho_jump": "0.658"})
-    kv = read_kv(path, expect_kind="config")
+    kv = read_kv(path)
     assert kv == {"n_jump": "10", "rho_jump": "0.658"}
-
-
-def test_kv_kind_mismatch(tmp_path):
-    path = str(tmp_path / "cfg.txt")
-    write_kv(path, "trace", {"a": "1"})
-    with pytest.raises(FileFormatError):
-        read_kv(path, expect_kind="config")
 
 
 def test_kv_malformed_line_reports_number(tmp_path):

@@ -41,30 +41,15 @@ def test_against_normal_equations_oracle():
         assert fit.beta_hat == pytest.approx(beta, rel=1e-10, abs=1e-10)
 
 
-def test_fraction_time_fit_matches_oracle():
-    rng = np.random.default_rng(4)
-    n, k = 1000, 57
-    x = rng.normal(size=k)
-    fit = fit_ols(x, time_unit=n)
-    alpha, beta = normal_equations_fit(np.arange(1, k + 1) / n, x)
-    assert fit.alpha_hat == pytest.approx(alpha, rel=1e-9, abs=1e-9)
-    assert fit.beta_hat == pytest.approx(beta, rel=1e-9, abs=1e-9)
-
-
 def test_insufficient_and_degenerate_errors():
     for values in ([1.0], 1.0):
         with pytest.raises(InsufficientDataError):
             fit_ols(values)
-    # a unit so large that the times would be subnormal floats, with
-    # no squared spread, is refused before any fit
-    with pytest.raises(ValueError, match="time unit must lie in"):
-        fit_ols([1.0, 2.0, 3.0], time_unit=10**320)
 
 
 def test_predict_examples():
     assert KnownPrechange(1.0, 0.0).predict_at_index(123) == 1.0
     assert KnownPrechange(0.0, 2.0).predict_at_index(3) == 6.0
-    assert KnownPrechange(0.0, 2.0, time_unit=4).predict_at_index(3) == 1.5
     fit = fit_ols(np.random.default_rng(2).normal(size=30))
     assert fit.predict_at_index(11) - fit.predict_at_index(10) == pytest.approx(fit.beta_hat)
 
@@ -113,21 +98,21 @@ def test_standardized_history_has_unit_moments():
 
 
 @pytest.mark.parametrize("standardize_first", [False, True], ids=["raw", "standardized"])
-@pytest.mark.parametrize("k, time_unit", [(50, 1), (200, 1), (200, 5000)])
-def test_block_fit_is_tiling_invariant_and_equals_fit_ols(standardize_first, k, time_unit):
+@pytest.mark.parametrize("k", [50, 200])
+def test_block_fit_is_tiling_invariant_and_equals_fit_ols(standardize_first, k):
     # a replication row gets the same line bits whichever rows it is
     # fitted with, and the bits fit_ols gives the row on its own
     from linewatch.prechange import _row_lines
 
     rows = 1000
     hist = np.random.default_rng(7).standard_normal((rows, k)) * 1.7 + 0.3
-    alpha, beta, _, _ = _row_lines(hist, time_unit, standardize_first)
+    alpha, beta, _ = _row_lines(hist, standardize_first)
     for tile in (1, 3, 333):
-        parts = [_row_lines(hist[lo:lo + tile], time_unit, standardize_first)
+        parts = [_row_lines(hist[lo:lo + tile], standardize_first)
                  for lo in range(0, rows, tile)]
         assert np.array_equal(np.concatenate([p[0] for p in parts]), alpha)
         assert np.array_equal(np.concatenate([p[1] for p in parts]), beta)
     for row in range(rows):
         z = standardize(hist[row], k)[0] if standardize_first else hist[row]
-        fit = fit_ols(z, time_unit=time_unit)
+        fit = fit_ols(z)
         assert (fit.alpha_hat, fit.beta_hat) == (alpha[row, 0], beta[row, 0])

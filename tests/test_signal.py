@@ -9,7 +9,6 @@ from linewatch import (
     change_index,
     eval_signal_array,
     generate_series,
-    replication_seed,
 )
 
 from oracles import signal_at
@@ -114,14 +113,6 @@ def test_change_index_guard_against_float_fuzz():
     n = 2600
     theta = SignalParams(2000 / n, 0, 1, 0, 0)
     assert change_index(theta, n) == 2000
-
-
-def test_replication_seed_is_deterministic():
-    a = np.random.default_rng(replication_seed(5, 2)).standard_normal(4)
-    b = np.random.default_rng(replication_seed(5, 2)).standard_normal(4)
-    c = np.random.default_rng(replication_seed(5, 3)).standard_normal(4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("noise", [NoiseSpec("gaussian", 2.0), NoiseSpec("student_t", df=3.0)],
