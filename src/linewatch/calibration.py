@@ -124,6 +124,13 @@ class CalibrationResult:
         )
 
 
+# Rows per generator of the calibration maxima (see ``engine.replicate``):
+# every row runs the full horizon, so a block wastes no draws (but for a
+# last partial block's surplus), and a chunk builds one generator and
+# makes one draw call per 16 rows and segment, not per row.
+_MAXIMA_BLOCK = 16
+
+
 def _null_maxima_for_bins(
     spec: CalibrationSpec, bins: Sequence[Tuple[Optional[int], Optional[int]]]
 ) -> List[Tuple[Optional[np.ndarray], Optional[np.ndarray]]]:
@@ -133,7 +140,7 @@ def _null_maxima_for_bins(
     maxima = iter(replicate(
         spec.noise, spec.master_seed, spec.replications, spec.k, spec.k + spec.horizon,
         lambda rows, residuals: segment_maxima(rows, t_mon, bins, residuals),
-        standardize_first=spec.standardize))
+        standardize_first=spec.standardize, block=_MAXIMA_BLOCK))
     return [tuple(None if n is None else next(maxima) for n in pair) for pair in bins]
 
 

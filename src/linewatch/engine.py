@@ -49,10 +49,21 @@ noise, which has no such closed form, it draws its history and fits it
 with the fit, standardization and residual arithmetic of
 ``detector.run``, so a Student-t row gets the bits ``run`` would give
 its series.  Either way a row's bits do not depend on which rows share
-its chunk.  Generator draws are split-invariant, so every row sees the
-same monitored noise as one full-horizon draw and only draws the steps
-it monitors.  Chunks run one after another; results do not depend on
-the chunking.
+its chunk.
+
+Rows draw in fixed blocks of B rows, one generator per block keyed by
+the master seed and the block's index (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC '11): a block draws time-major, one
+(steps, B) matrix per draw (``noise_matrix``), and its row j reads
+column j.  Generator draws are split-invariant, so a row's values do
+not depend on the segment edges, the chunk size or the replication
+count, every row sees the same monitored noise as one full-horizon
+draw, and a block draws only the steps its rows monitor.  The
+reduction picks B: the calibration maxima, whose rows all run the
+full horizon, build one generator and make one draw call per 16 rows;
+first alarms, which retire rows early, keep B = 1, a generator per
+row, since a block draws for its retired rows until its last one
+retires.  Chunks hold whole blocks and run one after another.
 """
 
 from __future__ import annotations
@@ -293,48 +304,68 @@ def batch_residuals(line, x: np.ndarray, first_index: int,
     return _residuals(x, first_index, alpha[rows], beta[rows], scaling)
 
 
-def noise_matrix(noise: NoiseSpec, rngs: Sequence[np.random.Generator], length: int) -> np.ndarray:
-    """The draw stage of ``replicate``: the next ``length`` draws of
-    each generator in ``rngs``, one row per generator."""
-    out = np.empty((len(rngs), length))
-    for row, rng in enumerate(rngs):
-        out[row] = noise.draw(rng, length)
+def noise_matrix(noise: NoiseSpec, rngs: Sequence[np.random.Generator], length: int,
+                 block: int = 1, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """The draw stage of ``replicate``: the next ``length`` draws of the
+    ``rows`` (ascending; all by default) of a chunk whose blocks of
+    ``block`` rows draw from the generators ``rngs``, one row each.  A
+    block with any of the rows makes one time-major (length, block)
+    draw, of which its row j takes column j, so a row's draws do not
+    depend on how its stream is cut into draws."""
+    rows = np.arange(len(rngs) * block) if rows is None else rows
+    out = np.empty((rows.size, length))
+    which = rows // block
+    cols = (rows % block).tolist()
+    starts = np.ones(rows.size, dtype=bool)  # each block's first row
+    starts[1:] = which[1:] != which[:-1]
+    edges = np.flatnonzero(starts).tolist() + [rows.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        drawn = noise.draw(rngs[which[lo]], (length, block)).T
+        first, last = cols[lo], cols[hi - 1]
+        # consecutive columns (a whole block, or its head) copy from a view
+        out[lo:hi] = drawn[first:last + 1] if last - first == hi - lo - 1 else drawn[cols[lo:hi]]
     return out
 
 
 def _history_draws(noise: NoiseSpec, rngs: Sequence[np.random.Generator], k: int,
-                   standardize_first: bool) -> np.ndarray:
-    """The history stage of ``replicate`` under Gaussian noise: per
-    generator in ``rngs``, sigma z0 and sigma z1 and, when
-    ``standardize_first``, sigma^2 chi^2_{k-2}, the draws from which
-    ``prechange._sampled_row_lines`` forms its row's line, drawn before
-    its monitored noise."""
-    draws = noise_matrix(noise, rngs, 2)
+                   standardize_first: bool, block: int = 1,
+                   rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """The history stage of ``replicate`` under Gaussian noise: per row
+    of ``rows`` (as for ``noise_matrix``), sigma z0 and sigma z1 and,
+    when ``standardize_first``, sigma^2 chi^2_{k-2}, the draws from
+    which ``prechange._sampled_row_lines`` forms its row's line, drawn
+    before its monitored noise: one (2, block) draw per block, then
+    ``block`` chi-squares."""
+    rows = np.arange(len(rngs) * block) if rows is None else rows
+    draws = noise_matrix(noise, rngs, 2, block, rows)
     if not standardize_first:
         return draws
-    rss = np.zeros(len(rngs))
+    rss = np.zeros(rows.size)
     # chi^2_0 is 0, which chisquare(0) refuses; sigma = 0 draws nothing,
     # as ``NoiseSpec.draw`` draws nothing
     if k > 2 and noise.sigma > 0.0:
-        rss[:] = [noise.sigma**2 * rng.chisquare(k - 2) for rng in rngs]
+        chi2 = np.ravel([rng.chisquare(k - 2, block) for rng in rngs])
+        rss[:] = noise.sigma**2 * chi2[rows]
     return np.column_stack([draws, rss])
 
 
-def chunked_replications(replications: int, T: int, worker: Callable[[int, int], None]) -> None:
+def chunked_replications(replications: int, T: int, worker: Callable[[int, int], None],
+                         block: int = 1) -> None:
     """Run ``worker(first, last)`` over replication chunks, in order.
 
-    A chunk holds max(1, ``_CHUNK_ELEMENTS`` // T) rows, so each of a
-    chunk's matrices of T steps a row is 1 MB at most (or one row) at
-    any replication count: a full ``calibrate`` (10k x 2000 steps)
-    peaked at 41 MB resident, not 136 MB as with 4M-element chunks.
-    Each worker call must touch only the rows [first, last).
+    A chunk holds max(1, ``_CHUNK_ELEMENTS`` // T // ``block``) whole
+    blocks of ``block`` rows, so each of a chunk's matrices of T steps
+    a row is 1 MB at most (or one block) at any replication count: a
+    full ``calibrate`` (10k x 2000 steps) peaked at 41 MB resident, not
+    136 MB as with 4M-element chunks.  Each worker call must touch only
+    the rows [first, last).
     """
     # Freeing one untouched 16 MB block raises glibc's mmap and trim
     # thresholds: the heap then keeps the pages chunks free, not faulting
     # them in anew (a full calibrate: 256K page faults and 2.5 s without
     # it, a dozen and 1.7 s with it); other allocators ignore it.
     np.empty(2**21)
-    chunk = max(1, _CHUNK_ELEMENTS // max(T, 1))
+    chunk = max(1, _CHUNK_ELEMENTS // max(T, 1) // block) * block
     for lo in range(0, replications, chunk):
         worker(lo, min(lo + chunk, replications))
 
@@ -343,11 +374,15 @@ def _segments(rows, T, residuals, visit) -> None:
     """The segment loop over ``rows`` streams of T steps: for segments of
     ``_FIRST_SEGMENT``, twice that, ... steps, ``visit(t0, resid,
     active)`` reduces ``residuals(t0, length, active)``, the steps
-    t0 + 1 .. t0 + length of the rows ``active``, to the rows that go on."""
+    t0 + 1 .. t0 + length of the rows ``active``, to the rows that go on.
+    A segment holds at most ``_CHUNK_ELEMENTS`` // rows steps, so a
+    chunk rounded up to one block of rows stays within the chunk
+    memory of ``chunked_replications``."""
     active = np.arange(rows)
+    cap = max(1, _CHUNK_ELEMENTS // max(rows, 1))
     t0, length = 0, _FIRST_SEGMENT
     while active.size and t0 < T:
-        length = min(length, T - t0)
+        length = min(length, T - t0, cap)
         active = visit(t0, residuals(t0, length, active), active)
         t0 += length
         length *= 2
@@ -412,18 +447,27 @@ def segment_maxima(rows: int, T: int, pairs: Sequence[Tuple[Optional[int], Optio
 def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, total: int,
               reduce: Callable[[int, Callable], Sequence[np.ndarray]],
               signal: Optional[np.ndarray] = None,
-              standardize_first: bool = False) -> List[np.ndarray]:
+              standardize_first: bool = False, block: int = 1) -> List[np.ndarray]:
     """The Monte Carlo driver over replications of up to ``total``
     observations (noise plus ``signal``, history k, over which the
-    signal is one line).  Per chunk of rows it builds each row's
-    generator, row i's being ``np.random.default_rng([master_seed, i])``
-    (so seeded by ``SeedSequence([master_seed, i])``) whatever its
-    chunk, gives the row its line (drawn from the law of the fit
-    under Gaussian noise, fitted to the drawn history otherwise), and
-    joins over the chunks the per-row arrays of ``reduce(rows,
-    residuals)``: ``residuals(t0, length, active)`` draws the next
-    ``length`` observations of the rows ``active`` and gives their
-    residuals at monitoring steps t0 + 1 .. t0 + length."""
+    signal is one line).  Rows come in blocks of ``block``: block b
+    holds rows b ``block`` .. (b + 1) ``block`` - 1 and draws, whatever
+    its chunk, from ``np.random.default_rng([master_seed, b])`` (so
+    seeded by ``SeedSequence([master_seed, b])``), time-major as
+    ``noise_matrix`` draws (a last partial block draws every column and
+    drops the surplus).  Per chunk of whole blocks it gives each row its
+    line (drawn from the law of the fit under Gaussian noise, fitted to
+    the drawn history otherwise), and joins over the chunks the per-row
+    arrays of ``reduce(rows, residuals)``: ``residuals(t0, length,
+    active)`` draws the next ``length`` observations of the rows
+    ``active`` and gives their residuals at monitoring steps
+    t0 + 1 .. t0 + length.
+
+    A block keeps drawing for its retired rows until its last row
+    retires, so a reduction whose rows all run the full horizon takes
+    blocks of many rows, and one that retires rows early takes
+    ``block`` = 1, row i's own generator ``default_rng([master_seed,
+    i])``."""
     if total <= k:
         raise ValueError(f"stream length {total} must exceed history {k}")
     gaussian = noise.kind == "gaussian"
@@ -431,16 +475,19 @@ def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, tot
     parts = []
 
     def worker(lo: int, hi: int) -> None:
-        rngs = [np.random.default_rng([master_seed, rep]) for rep in range(lo, hi)]
+        rngs = [np.random.default_rng([master_seed, b])
+                for b in range(lo // block, -(-hi // block))]
+        rows = np.arange(hi - lo)
         if gaussian:
-            line = _sampled_row_lines(hist_signal,
-                                      _history_draws(noise, rngs, k, standardize_first),
-                                      standardize_first)
+            line = _sampled_row_lines(
+                hist_signal, _history_draws(noise, rngs, k, standardize_first, block, rows),
+                standardize_first)
         else:
-            line = _row_lines(noise_matrix(noise, rngs, k) + hist_signal, standardize_first)
+            line = _row_lines(noise_matrix(noise, rngs, k, block, rows) + hist_signal,
+                              standardize_first)
 
         def residuals(t0: int, length: int, active: np.ndarray) -> np.ndarray:
-            x = noise_matrix(noise, [rngs[i] for i in active], length)
+            x = noise_matrix(noise, rngs, length, block, active)
             if signal is not None:
                 x += signal[k + t0:k + t0 + length]
             return batch_residuals(line, x, k + t0 + 1, active)
@@ -448,7 +495,7 @@ def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, tot
         parts.append(reduce(hi - lo, residuals))
 
     # a Gaussian chunk holds no history, only its monitored steps
-    chunked_replications(replications, total - k if gaussian else total, worker)
+    chunked_replications(replications, total - k if gaussian else total, worker, block)
     if not parts:  # no replications: an empty chunk gives the empty arrays
         worker(0, 0)
     return [np.concatenate(col) for col in zip(*parts)]

@@ -22,7 +22,15 @@ comment.  Config/calibration keys (units in parentheses):
     master_seed         integer seed
     noise, sigma, df    noise kind and parameters
     standardize         true/false
-    maxima_retained     always false (kept so that v1 files keep their bytes)
+
+A calibration file also records the calibration's outcome:
+
+    method              single-jump, single-kink or joint, prefixed
+                        arl- for an ARL target
+    eta_marginal        the level each statistic's threshold is read at
+    empirical_fa        fraction of calibration rows that cross a
+                        threshold (probability)
+    fa_jump, fa_kink    the same per statistic ('none' if not calibrated)
 
 Scenario files for ``simulate`` additionally carry the signal:
 tau (fraction of horizon), alpha_minus/alpha_plus (signal units at
@@ -196,7 +204,6 @@ def calibration_to_kv(result: CalibrationResult) -> Dict[str, str]:
         "sigma": repr(spec.noise.sigma),
         "df": "none" if spec.noise.df is None else repr(spec.noise.df),
         "standardize": str(spec.standardize).lower(),
-        "maxima_retained": "false",
     }
 
 

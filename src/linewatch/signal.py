@@ -97,7 +97,9 @@ class NoiseSpec:
         if self.kind == "gaussian":
             if self.sigma == 0.0:
                 return np.zeros(size)
-            return self.sigma * rng.standard_normal(size)
+            drawn = rng.standard_normal(size)
+            drawn *= self.sigma  # in place: no second array of the draw's size
+            return drawn
         return rng.standard_t(self.df, size)
 
 

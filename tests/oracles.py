@@ -8,12 +8,12 @@ solving the 2x2 normal equations.  The exceptions are ``step_run`` and
 observation, the streaming reference that the batch-kernel ``run`` and
 ``multi_bin_run`` must reproduce bit for bit; and ``replication_rows``,
 ``replication_residuals``, ``full_horizon_maxima`` and
-``config_alarms``: they rebuild every replication row from its own
-generator, its pre-change line and then all its monitored noise, and
-monitor its full horizon in one matrix, the reference that the
-segmented Monte Carlo driver (``engine.replicate``) must reproduce bit
-for bit.  A Gaussian row's line comes from its drawn sufficient
-statistics (``prechange._sampled_row_lines``), so a full-horizon
+``config_alarms``: they rebuild every replication row from its
+block's generator, its pre-change line and then all its monitored
+noise, and monitor its full horizon in one matrix, the reference that
+the chunked, segmented Monte Carlo driver (``engine.replicate``) must
+reproduce bit for bit.  A Gaussian row's line comes from its drawn
+sufficient statistics (``prechange._sampled_row_lines``), so a full-horizon
 reference cannot rebuild it from a history series; a Student-t row's
 comes from its drawn history, and ``full_history`` draws and fits a
 history for Gaussian rows too, the law that the sampled lines must
@@ -29,6 +29,7 @@ import numpy as np
 
 from linewatch import DetectorState, NoiseSpec, fit_ols, standardize
 from linewatch import engine
+from linewatch.calibration import _MAXIMA_BLOCK
 from linewatch.engine import batch_alarms, batch_stats
 from linewatch.prechange import _row_lines, _sampled_row_lines
 
@@ -184,52 +185,63 @@ def batch_residuals(x: np.ndarray, k: int, standardize_first: bool = False) -> n
 
 def replication_rows(noise: NoiseSpec, master_seed: int, first: int, last: int, k: int,
                      T: int, signal=None, standardize_first: bool = False,
-                     full_history: bool = False):
+                     full_history: bool = False, block: int = 1):
     """(line, x) of replications [first, last) of k + T observations
     (noise plus ``signal``): each row's pre-change line, as the
     (alpha, beta, scaling) of ``prechange``, and its T
     monitored observations, one row each.
 
-    Each row's generator draws first its line: under Gaussian noise
-    sigma z0, sigma z1 and, standardized, sigma^2 chi^2_{k-2} (no draw
-    for k = 2 or sigma = 0); under other noise, or with
-    ``full_history``, its k history values.  Then it draws its T
-    monitored values in one call."""
+    Row i belongs to block b = i // ``block``, whose generator
+    ``default_rng([master_seed, b])`` draws time-major, one row per
+    step and row i's value in column i - b ``block``.  It draws first
+    the lines of its rows: under Gaussian noise a (2, block) matrix of
+    sigma z0 and sigma z1 and, standardized, ``block`` values
+    sigma^2 chi^2_{k-2} (none for k = 2 or sigma = 0); under other
+    noise, or with ``full_history``, a (k, block) history.  Then it
+    draws its rows' T monitored values in one (T, block) call."""
     signal = np.zeros(k + T) if signal is None else np.asarray(signal, dtype=float)
-    rngs = [np.random.default_rng([master_seed, rep]) for rep in range(first, last)]
-    if noise.kind == "gaussian" and not full_history:
-        draws = []
-        for rng in rngs:
-            row = list(noise.draw(rng, 2))
+    sampled = noise.kind == "gaussian" and not full_history
+    heads, monitored = [], []
+    for b in range(first // block, -(-last // block)):
+        rng = np.random.default_rng([master_seed, b])
+        if sampled:
+            head = noise.draw(rng, (2, block))
             if standardize_first:
-                chi2 = rng.chisquare(k - 2) if k > 2 and noise.sigma > 0.0 else 0.0
-                row.append(noise.sigma ** 2 * chi2)
-            draws.append(row)
-        draws = np.array(draws, dtype=float).reshape(len(rngs), 3 if standardize_first else 2)
-        line = _sampled_row_lines(signal[:k], draws, standardize_first)
+                chi2 = (rng.chisquare(k - 2, block) if k > 2 and noise.sigma > 0.0
+                        else np.zeros(block))
+                head = np.vstack([head, noise.sigma ** 2 * chi2])
+        else:
+            head = noise.draw(rng, (k, block))
+        # one contiguous series per row, as a row fitted alone holds it
+        heads.append(head.T.copy())
+        monitored.append(noise.draw(rng, (T, block)).T.copy())
+    rows = slice(first % block, first % block + last - first)
+    head = np.vstack(heads)[rows]
+    if sampled:
+        line = _sampled_row_lines(signal[:k], head, standardize_first)
     else:
-        hist = engine.noise_matrix(noise, rngs, k) + signal[:k]
-        line = _row_lines(hist, standardize_first)
-    return line, engine.noise_matrix(noise, rngs, T) + signal[k:k + T]
+        line = _row_lines(head + signal[:k], standardize_first)
+    return line, np.vstack(monitored)[rows] + signal[k:k + T]
 
 
 def replication_residuals(noise: NoiseSpec, master_seed: int, first: int, last: int, k: int,
                           T: int, signal=None, standardize_first: bool = False,
-                          full_history: bool = False) -> np.ndarray:
+                          full_history: bool = False, block: int = 1) -> np.ndarray:
     """The residuals of the T monitored observations of the rows of
     ``replication_rows`` against their lines."""
     line, x = replication_rows(noise, master_seed, first, last, k, T, signal,
-                               standardize_first, full_history)
+                               standardize_first, full_history, block)
     return engine.batch_residuals(line, x, k + 1)
 
 
-def full_horizon_maxima(spec, pairs, full_history: bool = False):
+def full_horizon_maxima(spec, pairs, full_history: bool = False, block: int = _MAXIMA_BLOCK):
     """(max |J|, max |K|) per replication for each (n_jump, n_kink) of
     ``pairs`` over monitoring steps 1 .. horizon - 1 of a calibration
-    spec, from one full-horizon matrix: the reference for the
-    calibration maxima (with ``full_history``, their law)."""
+    spec, from one full-horizon matrix of rows drawn in blocks of
+    ``block``: the reference for the calibration maxima (with
+    ``full_history`` or another ``block``, their law)."""
     resid = replication_residuals(spec.noise, spec.master_seed, 0, spec.replications, spec.k,
                                   spec.horizon - 1, standardize_first=spec.standardize,
-                                  full_history=full_history)
+                                  full_history=full_history, block=block)
     return [tuple(None if s is None else np.abs(s).max(axis=1)
                   for s in batch_stats(resid, nj, nk)) for nj, nk in pairs]

@@ -18,6 +18,7 @@ from linewatch import (
     simulate_null_maxima,
 )
 from linewatch.calibration import (
+    _MAXIMA_BLOCK,
     NullMaxima,
     _null_maxima_for_bins,
     _order_statistic,
@@ -67,7 +68,8 @@ def test_tiny_run_matches_exhaustive_streaming_trace():
     # their drawn lines, storing every statistic and taking the max
     spec = _spec(replications=5, horizon=40, k=20, n_jump=2, n_kink=4)
     mx = simulate_null_maxima(spec)
-    line, x = replication_rows(spec.noise, spec.master_seed, 0, 5, spec.k, spec.horizon - 1)
+    line, x = replication_rows(spec.noise, spec.master_seed, 0, 5, spec.k, spec.horizon - 1,
+                               block=_MAXIMA_BLOCK)
     for rep in range(5):
         state = _row_state(spec, line, rep)
         js, ks = [], []
@@ -121,21 +123,51 @@ def test_noiseless_flat_standardized_history_is_refused():
         simulate_null_maxima(spec)
 
 
+def _assert_same_law(a, b):
+    """Two-sample Kolmogorov-Smirnov at the 99% level, on equal samples."""
+    rows = a.size
+    both = np.sort(np.concatenate([a, b]))
+    gap = np.abs(np.searchsorted(np.sort(a), both, side="right")
+                 - np.searchsorted(np.sort(b), both, side="right")).max() / rows
+    assert gap <= 1.628 * math.sqrt(2 / rows)
+
+
+def _law_spec(standardize):
+    return _spec(replications=20_000, k=40, horizon=60, noise=NoiseSpec("gaussian", 1.7),
+                 standardize=standardize)
+
+
 @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
 def test_null_maxima_follow_the_law_of_fitted_histories(standardize):
-    # two-sample Kolmogorov-Smirnov at the 99% level: 20,000 rows on
-    # drawn lines against 20,000 on lines fitted to drawn histories
-    rows = 20_000
-    spec = _spec(replications=rows, k=40, horizon=60, noise=NoiseSpec("gaussian", 1.7),
-                 standardize=standardize)
+    # 20,000 rows on drawn lines against 20,000 on lines fitted to drawn
+    # histories
+    spec = _law_spec(standardize)
     mx = simulate_null_maxima(spec)
     ((jump, kink),) = full_horizon_maxima(dataclasses.replace(spec, master_seed=321),
                                           [(spec.n_jump, spec.n_kink)], full_history=True)
     for drawn, fitted in ((mx.jump, jump), (mx.kink, kink)):
-        both = np.sort(np.concatenate([drawn, fitted]))
-        gap = np.abs(np.searchsorted(np.sort(drawn), both, side="right")
-                     - np.searchsorted(np.sort(fitted), both, side="right")).max() / rows
-        assert gap <= 1.628 * math.sqrt(2 / rows)
+        _assert_same_law(drawn, fitted)
+
+
+@pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
+def test_block_stream_maxima_follow_the_law_of_per_row_streams(standardize):
+    # 20,000 rows drawn in blocks of 16 against 20,000 rows that each
+    # draw from a generator of their own
+    spec = _law_spec(standardize)
+    mx = simulate_null_maxima(spec)
+    ((jump, kink),) = full_horizon_maxima(dataclasses.replace(spec, master_seed=321),
+                                          [(spec.n_jump, spec.n_kink)], block=1)
+    for blocked, per_row in ((mx.jump, jump), (mx.kink, kink)):
+        _assert_same_law(blocked, per_row)
+
+
+def test_maxima_of_a_row_do_not_depend_on_the_replication_count():
+    # rows 96..99 share their block of 16 with rows 100..111 at 250
+    # replications; at 100 the block draws for those rows and drops them
+    few = simulate_null_maxima(_spec(replications=100))
+    many = simulate_null_maxima(_spec(replications=250))
+    assert np.array_equal(few.jump, many.jump[:100])
+    assert np.array_equal(few.kink, many.kink[:100])
 
 
 def test_order_statistic_conventions():
@@ -284,7 +316,8 @@ def test_null_streams_invariant_to_true_prechange_line():
     mx = simulate_null_maxima(spec)
     total = spec.k + spec.horizon - 1
     line = 4.0 + 0.3 * np.arange(1, total + 1)  # arbitrary true pre-change line
-    drawn, x = replication_rows(GAUSS, spec.master_seed, 0, 50, spec.k, spec.horizon - 1, line)
+    drawn, x = replication_rows(GAUSS, spec.master_seed, 0, 50, spec.k, spec.horizon - 1, line,
+                                block=_MAXIMA_BLOCK)
     jmax2 = np.zeros(50)
     for rep in range(50):
         state = _row_state(spec, drawn, rep)

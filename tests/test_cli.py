@@ -231,6 +231,31 @@ def test_calibrate_cli_round_trip(tmp_path, capsys):
     assert (tmp_path / "cal.txt").read_bytes() == (tmp_path / "cal2.txt").read_bytes()
 
 
+def test_a_calibration_file_with_maxima_retained_still_drives_detect(tmp_path, capsys):
+    # calibration files no longer write the key; files written before
+    # still carry it, and detect reads them as before
+    spec_path = str(tmp_path / "spec.txt")
+    write_kv(spec_path, "calibration-spec", {
+        "mode": "fa", "which": "both", "eta": "0.5", "horizon": "50",
+        "k": "30", "n_jump": "3", "n_kink": "3", "replications": "400",
+        "master_seed": "77", "noise": "gaussian", "sigma": "1.0",
+    })
+    new = tmp_path / "cal.txt"
+    assert main(["calibrate", "--spec", spec_path, "--out", str(new)]) == 0
+    assert "maxima_retained" not in new.read_text()
+    old = tmp_path / "cal_old.txt"
+    old.write_text(new.read_text() + "maxima_retained = false\n")
+    data = str(tmp_path / "d.csv")
+    write_series(data, np.concatenate([np.zeros(60), np.full(40, 3.0)]))
+    capsys.readouterr()
+    reports = []
+    for cal in (new, old):
+        assert main(["detect", "--input", data, "--config", str(cal), "--k", "30"]) == 0
+        reports.append(capsys.readouterr())
+    assert "alarm_index" in reports[0].out
+    assert reports[0] == reports[1]
+
+
 def test_calibrate_cli_reproduces_published_jump_threshold(tmp_path, capsys):
     spec_path = str(tmp_path / "spec.txt")
     write_kv(spec_path, "calibration-spec", {

@@ -291,21 +291,60 @@ def test_first_alarms_without_alarm_report_horizon_plus_one():
 
 def test_a_hundred_row_first_alarms_call_splits_into_chunks(monkeypatch):
     """Even a short call runs in more than one chunk, in row order, so
-    chunks bound memory at every replication count."""
-    spans = []
+    chunks bound memory at every replication count; first alarms give
+    each row a block of its own."""
+    spans, blocks = [], []
     run_chunks = engine.chunked_replications
 
-    def recorded(replications, T, worker):
+    def recorded(replications, T, worker, block):
         def chunk(lo, hi):
             spans.append((lo, hi))
             worker(lo, hi)
 
-        run_chunks(replications, T, chunk)
+        blocks.append(block)
+        run_chunks(replications, T, chunk, block)
 
     monkeypatch.setattr(engine, "chunked_replications", recorded)
     first_alarms(NoiseSpec("gaussian", 1.0), 1, 100, 1000, 11_001, DetectorConfig(3, 3, 1.0, 1.0))
-    assert len(spans) >= 2
+    assert blocks == [1] and len(spans) >= 2
     assert [row for lo, hi in spans for row in range(lo, hi)] == list(range(100))
+
+
+@pytest.mark.parametrize("noise,standardize", [(NoiseSpec("gaussian", 1.5), True),
+                                               (NoiseSpec("student_t", df=3.0), False)],
+                         ids=["gaussian-standardized", "student_t-raw"])
+def test_block_rows_do_not_depend_on_chunks_segments_or_retired_rows(monkeypatch, noise,
+                                                                      standardize):
+    # 37 rows, two whole blocks of 16 and a partial one, of 700 steps:
+    # at 5000 and 340 elements a chunk rounds up to one block, whose
+    # segments then stop at 5000 // 16 = 312 and 340 // 16 = 21 steps;
+    # each segment retires a fifth of the rows, so blocks draw for rows
+    # that no longer read their columns
+    k, T, reps = 30, 700, 37
+    want = replication_residuals(noise, 5, 0, reps, k, T, standardize_first=standardize,
+                                 block=16)
+    for elements in (engine._CHUNK_ELEMENTS, 5000, 340):
+        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", elements)
+        lengths = []
+
+        def reduce(rows, residuals):
+            got = np.full((rows, T), np.nan)
+
+            def visit(t0, resid, active):
+                assert resid.size <= elements  # the chunk memory contract
+                got[active, t0:t0 + resid.shape[1]] = resid
+                lengths.append(resid.shape[1])
+                return active[active % 5 != len(lengths) % 5]
+
+            engine._segments(rows, T, residuals, visit)
+            return [got]
+
+        got, = replicate(noise, 5, reps, k, k + T, reduce, standardize_first=standardize,
+                         block=16)
+        drawn = ~np.isnan(got)
+        assert drawn[:, 0].all() and not drawn[:, -1].all()
+        assert np.array_equal(got[drawn], want[drawn])
+    assert 21 in lengths
 
 
 def test_first_alarms_of_no_replications_are_empty():
