@@ -28,7 +28,9 @@ working directory and each demo in a directory of its own:
   sums with one cumulative sum along each bin, not with vector adds
   across bins; ``calibrate`` of a joint spec without a kink bin
   (exit 2); and ``detect`` with the FA calibration file as its config;
-- ``experiment`` for every study name, at small fixed sizes and seed;
+- ``experiment`` for every study name, at small fixed sizes and seed,
+  and ``table3`` again at 300 replications, whose first-alarm runs
+  span several chunks;
 - every script in ``demos/``.
 
 A case passes when it exits with the code it expects and its exit
@@ -135,6 +137,9 @@ def _cases(root: str):
         yield f"experiment {name}", cli + [
             "experiment", "--name", name, "--out-dir", "reports", "--replications", "20",
             "--calib-replications", "200", "--master-seed", "7"], 0, None
+    yield "experiment table3 300 replications", cli + [
+        "experiment", "--name", "table3", "--out-dir", "reports_300", "--replications", "300",
+        "--calib-replications", "200", "--master-seed", "7"], 0, None
     for demo in sorted(os.listdir(os.path.join(root, "demos"))):
         if demo.endswith(".py"):
             yield f"demo {demo}", [sys.executable, os.path.join(root, "demos", demo)], 0, None

@@ -64,6 +64,14 @@ full horizon, build one generator and make one draw call per 16 rows;
 first alarms, which retire rows early, keep B = 1, a generator per
 row, since a block draws for its retired rows until its last one
 retires.  Chunks hold whole blocks and run one after another.
+
+One budget, ``_CHUNK_ELEMENTS``, bounds every (rows, steps) matrix of a
+chunk.  A chunk holds as many whole blocks as fit it at the most steps
+a row holds at once: its first segment, or under Student-t noise its
+history when that is longer; a segment then holds as many steps as fit
+it over the rows still running, so segments grow as rows retire, and
+first-alarm chunks are not cut down to a few rows by a long horizon
+that most rows never reach.
 """
 
 from __future__ import annotations
@@ -92,7 +100,9 @@ __all__ = [
     "segment_maxima",
 ]
 
-_CHUNK_ELEMENTS = 131_072  # replication-steps per chunk (see chunked_replications)
+# Elements of each (rows, steps) matrix a chunk holds at once (see
+# chunked_replications and _segments).
+_CHUNK_ELEMENTS = 65_536
 # Monitored steps in the first segment of the segment loop; each later
 # segment is twice as long as the one before it.
 _FIRST_SEGMENT = 512
@@ -349,23 +359,23 @@ def _history_draws(noise: NoiseSpec, rngs: Sequence[np.random.Generator], k: int
     return np.column_stack([draws, rss])
 
 
-def chunked_replications(replications: int, T: int, worker: Callable[[int, int], None],
+def chunked_replications(replications: int, width: int, worker: Callable[[int, int], None],
                          block: int = 1) -> None:
     """Run ``worker(first, last)`` over replication chunks, in order.
 
-    A chunk holds max(1, ``_CHUNK_ELEMENTS`` // T // ``block``) whole
-    blocks of ``block`` rows, so each of a chunk's matrices of T steps
-    a row is 1 MB at most (or one block) at any replication count: a
-    full ``calibrate`` (10k x 2000 steps) peaked at 41 MB resident, not
-    136 MB as with 4M-element chunks.  Each worker call must touch only
-    the rows [first, last).
+    A chunk holds max(1, ``_CHUNK_ELEMENTS`` // ``width`` // ``block``)
+    whole blocks of ``block`` rows, ``width`` being the most steps a row
+    holds at once (see ``replicate``), so a chunk's first matrices hold
+    512 KB at most (or one block's rows) at any replication count, and
+    ``_segments`` keeps its later ones within the same budget.  Each
+    worker call must touch only the rows [first, last).
     """
     # Freeing one untouched 16 MB block raises glibc's mmap and trim
     # thresholds: the heap then keeps the pages chunks free, not faulting
     # them in anew (a full calibrate: 256K page faults and 2.5 s without
     # it, a dozen and 1.7 s with it); other allocators ignore it.
     np.empty(2**21)
-    chunk = max(1, _CHUNK_ELEMENTS // max(T, 1) // block) * block
+    chunk = max(1, _CHUNK_ELEMENTS // max(width, 1) // block) * block
     for lo in range(0, replications, chunk):
         worker(lo, min(lo + chunk, replications))
 
@@ -375,14 +385,13 @@ def _segments(rows, T, residuals, visit) -> None:
     ``_FIRST_SEGMENT``, twice that, ... steps, ``visit(t0, resid,
     active)`` reduces ``residuals(t0, length, active)``, the steps
     t0 + 1 .. t0 + length of the rows ``active``, to the rows that go on.
-    A segment holds at most ``_CHUNK_ELEMENTS`` // rows steps, so a
-    chunk rounded up to one block of rows stays within the chunk
-    memory of ``chunked_replications``."""
+    A segment holds at most ``_CHUNK_ELEMENTS`` // active steps, so its
+    (active, length) matrices stay within the chunk budget, and
+    segments grow as rows retire."""
     active = np.arange(rows)
-    cap = max(1, _CHUNK_ELEMENTS // max(rows, 1))
     t0, length = 0, _FIRST_SEGMENT
     while active.size and t0 < T:
-        length = min(length, T - t0, cap)
+        length = min(length, T - t0, max(1, _CHUNK_ELEMENTS // active.size))
         active = visit(t0, residuals(t0, length, active), active)
         t0 += length
         length *= 2
@@ -467,7 +476,9 @@ def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, tot
     retires, so a reduction whose rows all run the full horizon takes
     blocks of many rows, and one that retires rows early takes
     ``block`` = 1, row i's own generator ``default_rng([master_seed,
-    i])``."""
+    i])``.  A chunk is sized by a row's first segment (or its history,
+    if longer, under Student-t noise), not by its whole horizon; see
+    ``chunked_replications`` and ``_segments``."""
     if total <= k:
         raise ValueError(f"stream length {total} must exceed history {k}")
     gaussian = noise.kind == "gaussian"
@@ -494,8 +505,10 @@ def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, tot
 
         parts.append(reduce(hi - lo, residuals))
 
-    # a Gaussian chunk holds no history, only its monitored steps
-    chunked_replications(replications, total - k if gaussian else total, worker, block)
+    # a row holds its first segment at once; a Student-t row first
+    # holds its history (Gaussian rows draw their lines instead)
+    width = min(total - k, _FIRST_SEGMENT)
+    chunked_replications(replications, width if gaussian else max(k, width), worker, block)
     if not parts:  # no replications: an empty chunk gives the empty arrays
         worker(0, 0)
     return [np.concatenate(col) for col in zip(*parts)]

@@ -385,14 +385,22 @@ def test_chunk_size_does_not_change_results(monkeypatch):
     import linewatch.engine as engine
 
     # each row's fit uses row reductions only, so the rows sharing its
-    # chunk (here 300, 29 and 2 to a chunk) cannot change its bits
+    # chunk (here 300, 32 and 16 to a chunk) cannot change its bits;
+    # first alarms, from step 41 on and for some rows never, run in
+    # chunks of 60, 9 and 1 rows whose segments lengthen as rows alarm
     spec = _spec(replications=300, k=50, horizon=120)
-    whole = simulate_null_maxima(spec)
-    for elements in (5000, 340):
+    config = DetectorConfig(3, 10, 2.0, 0.1)
+    runs = []
+    for elements in (65_536, 5000, 340):
         monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", elements)
-        chunked = simulate_null_maxima(spec)
+        runs.append((simulate_null_maxima(spec),
+                     engine.first_alarms(GAUSS, 11, 60, 50, 50 + 3000, config)))
+    (whole, (alarm, kind)), rest = runs[0], runs[1:]
+    for chunked, (chunked_alarm, chunked_kind) in rest:
         assert np.array_equal(whole.jump, chunked.jump)
         assert np.array_equal(whole.kink, chunked.kink)
+        assert np.array_equal(alarm, chunked_alarm)
+        assert np.array_equal(kind, chunked_kind)
 
 
 def test_calibration_peak_memory_does_not_grow_with_replications():

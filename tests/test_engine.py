@@ -289,10 +289,10 @@ def test_first_alarms_without_alarm_report_horizon_plus_one():
     assert not kind.any()
 
 
-def test_a_hundred_row_first_alarms_call_splits_into_chunks(monkeypatch):
-    """Even a short call runs in more than one chunk, in row order, so
-    chunks bound memory at every replication count; first alarms give
-    each row a block of its own."""
+def test_a_thousand_row_first_alarms_call_splits_into_chunks(monkeypatch):
+    """A call of a thousand rows runs in more than one chunk, in row
+    order, so chunks bound memory at every replication count; first
+    alarms give each row a block of its own."""
     spans, blocks = [], []
     run_chunks = engine.chunked_replications
 
@@ -305,9 +305,51 @@ def test_a_hundred_row_first_alarms_call_splits_into_chunks(monkeypatch):
         run_chunks(replications, T, chunk, block)
 
     monkeypatch.setattr(engine, "chunked_replications", recorded)
-    first_alarms(NoiseSpec("gaussian", 1.0), 1, 100, 1000, 11_001, DetectorConfig(3, 3, 1.0, 1.0))
+    first_alarms(NoiseSpec("gaussian", 1.0), 1, 1000, 1000, 11_001,
+                 DetectorConfig(3, 3, 1.0, 1.0))
     assert blocks == [1] and len(spans) >= 2
-    assert [row for lo, hi in spans for row in range(lo, hi)] == list(range(100))
+    assert [row for lo, hi in spans for row in range(lo, hi)] == list(range(1000))
+
+
+@pytest.mark.parametrize("case", ["gaussian-alarms", "student_t-alarms", "maxima"])
+def test_chunks_and_segments_keep_one_budget(monkeypatch, case):
+    """A chunk holds budget // width // B blocks of B rows, width being
+    the first segment (or a longer Student-t history); each segment
+    holds at most budget // (rows still running) steps, so segments
+    grow past budget // (chunk rows) once rows retire."""
+    budget = engine._CHUNK_ELEMENTS
+    chunk_rows, visits = [], []
+    run_segments = engine._segments
+
+    def recorded(rows, T, residuals, visit):
+        def seen(t0, resid, active):
+            visits.append((rows, active.size, resid.shape[1]))
+            return visit(t0, resid, active)
+
+        chunk_rows.append(rows)
+        run_segments(rows, T, residuals, seen)
+
+    monkeypatch.setattr(engine, "_segments", recorded)
+    config = DetectorConfig(3, 10, 2.0, 0.1)  # alarms from step 41 on, and some rows never
+    reps, T, block = 300, 3000, 1
+    if case == "gaussian-alarms":
+        k, width = 50, engine._FIRST_SEGMENT
+        alarm, _ = first_alarms(NoiseSpec("gaussian", 1.0), 11, reps, k, k + T, config)
+    elif case == "student_t-alarms":
+        k = width = 1000  # the (rows, k) history outgrows the first segment
+        alarm, _ = first_alarms(NoiseSpec("student_t", df=5.0), 11, reps, k, k + T, config)
+    else:
+        k, width, block = 50, engine._FIRST_SEGMENT, 16
+        replicate(NoiseSpec("gaussian", 1.0), 11, reps, k, k + T,
+                  lambda rows, residuals: engine.segment_maxima(rows, T, [(3, 10)], residuals),
+                  block=block)
+    rows = max(1, budget // width // block) * block
+    assert sum(chunk_rows) == reps and len(chunk_rows) >= 2
+    assert set(chunk_rows[:-1]) == {rows} and chunk_rows[-1] <= rows
+    assert all(active * length <= budget for _, active, length in visits)
+    if case != "maxima":
+        assert len(set(alarm.tolist())) > reps // 4  # rows retire at many steps
+        assert any(length > budget // chunk for chunk, _, length in visits)
 
 
 @pytest.mark.parametrize("noise,standardize", [(NoiseSpec("gaussian", 1.5), True),
@@ -317,7 +359,7 @@ def test_block_rows_do_not_depend_on_chunks_segments_or_retired_rows(monkeypatch
                                                                       standardize):
     # 37 rows, two whole blocks of 16 and a partial one, of 700 steps:
     # at 5000 and 340 elements a chunk rounds up to one block, whose
-    # segments then stop at 5000 // 16 = 312 and 340 // 16 = 21 steps;
+    # segments then start at 5000 // 16 = 312 and 340 // 16 = 21 steps;
     # each segment retires a fifth of the rows, so blocks draw for rows
     # that no longer read their columns
     k, T, reps = 30, 700, 37
