@@ -24,10 +24,12 @@ working directory and each demo in a directory of its own:
 - ``calibrate`` in FA mode (joint) and in ARL mode (jump only and
   joint), in FA mode for the kink alone on standardized Student-t
   noise, jointly at horizon 513, whose 512 monitored steps end on the
-  first segment edge, and jointly with bins of 300, which the kernel
+  first segment edge, jointly with bins of 300, which the kernel
   sums with one cumulative sum along each bin, not with vector adds
-  across bins; ``calibrate`` of a joint spec without a kink bin
-  (exit 2); and ``detect`` with the FA calibration file as its config;
+  across bins, and jointly at 20,000 replications, whose adjacent
+  shared ranks lie 5e-5 apart in marginal level; ``calibrate`` of a
+  joint spec without a kink bin (exit 2); and ``detect`` with the FA
+  calibration file as its config;
 - ``experiment`` for every study name, at small fixed sizes and seed,
   and ``table3`` again at 300 replications, whose first-alarm runs
   span several chunks;
@@ -76,6 +78,8 @@ FILES = {
                    "k = 200\nn_jump = 8\nn_kink = 8\nmaster_seed = 6\n"),
     "fa_wide.kv": ("mode = fa\nwhich = both\nreplications = 20\neta = 0.5\nhorizon = 2000\n"
                    "k = 100\nn_jump = 300\nn_kink = 300\nmaster_seed = 10\n"),
+    "fa_20k.kv": ("mode = fa\nwhich = both\nreplications = 20000\neta = 0.5\nhorizon = 300\n"
+                  "k = 100\nn_jump = 10\nn_kink = 10\nmaster_seed = 12\n"),
 }
 DETECT = ["detect", "--config", "config.kv", "--k", "5000"]
 EXPERIMENTS = ("table2", "table3", "table5", "rates", "types")
@@ -131,6 +135,8 @@ def _cases(root: str):
         "calibrate", "--spec", "fa_edge.kv", "--out", "cal_edge.kv"], 0, None
     yield "calibrate fa bins 300", cli + [
         "calibrate", "--spec", "fa_wide.kv", "--out", "cal_wide.kv"], 0, None
+    yield "calibrate fa 20000 replications", cli + [
+        "calibrate", "--spec", "fa_20k.kv", "--out", "cal_20k.kv"], 0, None
     yield "detect calibrated", cli + ["detect", "--input", "data.csv", "--config",
                                       "cal_fa.kv", "--k", "5000", "--standardize"], 0, None
     for name in EXPERIMENTS:

@@ -13,9 +13,10 @@ Conventions: a stream with the change nominally at monitoring step
 over steps 1..horizon-1, so an alarm strictly before the change counts
 as a false alarm.  The threshold at level eta is the
 ceil((1 - eta) * r)-th order statistic of the maxima; several
-statistics share one marginal level, bisected so that their union
-exceedance is eta.  Average run length targets reuse the same rule at
-the level ``CalibrationSpec.level`` gives them.
+statistics share one rank q, each taking its q-th smallest maximum, at
+which their union exceedance is closest to eta, read from one count of
+per-row ranks (see ``_thresholds``).  Average run length targets reuse
+the same rule at the level ``CalibrationSpec.level`` gives them.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class CalibrationSpec:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.arl:
             if self.eta is not None:
                 raise ValueError(f"an ARL target takes no eta, got eta = {self.eta}")
@@ -152,51 +155,39 @@ def simulate_null_maxima(spec: CalibrationSpec) -> NullMaxima:
 
 
 def _order_statistic(sorted_maxima: np.ndarray, level: float) -> float:
-    """The ceil((1 - level) * r)-th order statistic of r sorted maxima."""
+    """The ceil((1 - level) * r)-th order statistic of r sorted maxima; the
+    slack, relative to r, lets the level (r - q) / r read the q-th at any r."""
     r = sorted_maxima.shape[0]
-    q = math.ceil((1.0 - level) * r - 1e-12)
+    q = math.ceil((1.0 - level) * r - 1e-12 * r)
     return float(sorted_maxima[min(max(q, 1), r) - 1])
 
 
 def _thresholds(
-    families: Sequence[np.ndarray], level: float, replications: int
+    families: Sequence[np.ndarray], level: float, r: int
 ) -> Tuple[float, List[float], float]:
-    """One threshold per maxima family such that the fraction of rows
-    exceeding any of them is the target level; returns (marginal level,
-    thresholds, that union fraction).  One family takes its order
-    statistic at the level itself; several share one marginal level,
-    bisected until their union meets the target."""
-    if level < 1.0 / replications:
+    """Thresholds, one per family of r maxima, whose union exceedance is
+    the target level; returns (marginal level, thresholds, that union).
+    One family takes its order statistic at the level itself.  Several
+    share the rank q whose union is closest to the target, on a tie the
+    last whose union reaches it, each taking its q-th smallest maximum;
+    their level is (r - q) / r."""
+    if level < 1.0 / r:
         raise CalibrationResolutionError(
-            f"eta = {level} is below the 1/r = {1.0 / replications} resolution "
-            f"of {replications} replications"
-        )
+            f"eta = {level} is below the 1/r = {1.0 / r} resolution of {r} replications")
     sorted_fams = [np.sort(f) for f in families]
-
-    def union_at(marginal: float) -> Tuple[float, List[float]]:
-        rhos = [_order_statistic(f, marginal) for f in sorted_fams]
-        hit = np.zeros(replications, dtype=bool)
-        for fam, rho in zip(families, rhos):
-            hit |= fam >= rho
-        return float(hit.mean()), rhos
-
     if len(families) == 1:
-        union, rhos = union_at(level)
-        return level, rhos, union
-    lo, hi = 0.0, level
-    # union_at is non-decreasing in the level, and union_at(level) >= level.
-    while hi - lo > 1e-4:
-        mid = 0.5 * (lo + hi)
-        g_mid, _ = union_at(mid)
-        if g_mid < level:
-            lo = mid
-        else:
-            hi = mid
-    g_lo, rhos_lo = union_at(lo)
-    g_hi, rhos_hi = union_at(hi)
-    if abs(g_lo - level) < abs(g_hi - level):
-        return lo, rhos_lo, g_lo
-    return hi, rhos_hi, g_hi
+        rho = _order_statistic(sorted_fams[0], level)
+        return level, [rho], float((families[0] >= rho).mean())
+    # A row reaches a family's q-th smallest maximum iff its rank there
+    # (tied rows share the top one) is >= q, and some family's iff its
+    # highest rank is; union[q] is the fraction of such rows, q = 0..r.
+    top = np.max([np.searchsorted(s, f, side="right") for s, f in zip(sorted_fams, families)],
+                 axis=0)
+    union = np.cumsum(np.bincount(top, minlength=r + 1)[::-1])[::-1] / r
+    q = int(np.count_nonzero(union >= level)) - 1  # union falls with q; union[1] = 1
+    if q < r and abs(union[q + 1] - level) < abs(union[q] - level):
+        q += 1
+    return (r - q) / r, [float(s[q - 1]) for s in sorted_fams], float(union[q])
 
 
 def calibrate(spec: CalibrationSpec, maxima: Optional[NullMaxima] = None) -> CalibrationResult:
@@ -252,8 +243,8 @@ class MultiBinCalibration:
 
 def calibrate_multi_bin(spec: CalibrationSpec, scales: Sequence[int]) -> MultiBinCalibration:
     """Joint calibration across several bin sizes: every scale runs both
-    statistics on the same null streams, and one common marginal level
-    is bisected so the union exceedance meets the spec's target."""
+    statistics on the same null streams, and all of them share the one
+    rank whose union exceedance is closest to the spec's target."""
     if len(scales) == 0:
         raise ValueError("scales must be non-empty")
     for n in scales:

@@ -85,23 +85,24 @@ def _read_input(path: str):
 
 def _cmd_detect(args) -> int:
     values, times = _read_input(args.input)
+    gaps = None if times is None else np.diff(times)
     if args.k is not None:
         k = args.k
+    elif gaps is None:
+        raise FileFormatError("--split-time needs a two-column (time,value) input", path=args.input)
     else:
-        if times is None:
+        late = np.flatnonzero(~(gaps >= 0))  # a NaN time is out of order too
+        if late.size:
+            i = int(late[0]) + 1  # the first data row out of order, from 0
             raise FileFormatError(
-                "--split-time needs a two-column (time,value) input", path=args.input
-            )
+                f"--split-time needs ascending times: data row {i + 1} has time "
+                f"{float(times[i])!r} after {float(times[i - 1])!r}", path=args.input)
         k = int(np.searchsorted(times, args.split_time, side="right"))
     if not (0 < k < values.size):
         raise ValueError(f"k = {k} must lie strictly inside the data (n = {values.size})")
-    if times is not None:
-        gaps = np.diff(times)
-        if gaps.size and not np.allclose(gaps, gaps[0]):
-            print(
-                "warning: non-uniform time column; rows are treated as equally spaced",
-                file=sys.stderr,
-            )
+    if gaps is not None and gaps.size and not np.allclose(gaps, gaps[0]):
+        print("warning: non-uniform time column; rows are treated as equally spaced",
+              file=sys.stderr)
     config = ff.config_from_kv(ff.read_kv(args.config), path=args.config)
     if args.sigma is not None:
         if args.standardize:
@@ -224,6 +225,8 @@ def _cmd_experiment(args) -> int:
     if args.calib_replications is not None:
         kwargs["calib_replications"] = args.calib_replications
     if args.master_seed is not None:
+        if args.master_seed < 0:
+            raise ValueError(f"--master-seed must be >= 0, got {args.master_seed}")
         kwargs["master_seed"] = args.master_seed
     headers, rows = builder(**kwargs)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -251,10 +254,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (LinewatchError, ValueError) as exc:

@@ -70,6 +70,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n <= self.k:
             raise ValueError(f"horizon {self.n} must exceed history {self.k}")
         if self.change_index <= self.k:

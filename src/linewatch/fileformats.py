@@ -27,7 +27,10 @@ A calibration file also records the calibration's outcome:
 
     method              single-jump, single-kink or joint, prefixed
                         arl- for an ARL target
-    eta_marginal        the level each statistic's threshold is read at
+    eta_marginal        the level each statistic's threshold is read at:
+                        eta for one statistic, (r - q) / r for the
+                        shared rank q of a joint or multi-bin
+                        calibration of r replications
     empirical_fa        fraction of calibration rows that cross a
                         threshold (probability)
     fa_jump, fa_kink    the same per statistic ('none' if not calibrated)
@@ -176,6 +179,8 @@ def scenario_params_from_kv(
     )
     n = _kv_int(kv, "n", path)
     seed = _kv_int(kv, "seed", path, default=0)
+    if seed < 0:
+        raise FileFormatError(f"key 'seed' must be >= 0, got {seed}", path=path)
     return theta, n, noise_from_kv(kv, path), seed
 
 

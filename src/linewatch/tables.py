@@ -35,6 +35,7 @@ __all__ = ["EXPERIMENTS", "rates_table", "table2", "table3", "table5", "types_ta
 _MODE_ID = {"jump": 1, "kink": 2, "both": 3}
 _JUMP_SIZES = (2.0, 1.0, 0.5)
 _KINK_SLOPES = (0.5, 0.1, 0.02)  # per observation
+_RATES_GRID = tuple(2 ** p for p in range(10, 17))  # rates_table's horizons n
 
 
 def _fmt(value: Optional[float], digits: int = 6) -> str:
@@ -171,14 +172,13 @@ def rates_table(
     calib_replications: int = 400,
     replications: int = 200,
     master_seed: int = 20260204,
-    n_grid: Sequence[int] = tuple(2 ** p for p in range(10, 17)),
 ) -> Tuple[List[str], List[List[str]]]:
     """Delay scaling against the horizon for both change types."""
     headers = ["kind", "n", "k", "bin", "threshold", "mean_delay",
                "delay/log(n)", "detected", "slope"]
     rows: List[List[str]] = []
     for kind in ("jump", "kink"):
-        rep = rate_check(0.5, list(n_grid), kind, replications,
+        rep = rate_check(0.5, _RATES_GRID, kind, replications,
                          derive_seed(master_seed, _MODE_ID[kind]), calib_replications)
         for point, ratio in zip(rep.points, rep.delay_over_log):
             rows.append([

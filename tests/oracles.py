@@ -17,7 +17,9 @@ sufficient statistics (``prechange._sampled_row_lines``), so a full-horizon
 reference cannot rebuild it from a history series; a Student-t row's
 comes from its drawn history, and ``full_history`` draws and fits a
 history for Gaussian rows too, the law that the sampled lines must
-reproduce.
+reproduce.  ``union_at_ranks`` compares every row with every family's
+threshold at every rank, the reference for the rank count of
+``calibration._thresholds``.
 """
 
 from __future__ import annotations
@@ -245,3 +247,12 @@ def full_horizon_maxima(spec, pairs, full_history: bool = False, block: int = _M
                                   full_history=full_history, block=block)
     return [tuple(None if s is None else np.abs(s).max(axis=1)
                   for s in batch_stats(resid, nj, nk)) for nj, nk in pairs]
+
+
+def union_at_ranks(families) -> np.ndarray:
+    """Fraction of rows reaching some family's q-th smallest maximum,
+    at index q - 1 for q = 1..r, by direct comparison at every rank."""
+    sorted_fams = [np.sort(f) for f in families]
+    return np.array([
+        np.mean(np.any([f >= s[q - 1] for f, s in zip(families, sorted_fams)], axis=0))
+        for q in range(1, len(families[0]) + 1)])

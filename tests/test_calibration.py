@@ -25,7 +25,7 @@ from linewatch.calibration import (
     _thresholds,
 )
 
-from oracles import full_horizon_maxima, noise_matrix, replication_rows
+from oracles import full_horizon_maxima, noise_matrix, replication_rows, union_at_ranks
 
 GAUSS = NoiseSpec("gaussian", 1.0)
 
@@ -86,7 +86,7 @@ def _assert_maxima_equal_reference(spec, more_pairs):
     want = full_horizon_maxima(spec, pairs)
     mx = simulate_null_maxima(spec)
     assert np.array_equal(mx.jump, want[0][0]) and np.array_equal(mx.kink, want[0][1])
-    # the per-pair maxima that calibrate_multi_bin bisects
+    # the per-pair maxima that calibrate_multi_bin ranks
     for got, ref in zip(_null_maxima_for_bins(spec, pairs), want):
         for g, r in zip(got, ref):
             assert (g is None and r is None) or np.array_equal(g, r)
@@ -175,6 +175,57 @@ def test_order_statistic_conventions():
     assert _order_statistic(maxima, 0.5) == 6.0  # ceil(0.5 * 11) = 6th = median
     assert _thresholds([maxima], 0.5, 11) == (0.5, [6.0], 6 / 11)
     assert _order_statistic(maxima, 1e-9) == 11.0  # eta -> 0: the largest maximum
+    r = 200_000  # where (1 - (r - q) / r) * r rounds up to 3e-11 past q
+    maxima = np.arange(1.0, r + 1)
+    assert all(_order_statistic(maxima, (r - q) / r) == q for q in range(1, r + 1))
+
+
+def _assert_levels_read_the_thresholds(families, eta_marginal, rhos):
+    for f, rho in zip(families, rhos):
+        assert _order_statistic(np.sort(f), eta_marginal) == rho
+
+
+@pytest.mark.parametrize("n_families", [2, 3])
+def test_joint_rank_matches_brute_force_on_tied_maxima(n_families):
+    rng = np.random.default_rng(2500 + n_families)
+    for r in (1, 2, 3, 7, 40, 97):
+        for _ in range(5):
+            families = list(rng.integers(0, 5, size=(n_families, r)).astype(float))
+            union = union_at_ranks(families)
+            for level in (1.0 / r, 0.1, 0.5, 1.0 - 1.0 / math.e, 0.9, 1.0 - 1e-9):
+                if level < 1.0 / r:
+                    continue
+                # the last rank whose union meets the level, or the next if closer
+                q = max(np.flatnonzero(union >= level)) + 1
+                if q < r and abs(union[q] - level) < abs(union[q - 1] - level):
+                    q += 1
+                eta_m, rhos, got = _thresholds(families, level, r)
+                assert (eta_m, got) == ((r - q) / r, union[q - 1])
+                assert rhos == [np.sort(f)[q - 1] for f in families]
+                assert abs(got - level) == np.min(np.abs(union - level))
+                _assert_levels_read_the_thresholds(families, eta_m, rhos)
+
+
+@pytest.mark.parametrize("level", [0.5, 0.1, 1.0 - 1.0 / math.e])
+def test_joint_rank_is_closest_to_the_target_at_two_hundred_thousand_rows(level):
+    # finer than a 1e-4 search of the marginal level can resolve
+    rng = np.random.default_rng(25)
+    r = 200_000
+    common = rng.standard_normal(r)
+    families = [common + rng.standard_normal(r),
+                0.6 * common + 0.8 * rng.standard_normal(r)]
+    sorted_fams = [np.sort(f) for f in families]
+
+    def union_at(q):
+        return np.mean((families[0] >= sorted_fams[0][q - 1])
+                       | (families[1] >= sorted_fams[1][q - 1]))
+
+    eta_m, rhos, union = _thresholds(families, level, r)
+    q = int(np.searchsorted(sorted_fams[0], rhos[0])) + 1
+    assert rhos[1] == sorted_fams[1][q - 1] and union == union_at(q)
+    assert abs(union - level) <= min(abs(union_at(q - 1) - level),
+                                     abs(union_at(q + 1) - level))
+    _assert_levels_read_the_thresholds(families, eta_m, rhos)
 
 
 def test_calibrate_single_sets_other_threshold_infinite():
@@ -260,6 +311,11 @@ def test_spec_states_one_target():
         _spec(eta=None)
     assert _spec(eta=None, arl=True).level == 1.0 - 1.0 / math.e
     assert _spec(eta=0.3).level == 0.3
+
+
+def test_spec_refuses_a_negative_master_seed():
+    with pytest.raises(ValueError, match="master_seed must be >= 0, got -3"):
+        _spec(master_seed=-3)
 
 
 @pytest.mark.parametrize("n", [0, -3, 2.5])

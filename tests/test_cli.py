@@ -194,6 +194,15 @@ def test_simulate_same_seed_identical_bytes(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_simulate_refuses_a_negative_seed_naming_the_key(tmp_path, capsys):
+    scen = _write_scenario(tmp_path, seed=-2)
+    out = tmp_path / "d.csv"
+    code = main(["simulate", "--scenario", scen, "--out", str(out)])
+    assert capsys.readouterr().err == f"error: {scen}: key 'seed' must be >= 0, got -2\n"
+    assert code == 3
+    assert not out.exists()
+
+
 def test_simulated_jumps_alarm_after_truth_index():
     # jump of two sigma shortly after the history: detection lands at or
     # after the change in nearly every replication
@@ -327,9 +336,10 @@ def _write_spec(tmp_path, name="spec.txt", **kv):
     ({"sigma": "z"}, "key 'sigma' is not a number: 'z'"),
     ({"n_jump": "0"}, "n_jump must be an integer >= 1, got 0"),
     ({"n_jump": "-3"}, "n_jump must be an integer >= 1, got -3"),
+    ({"master_seed": "-3"}, "master_seed must be >= 0, got -3"),
 ], ids=["horizon-1", "arl-eta", "noise", "bin-size", "standardize", "replications",
         "horizon", "no-horizon", "k", "master-seed", "eta", "sigma", "bin-size-0",
-        "bin-size-negative"])
+        "bin-size-negative", "master-seed-negative"])
 def test_bad_calibrate_spec_names_its_path_once(tmp_path, capsys, spec, message):
     spec_path = _write_spec(tmp_path, **spec)
     out_path = tmp_path / "cal.txt"
@@ -398,6 +408,33 @@ def test_split_time_selects_history(tmp_path, capsys):
     assert "k: 10" in out  # times 0.0 .. 4.5
 
 
+def _write_times(tmp_path, times):
+    path = tmp_path / "tv.csv"
+    path.write_text("time,value\n" + "".join(f"{t},{0.01 * i}\n" for i, t in enumerate(times)))
+    return str(path)
+
+
+@pytest.mark.parametrize("times, row, message", [
+    # only 299 rows have a time <= 300, but a sorted search would take 300
+    ([390.5 if i == 11 else float(i) for i in range(1, 401)], 12, "time 12.0 after 390.5"),
+    ([float(i) for i in range(400, 0, -1)], 2, "time 399.0 after 400.0"),
+    ([math.nan if i == 5 else float(i) for i in range(1, 401)], 5, "time nan after 4.0"),
+], ids=["one-late-row", "descending", "nan"])
+def test_split_time_refuses_times_out_of_order(tmp_path, capsys, times, row, message):
+    data = _write_times(tmp_path, times)
+    code = main(["detect", "--input", data, "--config", _write_config(tmp_path),
+                 "--split-time", "300"])
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {data}: --split-time needs ascending times: "
+                            f"data row {row} has {message}\n")
+    assert code == 3
+    assert "status:" not in captured.out
+    # the same rows monitor as before with an explicit history length
+    assert main(["detect", "--input", data, "--config", _write_config(tmp_path),
+                 "--k", "300"]) == 0
+    assert "k: 300" in capsys.readouterr().out
+
+
 def test_experiment_rates_smoke(tmp_path, capsys):
     code = main(["experiment", "--name", "rates", "--out-dir", str(tmp_path),
                  "--replications", "1", "--master-seed", "4"])
@@ -422,6 +459,14 @@ def test_experiment_passes_calib_replications_to_rates(tmp_path, capsys, monkeyp
     capsys.readouterr()
     assert code == 0
     assert seen == {"calib_replications": 50}
+
+
+def test_experiment_refuses_a_negative_master_seed(tmp_path, capsys):
+    code = main(["experiment", "--name", "table3", "--out-dir", str(tmp_path),
+                 "--replications", "2", "--calib-replications", "50", "--master-seed", "-1"])
+    assert capsys.readouterr().err == "error: --master-seed must be >= 0, got -1\n"
+    assert code == 2
+    assert not (tmp_path / "table3.csv").exists()
 
 
 def test_experiment_table3_row_shape(tmp_path, capsys):

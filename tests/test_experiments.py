@@ -63,6 +63,12 @@ def test_scenario_validation():
         Scenario(theta, 100, 50, GAUSS, DetectorConfig(2, None, rho_jump=1.0), 5, 0)
 
 
+def test_scenario_refuses_a_negative_master_seed():
+    theta = SignalParams(0.8, 0.0, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="master_seed must be >= 0, got -3"):
+        Scenario(theta, 100, 50, GAUSS, DetectorConfig(2, None, rho_jump=1.0), 5, -3)
+
+
 def test_report_is_byte_deterministic():
     sc = _jump_scenario(reps=40, seed=11)
     a = estimate_metrics(sc)
