@@ -19,7 +19,10 @@ working directory and each demo in a directory of its own:
   on (empty j_stat cells), and on copies of the CSV that end in a
   comment line or hold a malformed row near the end (exit 3);
 - ``detect`` with thresholds the stream never reaches (no alarm, so the
-  whole series is monitored): plain and with ``--trace``;
+  whole series is monitored): plain and with ``--trace``, and with
+  ``--trace`` at bins of 3000 and 40000, whose 15,000 monitored steps
+  all fall inside the first kink bin, so every piece the kernel
+  advances stays inside its open bin;
 - ``detect --sigma --standardize`` (exit 2);
 - ``calibrate`` in FA mode (joint) and in ARL mode (jump only and
   joint), in FA mode for the kink alone on standardized Student-t
@@ -63,6 +66,7 @@ FILES = {
     "config.kv": "n_jump = 20\nn_kink = 200\nrho_jump = 0.9\nrho_kink = 0.35\n",
     "quiet.kv": "n_jump = 20\nn_kink = 200\nrho_jump = 50\nrho_kink = 50\n",
     "kink.kv": "n_kink = 200\nrho_kink = 0.35\n",
+    "wide.kv": "n_jump = 3000\nn_kink = 40000\nrho_jump = 50\nrho_kink = 50\n",
     "fa.kv": ("mode = fa\nwhich = both\nreplications = 2000\neta = 0.5\nhorizon = 500\n"
               "k = 200\nn_jump = 10\nn_kink = 10\nmaster_seed = 3\n"),
     "arl.kv": ("mode = arl\nwhich = jump\nreplications = 1000\nhorizon = 300\nk = 200\n"
@@ -123,6 +127,8 @@ def _cases(root: str):
     quiet = cli + ["detect", "--config", "quiet.kv", "--k", "5000"] + data
     yield "detect no alarm", quiet, 0, None
     yield "detect no alarm --trace", quiet + ["--trace", "quiet_trace.csv"], 0, None
+    yield "detect wide bins --trace", cli + ["detect", "--config", "wide.kv", "--k", "5000",
+                                             "--trace", "wide_trace.csv"] + data, 0, None
     yield "calibrate fa", cli + ["calibrate", "--spec", "fa.kv", "--out", "cal_fa.kv"], 0, None
     yield "calibrate arl", cli + ["calibrate", "--spec", "arl.kv", "--out", "cal_arl.kv"], 0, None
     yield "calibrate arl joint", cli + [

@@ -51,19 +51,22 @@ with the fit, standardization and residual arithmetic of
 its series.  Either way a row's bits do not depend on which rows share
 its chunk.
 
-Rows draw in fixed blocks of B rows, one generator per block keyed by
-the master seed and the block's index (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC '11): a block draws time-major, one
-(steps, B) matrix per draw (``noise_matrix``), and its row j reads
-column j.  Generator draws are split-invariant, so a row's values do
-not depend on the segment edges, the chunk size or the replication
-count, every row sees the same monitored noise as one full-horizon
-draw, and a block draws only the steps its rows monitor.  The
-reduction picks B: the calibration maxima, whose rows all run the
+Rows draw in fixed blocks of B rows, one generator per block: block b
+draws stream (B, b) of the master seed (the seed rule of
+``signal._stream``; keyed streams, as in Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC '11), so no other layout of
+rows and no ``generate_series`` call shares it.  A block draws
+time-major, one (steps, B) matrix per draw (``noise_matrix``), and its
+row j reads column j.  Generator draws are split-invariant, so a row's
+values do not depend on the segment edges, the chunk size or the
+replication count, every row sees the same monitored noise as one
+full-horizon draw, and a block draws only the steps its rows monitor.
+The reduction picks B: the calibration maxima, whose rows all run the
 full horizon, build one generator and make one draw call per 16 rows;
-first alarms, which retire rows early, keep B = 1, a generator per
-row, since a block draws for its retired rows until its last one
-retires.  Chunks hold whole blocks and run one after another.
+first alarms, which retire rows early, keep B = 1, a generator per row
+(row i draws stream (1, i)), since a block draws for its retired rows
+until its last one retires.  Chunks hold whole blocks and run one
+after another.
 
 One budget, ``_CHUNK_ELEMENTS``, bounds every (rows, steps) matrix of a
 chunk.  A chunk holds as many whole blocks as fit it at the most steps
@@ -82,7 +85,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .prechange import _residuals, _row_lines, _sampled_row_lines
-from .signal import NoiseSpec
+from .signal import NoiseSpec, _stream
 
 if TYPE_CHECKING:
     from .detector import DetectorConfig
@@ -146,30 +149,34 @@ def _across(rows: int, blocks: int, n: int) -> bool:
 
 
 def _running_sums(resid, n, r0, carried, weighted):
-    """Within-block running sums of the residuals, shape (rows, blocks, n)
-    (position-major in memory when ``_across``), and of the residuals
-    weighted by position + 1 when ``weighted``.
+    """Within-block running sums of the residuals, shape (rows, blocks,
+    width) (position-major in memory when ``_across``), of the residuals
+    weighted by position + 1 when ``weighted``, and the position of the
+    first column.
 
     The open bin's carried s3 (and w3) sit at position ``r0`` of the
     first block and the residuals follow it, so the running sums go on
-    from the carried ones.
+    from the carried ones.  A piece that stays inside its open bin lays
+    out only its own positions r0 .. r0 + length, so its cost follows
+    the piece, not the bin width; a longer piece lays out whole bins.
     """
     rows, length = resid.shape
     blocks = (r0 + length) // n + 1
-    s = np.zeros((rows, blocks * n))
-    s[:, r0 + 1:r0 + 1 + length] = resid
-    s = s.reshape(rows, blocks, n)
+    first, width = (r0, length + 1) if blocks == 1 else (0, n)
+    s = np.zeros((rows, blocks * width))
+    s[:, r0 - first + 1:r0 - first + 1 + length] = resid
+    s = s.reshape(rows, blocks, width)
     across = _across(rows, blocks, n)
     if across:  # the one transposing copy, into position-major memory
         s = np.ascontiguousarray(s.transpose(2, 0, 1)).transpose(1, 2, 0)
     s[:, :, 0] += 0.0  # a bin opens at 0.0 as in step(), where 0.0 + -0.0 is 0.0
     w = None
     if weighted:
-        w = s * np.arange(1, n + 1, dtype=float)
+        w = s * np.arange(first + 1, first + width + 1, dtype=float)
         if carried is not None:
-            w[:, 0, r0] = carried[:, 5]
+            w[:, 0, r0 - first] = carried[:, 5]
     if carried is not None:
-        s[:, 0, r0] = carried[:, 2]
+        s[:, 0, r0 - first] = carried[:, 2]
     for a in (s, w) if weighted else (s,):
         if across:
             by_position = a.transpose(2, 0, 1)
@@ -177,7 +184,7 @@ def _running_sums(resid, n, r0, carried, weighted):
                 np.add(prev, cur, out=cur)
         else:
             np.cumsum(a, axis=2, out=a)
-    return s, w
+    return s, w, first
 
 
 def _closed_bins(totals, carried, offset):
@@ -191,11 +198,10 @@ def _closed_bins(totals, carried, offset):
     return out
 
 
-def _kink_divisor(n: int) -> np.ndarray:
-    """d = M (M + 1) (2M + 1) / 6.0 for M = 2n + 1 .. 3n, with the
+def _kink_divisor(m: np.ndarray) -> np.ndarray:
+    """d = M (M + 1) (2M + 1) / 6.0 for the int64 M of ``m``, with the
     product formed in exact integers as ``DetectorState.step`` forms it."""
-    m = np.arange(2 * n + 1, 3 * n + 1, dtype=np.int64)
-    if 3 * n >= 2**20:  # Python integers: the product would pass 2**63
+    if m[-1] >= 2**20:  # Python integers: the product would pass 2**63
         m = m.astype(object)
     return (m * (m + 1) * (2 * m + 1) / 6.0).astype(float)
 
@@ -213,25 +219,25 @@ def _advance(resid, n, t0, carried, want_j, want_k):
     carried bins of one statistic; returns (j, k, bins at the end)."""
     length = resid.shape[1]
     r0 = t0 % n
-    s, w = _running_sums(resid, n, r0, carried, want_k)
+    s, w, first = _running_sums(resid, n, r0, carried, want_k)
     s_closed = _closed_bins(s[:, :, -1], carried, 0)
     s2 = s_closed[:, 1:-1, None]
-    cols = slice(r0 + 1, r0 + 1 + length)
+    cols = slice(r0 - first + 1, r0 - first + 1 + length)
+    m = np.arange(2 * n + 1 + first, 2 * n + 1 + first + s.shape[2], dtype=np.int64)
     b, r = divmod(r0 + length, n)
-    bins = [s_closed[:, b], s_closed[:, b + 1], s[:, b, r]]
+    bins = [s_closed[:, b], s_closed[:, b + 1], s[:, b, r - first]]
     if want_k:
         w_closed = _closed_bins(w[:, :, -1], carried, 3)
-        bins += [w_closed[:, b], w_closed[:, b + 1], w[:, b, r]]
+        bins += [w_closed[:, b], w_closed[:, b + 1], w[:, b, r - first]]
     bins = np.stack(bins, axis=1)  # a copy: the sums are overwritten below
     j = k = None
     if want_k:
         kk = np.add(w_closed[:, :-2, None] + w_closed[:, 1:-1, None], w, out=w)
         kk += n * s2
         kk += (2 * n) * s
-        k = _by_clock(kk, _kink_divisor(n), cols)
+        k = _by_clock(kk, _kink_divisor(m), cols)
     if want_j:
-        j = _by_clock(np.add(s_closed[:, :-2, None] + s2, s, out=s),
-                      np.arange(2 * n + 1, 3 * n + 1), cols)
+        j = _by_clock(np.add(s_closed[:, :-2, None] + s2, s, out=s), m, cols)
     return j, k, bins
 
 
@@ -461,24 +467,23 @@ def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, tot
     observations (noise plus ``signal``, history k, over which the
     signal is one line).  Rows come in blocks of ``block``: block b
     holds rows b ``block`` .. (b + 1) ``block`` - 1 and draws, whatever
-    its chunk, from ``np.random.default_rng([master_seed, b])`` (so
-    seeded by ``SeedSequence([master_seed, b])``), time-major as
-    ``noise_matrix`` draws (a last partial block draws every column and
-    drops the surplus).  Per chunk of whole blocks it gives each row its
-    line (drawn from the law of the fit under Gaussian noise, fitted to
-    the drawn history otherwise), and joins over the chunks the per-row
-    arrays of ``reduce(rows, residuals)``: ``residuals(t0, length,
-    active)`` draws the next ``length`` observations of the rows
-    ``active`` and gives their residuals at monitoring steps
-    t0 + 1 .. t0 + length.
+    its chunk, stream (``block``, b) of ``master_seed`` (the seed rule
+    of ``signal._stream``), time-major as ``noise_matrix`` draws (a last
+    partial block draws every column and drops the surplus).  Per chunk
+    of whole blocks it gives each row its line (drawn from the law of
+    the fit under Gaussian noise, fitted to the drawn history
+    otherwise), and joins over the chunks the per-row arrays of
+    ``reduce(rows, residuals)``: ``residuals(t0, length, active)`` draws
+    the next ``length`` observations of the rows ``active`` and gives
+    their residuals at monitoring steps t0 + 1 .. t0 + length.
 
     A block keeps drawing for its retired rows until its last row
     retires, so a reduction whose rows all run the full horizon takes
     blocks of many rows, and one that retires rows early takes
-    ``block`` = 1, row i's own generator ``default_rng([master_seed,
-    i])``.  A chunk is sized by a row's first segment (or its history,
-    if longer, under Student-t noise), not by its whole horizon; see
-    ``chunked_replications`` and ``_segments``."""
+    ``block`` = 1, row i's own stream (1, i).  A chunk is sized by a
+    row's first segment (or its history, if longer, under Student-t
+    noise), not by its whole horizon; see ``chunked_replications`` and
+    ``_segments``."""
     if total <= k:
         raise ValueError(f"stream length {total} must exceed history {k}")
     gaussian = noise.kind == "gaussian"
@@ -486,7 +491,7 @@ def replicate(noise: NoiseSpec, master_seed: int, replications: int, k: int, tot
     parts = []
 
     def worker(lo: int, hi: int) -> None:
-        rngs = [np.random.default_rng([master_seed, b])
+        rngs = [np.random.default_rng(_stream(master_seed, block, b))
                 for b in range(lo // block, -(-hi // block))]
         rows = np.arange(hi - lo)
         if gaussian:

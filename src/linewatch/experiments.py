@@ -23,6 +23,7 @@ from .signal import (
     ChangeKind,
     NoiseSpec,
     SignalParams,
+    _stream,
     change_index,
     eval_signal_array,
 )
@@ -209,10 +210,10 @@ def estimate_arl(
     )
 
 
-def derive_seed(*parts: int) -> int:
-    """Deterministic sub-seed from integer labels."""
-    seq = np.random.SeedSequence([int(p) for p in parts])
-    return int(seq.generate_state(1, np.uint64)[0] >> 1)
+def derive_seed(seed: int, *labels: int) -> int:
+    """Deterministic sub-seed of ``seed`` for the integer ``labels``: the
+    first 63 bits of its stream ``labels`` (``signal._stream``)."""
+    return int(_stream(seed, *labels).generate_state(1, np.uint64)[0] >> 1)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ comment.  Config/calibration keys (units in parentheses):
                         file records 1 - 1/e, its crossing probability
                         over ``horizon`` steps
     replications        Monte Carlo sample size
-    master_seed         integer seed
+    master_seed         integer seed (>= 0); block b of B replication
+                        rows draws its stream (B, b) (``signal._stream``)
     noise, sigma, df    noise kind and parameters
     standardize         true/false
 

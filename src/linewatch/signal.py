@@ -122,6 +122,14 @@ def change_index(theta: SignalParams, n: int) -> int:
     return int(math.ceil(n * theta.tau - 1e-9))
 
 
+def _stream(seed: int, *labels: int) -> np.random.SeedSequence:
+    """Stream ``labels`` of the integer ``seed``, ``SeedSequence(seed,
+    spawn_key=labels)``: the one seed rule of every random draw.  Label
+    tuples of different lengths never share a stream, and no labels give
+    the stream of ``np.random.default_rng(seed)``."""
+    return np.random.SeedSequence(seed, spawn_key=labels)
+
+
 def generate_series(theta: SignalParams, n: int, noise: NoiseSpec, seed: int) -> np.ndarray:
     """Sample X_i = signal(i/n) + noise, i = 1..n, deterministically."""
-    return eval_signal_array(theta, n) + noise.draw(np.random.default_rng(seed), n)
+    return eval_signal_array(theta, n) + noise.draw(np.random.default_rng(_stream(seed)), n)

@@ -168,8 +168,10 @@ def config_alarms(resid, config):
 def noise_matrix(noise: NoiseSpec, master_seed: int, first: int, last: int,
                  T: int) -> np.ndarray:
     """Noise rows for replication indices [first, last), each the first
-    T draws of its own deterministic per-replication stream."""
-    rngs = [np.random.default_rng([master_seed, rep]) for rep in range(first, last)]
+    T draws of its own stream, (1, rep) of the master seed's spawn tree,
+    as a first-alarm run (blocks of one row) draws it."""
+    rngs = [np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(1, rep)))
+            for rep in range(first, last)]
     return engine.noise_matrix(noise, rngs, T)
 
 
@@ -193,9 +195,10 @@ def replication_rows(noise: NoiseSpec, master_seed: int, first: int, last: int, 
     (alpha, beta, scaling) of ``prechange``, and its T
     monitored observations, one row each.
 
-    Row i belongs to block b = i // ``block``, whose generator
-    ``default_rng([master_seed, b])`` draws time-major, one row per
-    step and row i's value in column i - b ``block``.  It draws first
+    Row i belongs to block b = i // ``block``, whose generator, seeded
+    by ``SeedSequence(master_seed, spawn_key=(block, b))``, draws
+    time-major, one row per step and row i's value in column
+    i - b ``block``.  It draws first
     the lines of its rows: under Gaussian noise a (2, block) matrix of
     sigma z0 and sigma z1 and, standardized, ``block`` values
     sigma^2 chi^2_{k-2} (none for k = 2 or sigma = 0); under other
@@ -205,7 +208,7 @@ def replication_rows(noise: NoiseSpec, master_seed: int, first: int, last: int, 
     sampled = noise.kind == "gaussian" and not full_history
     heads, monitored = [], []
     for b in range(first // block, -(-last // block)):
-        rng = np.random.default_rng([master_seed, b])
+        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(block, b)))
         if sampled:
             head = noise.draw(rng, (2, block))
             if standardize_first:

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linewatch import DetectorConfig, DetectorState, KnownPrechange, NoiseSpec, engine, run
+from linewatch import (CalibrationSpec, DetectorConfig, DetectorState, KnownPrechange,
+                       NoiseSpec, SignalParams, engine, generate_series, run,
+                       simulate_null_maxima)
 from linewatch.engine import (BatchBins, batch_alarms, batch_stats, first_alarms, replicate,
                               segment_alarms)
 from linewatch.prechange import _row_lines, _sampled_row_lines, fit_ols
@@ -96,7 +98,9 @@ def test_batch_stats_equal_streaming_row_by_row_on_both_sides_of_the_scan_rule(r
     res[0, n - 1:4 * n - 1] = -0.0  # and three whole bins of -0.0 in row 0
     j, k = batch_stats(res, n, n)
     bins = BatchBins()
-    edges = [0, 1, 2 + length // 7, length // 3, length // 3, length - 5, length]
+    # a piece ends on the first bin's last position (clock n - 1), so the
+    # next one starts from a full open bin
+    edges = sorted([0, 1, 2 + length // 7, length // 3, length // 3, n - 1, length - 5, length])
     pieces = [batch_stats(res[:, a:b], n, n, bins) for a, b in zip(edges[:-1], edges[1:])]
     assert bins.t == length
     j_pieces = np.concatenate([p[0] for p in pieces], axis=1)
@@ -192,8 +196,39 @@ def test_noise_matrix_rows_are_per_replication_streams():
     noise = NoiseSpec("gaussian", 2.0)
     block = noise_matrix(noise, 99, 3, 6, 50)
     for row, rep in enumerate(range(3, 6)):
-        rng = np.random.default_rng(np.random.SeedSequence([99, rep]))
+        rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(1, rep)))
         assert np.array_equal(block[row], noise.draw(rng, 50))
+
+
+def _draws(run):
+    """The values each draw of unit Gaussian noise gives in ``run(noise)``,
+    in draw order."""
+    draws = []
+
+    class Recorded(NoiseSpec):
+        def draw(self, rng, size):
+            drawn = super().draw(rng, size)
+            draws.append(drawn.ravel().copy())
+            return drawn
+
+    run(Recorded("gaussian", 1.0))
+    return draws
+
+
+def test_monte_carlo_streams_share_no_draws_at_one_seed():
+    # calibration blocks of 16 rows, first-alarm rows and generate_series
+    # at one seed each draw a stream of their own: the first draw of a
+    # block (or a row) is its (2, B) line draw
+    seed, k, total = 0, 50, 100
+    calibration = _draws(lambda noise: simulate_null_maxima(CalibrationSpec(
+        32, total - k, k, 5, 5, noise, seed, eta=0.5)))[:2]
+    alarms = _draws(lambda noise: first_alarms(
+        noise, seed, 2, k, total, DetectorConfig(5, 5, 50.0, 50.0)))[:2]
+    assert [drawn.size for drawn in calibration + alarms] == [32, 32, 2, 2]
+    series = generate_series(SignalParams(0.5, 0.0, 0.0, 0.0, 0.0), 32, NoiseSpec(), seed)
+    assert np.array_equal(series, np.random.default_rng(seed).standard_normal(32))
+    pairs = [(drawn, series) for drawn in calibration + alarms] + list(zip(calibration, alarms))
+    assert [np.intersect1d(a, b).size for a, b in pairs] == [0] * 6
 
 
 def test_config_alarms_match_streaming_run():

@@ -158,6 +158,11 @@ def test_tables_calibrate_every_mode_from_one_simulation_per_setting(
                                 tables._fmt(cal.rho_kink if spec.n_kink else None, 3)]
 
 
+def test_derive_seed_tells_trailing_zero_labels_apart():
+    seeds = {derive_seed(5), derive_seed(5, 0), derive_seed(5, 0, 0)}
+    assert len(seeds) == 3
+
+
 def test_shared_seed_threshold_coupling():
     # on identical streams, raising a threshold can only delay the alarm
     k, T = 40, 400
