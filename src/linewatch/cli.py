@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import List, Optional
 
 import numpy as np
 
 from . import fileformats as ff
-from .calibration import CalibrationSpec, calibrate
+from .calibration import calibrate
 from .detector import run
 from .errors import FileFormatError, LinewatchError
 from .prechange import KnownPrechange, _line, standardize
-from .signal import change_index, generate_series
+from .signal import generate_series
 from .tables import EXPERIMENTS
 
 
@@ -76,15 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str):
-    if path == "-":
-        return ff.parse_series(sys.stdin.buffer.read(), "<stdin>", sys.stdin.encoding,
-                               sys.stdin.errors)
-    return ff.read_series(path)
-
-
 def _cmd_detect(args) -> int:
-    values, times = _read_input(args.input)
+    values, times = ff.read_series(args.input)
     gaps = None if times is None else np.diff(times)
     if args.k is not None:
         k = args.k
@@ -145,39 +139,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    kv = ff.read_kv(args.spec)
-    path = args.spec
-    mode = kv.get("mode", "fa")
-    which = kv.get("which", "both")
-    if mode not in ("fa", "arl"):
-        raise FileFormatError(f"mode must be fa or arl, got {mode!r}", path=path)
-    if which not in ("jump", "kink", "both"):
-        raise FileFormatError(f"which must be jump, kink or both, got {which!r}", path=path)
-
-    standardize_value = kv.get("standardize", "false").lower()
-    if standardize_value not in ("true", "false"):
-        raise FileFormatError(f"key 'standardize' is not true or false: {kv['standardize']!r}",
-                              path=path)
-    try:
-        spec = CalibrationSpec(
-            replications=ff._kv_int(kv, "replications", path, default=1000),
-            eta=(ff._kv_float(kv, "eta", path) if "eta" in kv
-                 else None if mode == "arl" else 0.5),
-            arl=mode == "arl",
-            horizon=ff._kv_int(kv, "horizon", path),
-            k=ff._kv_int(kv, "k", path),
-            n_jump=ff.bin_size_from_kv(kv, "n_jump", path) if which != "kink" else None,
-            n_kink=ff.bin_size_from_kv(kv, "n_kink", path) if which != "jump" else None,
-            noise=ff.noise_from_kv(kv, path),
-            master_seed=ff._kv_int(kv, "master_seed", path, default=0),
-            standardize=standardize_value == "true",
-        )
-    except FileFormatError:
-        raise
-    except ValueError as exc:
-        raise FileFormatError(str(exc), path=path) from exc
-    if which == "both" and (spec.n_jump is None or spec.n_kink is None):
-        raise ValueError("joint calibration needs both statistics enabled")
+    spec = ff.calibration_spec_from_kv(ff.read_kv(args.spec), args.spec)
     result = calibrate(spec)
     ff.write_kv(args.out, "calibration", ff.calibration_to_kv(result))
     print(f"wrote: {args.out}")
@@ -189,53 +151,24 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    kv = ff.read_kv(args.scenario)
-    theta, n, noise, seed = ff.scenario_params_from_kv(kv, args.scenario)
+    theta, n, noise, seed = ff.scenario_params_from_kv(ff.read_kv(args.scenario), args.scenario)
     ff.write_series(args.out, generate_series(theta, n, noise, seed))
     truth_path = args.truth or (args.out + ".truth")
-    ff.write_kv(
-        truth_path,
-        "truth",
-        {
-            "tau": repr(theta.tau),
-            "alpha_minus": repr(theta.alpha_minus),
-            "alpha_plus": repr(theta.alpha_plus),
-            "beta_minus": repr(theta.beta_minus),
-            "beta_plus": repr(theta.beta_plus),
-            "n": str(n),
-            "change_index": str(change_index(theta, n)),
-            "noise": noise.kind,
-            "sigma": repr(noise.sigma),
-            "df": "none" if noise.df is None else repr(noise.df),
-            "seed": str(seed),
-        },
-    )
+    ff.write_kv(truth_path, "truth", ff.truth_to_kv(theta, n, noise, seed))
     print(f"wrote: {args.out}")
     print(f"truth: {truth_path}")
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    import os
-
-    builder = EXPERIMENTS[args.name]
-    kwargs = {}
-    if args.replications is not None:
-        kwargs["replications"] = args.replications
-    if args.calib_replications is not None:
-        kwargs["calib_replications"] = args.calib_replications
-    if args.master_seed is not None:
-        if args.master_seed < 0:
-            raise ValueError(f"--master-seed must be >= 0, got {args.master_seed}")
-        kwargs["master_seed"] = args.master_seed
-    headers, rows = builder(**kwargs)
+    if args.master_seed is not None and args.master_seed < 0:
+        raise ValueError(f"--master-seed must be >= 0, got {args.master_seed}")
+    overrides = ("replications", "calib_replications", "master_seed")
+    headers, rows = EXPERIMENTS[args.name](
+        **{key: getattr(args, key) for key in overrides if getattr(args, key) is not None})
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, f"{args.name}.csv")
-    with open(out_path, "w") as fh:
-        fh.write(f"# linewatch report v{ff.FORMAT_VERSION}\n")
-        fh.write(",".join(headers) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    ff.write_report(out_path, headers, rows)
     print(ff.format_table(headers, rows))
     if args.replications is not None and args.replications < 30:
         print(f"note: only {args.replications} replications; intervals are wide")

@@ -329,10 +329,17 @@ def theorem_scale_config(n: float, c: float) -> DetectorConfig:
         raise ValueError(f"rate constant c must lie in (0, 1], got {c}")
     if not n > 1.0:
         raise ValueError(f"horizon n must exceed 1, got {n}")
-    log_n = math.log(n)
-    n_jump = math.ceil(1e3 * log_n / (2.0 * c * c))
-    n_kink = math.ceil((300.0 / (c * c)) ** (1.0 / 3.0) * n ** (2.0 / 3.0) * log_n ** (1.0 / 3.0))
+    n_jump, n_kink = _rate_bins(n, 1e3 / (2.0 * c * c), (300.0 / (c * c)) ** (1.0 / 3.0))
     return DetectorConfig(n_jump, n_kink, 4.0 * c / 5.0, 4.0 * c / (5.0 * n))
+
+
+def _rate_bins(n: float, jump_scale: float, kink_scale: float) -> Tuple[int, int]:
+    """Bin sizes (N_jump, N_kink) of the rate-optimal growth laws at
+    horizon n, N_jump = ceil(jump_scale log(n)) and N_kink =
+    ceil(kink_scale n^(2/3) log(n)^(1/3)), each at least 1."""
+    log_n = math.log(n)
+    return (max(1, math.ceil(jump_scale * log_n)),
+            max(1, math.ceil(kink_scale * n ** (2.0 / 3.0) * log_n ** (1.0 / 3.0))))
 
 
 # Snapshot format: fixed-size little-endian record so the serialized

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .calibration import CalibrationSpec, calibrate, simulate_null_maxima
-from .detector import DetectorConfig
+from .detector import DetectorConfig, _rate_bins
 from .engine import first_alarms
 from .signal import (
     ChangeKind,
@@ -48,10 +48,10 @@ _GAUSS = NoiseSpec("gaussian", 1.0)
 # (fraction of n), and per kind the bin-size constant and change size
 _RATE_FA_LEVEL = 0.1
 _RATE_TAU = 0.75
-_RATE_BIN_SCALE = {ChangeKind.JUMP: 2.0, ChangeKind.KINK: 0.35}
+_RATE_BIN_SCALE = (2.0, 0.35)  # _rate_bins' jump and kink constants
 _RATE_MAGNITUDE = {ChangeKind.JUMP: 1.0, ChangeKind.KINK: 4.0}
-# robustness_study censors null runs at this many times the ARL target
-_ROBUSTNESS_CAP_FACTOR = 10
+# the studies censor null runs at this many times the ARL target
+_ARL_CAP_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,7 @@ def rate_check(
     if sorted(n_grid) != list(n_grid):
         raise ValueError("n_grid must be ascending")
     kind = ChangeKind(kind) if not isinstance(kind, ChangeKind) else kind
-    tau, bin_scale, magnitude = _RATE_TAU, _RATE_BIN_SCALE[kind], _RATE_MAGNITUDE[kind]
+    tau, magnitude, jump = _RATE_TAU, _RATE_MAGNITUDE[kind], kind is ChangeKind.JUMP
 
     points: List[RatePoint] = []
     for n in n_grid:
@@ -279,52 +279,23 @@ def rate_check(
         change = math.ceil(tau * n)
         if change <= k + 1:
             raise ValueError(f"tau {tau} leaves no pre-change stretch for n={n}")
-        log_n = math.log(n)
-        if kind is ChangeKind.JUMP:
-            bin_size = max(1, math.ceil(bin_scale * log_n))
-            bins = (bin_size, None)
-            theta = SignalParams(tau, 0.0, magnitude, 0.0, 0.0)
-        else:
-            bin_size = max(1, math.ceil(bin_scale * n ** (2.0 / 3.0) * log_n ** (1.0 / 3.0)))
-            bins = (None, bin_size)
-            theta = SignalParams(tau, 0.0, 0.0, 0.0, magnitude)
+        n_jump, n_kink = _rate_bins(n, *_RATE_BIN_SCALE)
         spec = CalibrationSpec(
-            replications=calib_replications,
-            eta=_RATE_FA_LEVEL,
-            horizon=change - k,
-            k=k,
-            n_jump=bins[0],
-            n_kink=bins[1],
-            noise=_GAUSS,
+            replications=calib_replications, eta=_RATE_FA_LEVEL, horizon=change - k, k=k,
+            n_jump=n_jump if jump else None, n_kink=None if jump else n_kink, noise=_GAUSS,
             master_seed=derive_seed(master_seed, n, 0),
         )
-        cal = calibrate(spec)
-        config = cal.to_config()
-        scenario = Scenario(
-            theta=theta,
-            n=n,
-            k=k,
-            noise=_GAUSS,
-            config=config,
+        config = calibrate(spec).to_config()
+        theta = SignalParams(tau, 0.0, magnitude if jump else 0.0, 0.0, 0.0 if jump else magnitude)
+        report = estimate_metrics(Scenario(theta, n, k, _GAUSS, config, replications,
+                                           derive_seed(master_seed, n, 1)))
+        points.append(RatePoint(
+            n=n, k=k, bin_size=n_jump if jump else n_kink,
+            threshold=config.rho_jump if jump else config.rho_kink, mean_delay=report.edd,
+            n_detected=report.n_detected, n_false_alarm=report.n_false_alarm,
             replications=replications,
-            master_seed=derive_seed(master_seed, n, 1),
-        )
-        report = estimate_metrics(scenario)
-        threshold = config.rho_jump if kind is ChangeKind.JUMP else config.rho_kink
-        insufficient = report.n_detected < max(2, replications // 5)
-        points.append(
-            RatePoint(
-                n=n,
-                k=k,
-                bin_size=bin_size,
-                threshold=threshold,
-                mean_delay=report.edd,
-                n_detected=report.n_detected,
-                n_false_alarm=report.n_false_alarm,
-                replications=replications,
-                insufficient=insufficient,
-            )
-        )
+            insufficient=report.n_detected < max(2, replications // 5),
+        ))
 
     usable = [
         p for p in points
@@ -428,15 +399,10 @@ def robustness_study(
         for df_idx, df in enumerate(df_grid):
             gaussian = df is None or math.isinf(df)
             noise = _GAUSS if gaussian else NoiseSpec("student_t", df=float(df))
-            arl_report = estimate_arl(
-                config,
-                noise,
-                tpl.k,
-                _ROBUSTNESS_CAP_FACTOR * tpl.target_arl,
-                tpl.replications,
-                derive_seed(tpl.master_seed, arm_idx, 1, df_idx),
-                standardize=True,
-            )
+            arl_report = estimate_arl(config, noise, tpl.k, _ARL_CAP_FACTOR * tpl.target_arl,
+                                      tpl.replications,
+                                      derive_seed(tpl.master_seed, arm_idx, 1, df_idx),
+                                      standardize=True)
             edd_report = estimate_metrics(_delay_scenario(
                 jump, kink_per_obs, tpl.k, config, tpl.replications,
                 derive_seed(tpl.master_seed, arm_idx, 2, df_idx),

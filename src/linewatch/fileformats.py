@@ -7,10 +7,16 @@ hand-written file needs none.  Floats are written with ``repr``
 and rerunning a command reproduces output byte for byte.
 
 Key-value files hold one ``key = value`` pair per line; ``#`` starts a
-comment.  Config/calibration keys (units in parentheses):
+comment.  A repeated key is refused at its line, and each reader
+refuses a key it does not know, so that a mistyped threshold cannot
+silently turn its statistic off.  Config/calibration keys (units in
+parentheses):
 
     n_jump, n_kink      bin sizes (observations; 'none' disables)
     rho_jump, rho_kink  thresholds (residual units; 'inf' disables)
+    mode                fa (default) or arl: a spec's target
+    which               jump, kink or both (default): the statistics
+                        a spec calibrates
     k                   historical length (observations)
     horizon             change position or ARL target (monitoring
                         steps, at least 2)
@@ -24,7 +30,9 @@ comment.  Config/calibration keys (units in parentheses):
     noise, sigma, df    noise kind and parameters
     standardize         true/false
 
-A calibration file also records the calibration's outcome:
+A config takes the bin sizes and thresholds, a calibration spec every
+key but the thresholds.  A calibration file also records the
+calibration's outcome, and stays a valid config:
 
     method              single-jump, single-kink or joint, prefixed
                         arl- for an ARL target
@@ -36,33 +44,51 @@ A calibration file also records the calibration's outcome:
                         threshold (probability)
     fa_jump, fa_kink    the same per statistic ('none' if not calibrated)
 
-Scenario files for ``simulate`` additionally carry the signal:
+Scenario files for ``simulate`` carry the noise keys and the signal:
 tau (fraction of horizon), alpha_minus/alpha_plus (signal units at
 tau), beta_minus/beta_plus (signal units per unit fraction), n, seed.
+Its truth sidecar repeats them and adds change_index, the last
+pre-change observation.  A report CSV (``experiment``) holds a row of
+column names, then one row per setting.
 """
 
 from __future__ import annotations
 
 import codecs
 import io
+import math
+import sys
 import unicodedata
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .calibration import CalibrationResult
+from .calibration import CalibrationResult, CalibrationSpec
 from .detector import DetectorConfig, RunResult
 from .engine import batch_stats
 from .errors import FileFormatError
-from .signal import NoiseSpec, SignalParams
+from .signal import NoiseSpec, SignalParams, change_index
 
 FORMAT_VERSION = 1
 # Line breaks of str.splitlines at which a text stream does not split.
 _SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
+# The keys of each key-value file; a reader refuses any other.
+_SIGNAL_KEYS = ("tau", "alpha_minus", "alpha_plus", "beta_minus", "beta_plus")
+_NOISE_KEYS = ("noise", "sigma", "df")
+_SCENARIO_KEYS = frozenset(_SIGNAL_KEYS + ("n", "seed") + _NOISE_KEYS)
+_SPEC_KEYS = frozenset(("mode", "which", "replications", "eta", "horizon", "k", "n_jump",
+                        "n_kink", "master_seed", "standardize") + _NOISE_KEYS)
+# a calibration file drives detect, so a config may hold all it records;
+# maxima_retained is read from calibration files written before it went
+_CONFIG_KEYS = (_SPEC_KEYS - {"mode", "which"}) | {
+    "rho_jump", "rho_kink", "method", "eta_marginal", "empirical_fa", "fa_jump", "fa_kink",
+    "maxima_retained"}
+
 __all__ = [
     "FORMAT_VERSION",
     "bin_size_from_kv",
+    "calibration_spec_from_kv",
     "calibration_to_kv",
     "config_from_kv",
     "format_table",
@@ -71,154 +97,211 @@ __all__ = [
     "read_kv",
     "read_series",
     "scenario_params_from_kv",
+    "truth_to_kv",
     "write_kv",
+    "write_report",
     "write_series",
     "write_trace",
 ]
 
 
-def _header(kind: str) -> str:
-    return f"# linewatch {kind} v{FORMAT_VERSION}"
+def _write(path: str, kind: str, lines: Iterable[str]) -> None:
+    """The one writer: the version header of ``kind``, then ``lines``,
+    each ended by a newline."""
+    with open(path, "w") as fh:
+        fh.write("\n".join([f"# linewatch {kind} v{FORMAT_VERSION}", *lines]) + "\n")
 
 
 def write_kv(path: str, kind: str, mapping: Dict[str, str]) -> None:
-    lines = [_header(kind)]
-    lines += [f"{key} = {value}" for key, value in mapping.items()]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, kind, (f"{key} = {value}" for key, value in mapping.items()))
+
+
+def write_report(path: str, headers: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Report CSV: the column names, then one line per row of cells."""
+    _write(path, "report", [",".join(headers), *(",".join(row) for row in rows)])
+
+
+def _read(path: str, mode: str = "r") -> Union[str, bytes]:
+    """The text (or with mode "rb" the bytes) of a file; an OSError is
+    raised again as a FileFormatError naming ``path``."""
+    try:
+        with open(path, mode) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FileFormatError(str(exc), path=path) from exc
 
 
 def read_kv(path: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
-    try:
-        with open(path) as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise FileFormatError(str(exc), path=path) from exc
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(_read(path).splitlines(), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
         if "=" not in text:
             raise FileFormatError("expected 'key = value'", path=path, line=lineno)
         key, _, value = text.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise FileFormatError(f"repeated key {key!r}", path=path, line=lineno)
+        out[key] = value.strip()
     return out
 
 
-def _kv_float(kv: Dict[str, str], key: str, path: str,
-              default: Optional[float] = None) -> Optional[float]:
+def _bool(raw: str) -> bool:
+    """'true' or 'false', in any case."""
+    if raw.lower() not in ("true", "false"):
+        raise ValueError(raw)
+    return raw.lower() == "true"
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", _bool: "true or false"}
+
+
+def _kv(kv: Dict[str, str], key: str, path: str, kind: Callable[[str], object],
+        default: object = None):
+    """The one typed-key reader: ``kind(kv[key])`` for ``kind`` int,
+    float or ``_bool``, or ``default`` when the key is absent.  A key
+    that is missing without a default, or whose value ``kind`` cannot
+    read, raises a FileFormatError naming the key."""
     if key not in kv:
-        if default is not None:
-            return default
-        raise FileFormatError(f"missing key {key!r}", path=path)
+        if default is None:
+            raise FileFormatError(f"missing key {key!r}", path=path)
+        return default
     try:
-        return float(kv[key])
+        return kind(kv[key])
     except ValueError:
-        raise FileFormatError(f"key {key!r} is not a number: {kv[key]!r}", path=path) from None
+        raise FileFormatError(f"key {key!r} is not {_KIND_NAMES[kind]}: {kv[key]!r}",
+                              path=path) from None
 
 
-def _kv_int(kv: Dict[str, str], key: str, path: str, default: Optional[int] = None) -> Optional[int]:
-    if key not in kv:
-        if default is not None:
-            return default
-        raise FileFormatError(f"missing key {key!r}", path=path)
+def _located(build: Callable, path: str, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError raised again as a
+    FileFormatError naming ``path``."""
     try:
-        return int(kv[key])
-    except ValueError:
-        raise FileFormatError(f"key {key!r} is not an integer: {kv[key]!r}", path=path) from None
-
-
-def bin_size_from_kv(kv: Dict[str, str], key: str, path: str) -> Optional[int]:
-    """A bin size key; absent, 'none', 'off' or '-' disables the statistic."""
-    raw = kv.get(key, "none").lower()
-    if raw in ("none", "off", "-"):
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise FileFormatError(f"key {key!r} is not an integer: {raw!r}", path=path) from None
-
-
-def config_from_kv(kv: Dict[str, str], path: str = "<config>") -> DetectorConfig:
-    """Detector configuration from a config or calibration file."""
-
-    def threshold(key: str) -> float:
-        raw = kv.get(key, "inf")
-        try:
-            return float(raw)
-        except ValueError:
-            raise FileFormatError(f"key {key!r} is not a number: {raw!r}", path=path) from None
-
-    n_jump, n_kink = bin_size_from_kv(kv, "n_jump", path), bin_size_from_kv(kv, "n_kink", path)
-    rho_jump, rho_kink = threshold("rho_jump"), threshold("rho_kink")
-    try:
-        return DetectorConfig(n_jump, n_kink, rho_jump, rho_kink)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise FileFormatError(str(exc), path=path) from exc
 
 
+def _known_keys(kv: Dict[str, str], known: frozenset, path: str) -> None:
+    for key in kv:
+        if key not in known:
+            raise FileFormatError(f"unknown key {key!r}", path=path)
+
+
+def bin_size_from_kv(kv: Dict[str, str], key: str, path: str) -> Optional[int]:
+    """A bin size key; absent, 'none', 'off' or '-' disables the statistic."""
+    if kv.get(key, "none").lower() in ("none", "off", "-"):
+        return None
+    return _kv(kv, key, path, int)
+
+
+def config_from_kv(kv: Dict[str, str], path: str = "<config>") -> DetectorConfig:
+    """Detector configuration from a config or calibration file."""
+    _known_keys(kv, _CONFIG_KEYS, path)
+    return _located(DetectorConfig, path,
+                    bin_size_from_kv(kv, "n_jump", path), bin_size_from_kv(kv, "n_kink", path),
+                    _kv(kv, "rho_jump", path, float, default=math.inf),
+                    _kv(kv, "rho_kink", path, float, default=math.inf))
+
+
 def noise_from_kv(kv: Dict[str, str], path: str = "<spec>") -> NoiseSpec:
     kind = kv.get("noise", "gaussian")
-    if kind == "gaussian":
-        return NoiseSpec("gaussian", sigma=_kv_float(kv, "sigma", path, default=1.0))
     if kind == "student_t":
-        return NoiseSpec("student_t", df=_kv_float(kv, "df", path))
-    raise FileFormatError(f"unknown noise kind {kind!r}", path=path)
+        return _located(NoiseSpec, path, kind, df=_kv(kv, "df", path, float))
+    return _located(NoiseSpec, path, kind, sigma=_kv(kv, "sigma", path, float, default=1.0))
 
 
 def scenario_params_from_kv(
     kv: Dict[str, str], path: str = "<scenario>"
 ) -> Tuple[SignalParams, int, NoiseSpec, int]:
     """(theta, n, noise, seed) for the simulate command."""
-    theta = SignalParams(
-        tau=_kv_float(kv, "tau", path),
-        alpha_minus=_kv_float(kv, "alpha_minus", path),
-        alpha_plus=_kv_float(kv, "alpha_plus", path),
-        beta_minus=_kv_float(kv, "beta_minus", path),
-        beta_plus=_kv_float(kv, "beta_plus", path),
-    )
-    n = _kv_int(kv, "n", path)
-    seed = _kv_int(kv, "seed", path, default=0)
+    _known_keys(kv, _SCENARIO_KEYS, path)
+    theta = _located(SignalParams, path, *(_kv(kv, key, path, float) for key in _SIGNAL_KEYS))
+    n = _kv(kv, "n", path, int)
+    if n < 1:
+        raise FileFormatError(f"key 'n' must be >= 1, got {n}", path=path)
+    seed = _kv(kv, "seed", path, int, default=0)
     if seed < 0:
         raise FileFormatError(f"key 'seed' must be >= 0, got {seed}", path=path)
     return theta, n, noise_from_kv(kv, path), seed
 
 
+def calibration_spec_from_kv(kv: Dict[str, str], path: str = "<spec>") -> CalibrationSpec:
+    """The tuning request of a ``calibrate`` spec file.  A joint spec
+    (which = both) without both bin sizes raises a plain ValueError: the
+    file is well formed, but asks for what cannot be done."""
+    _known_keys(kv, _SPEC_KEYS, path)
+    mode, which = kv.get("mode", "fa"), kv.get("which", "both")
+    if mode not in ("fa", "arl"):
+        raise FileFormatError(f"mode must be fa or arl, got {mode!r}", path=path)
+    if which not in ("jump", "kink", "both"):
+        raise FileFormatError(f"which must be jump, kink or both, got {which!r}", path=path)
+    spec = _located(
+        CalibrationSpec, path,
+        replications=_kv(kv, "replications", path, int, default=1000),
+        eta=(_kv(kv, "eta", path, float) if "eta" in kv
+             else None if mode == "arl" else 0.5),
+        arl=mode == "arl",
+        horizon=_kv(kv, "horizon", path, int),
+        k=_kv(kv, "k", path, int),
+        n_jump=bin_size_from_kv(kv, "n_jump", path) if which != "kink" else None,
+        n_kink=bin_size_from_kv(kv, "n_kink", path) if which != "jump" else None,
+        noise=noise_from_kv(kv, path),
+        master_seed=_kv(kv, "master_seed", path, int, default=0),
+        standardize=_kv(kv, "standardize", path, _bool, default=False),
+    )
+    if which == "both" and (spec.n_jump is None or spec.n_kink is None):
+        raise ValueError("joint calibration needs both statistics enabled")
+    return spec
+
+
+def _opt(value, text: Callable[[object], str] = repr) -> str:
+    """A value that may be None, written as 'none'."""
+    return "none" if value is None else text(value)
+
+
+def _noise_to_kv(noise: NoiseSpec) -> Dict[str, str]:
+    return {"noise": noise.kind, "sigma": repr(noise.sigma), "df": _opt(noise.df)}
+
+
 def calibration_to_kv(result: CalibrationResult) -> Dict[str, str]:
     spec = result.spec
-
-    def opt(v) -> str:
-        return "none" if v is None else repr(v)
-
     return {
         "method": result.method,
-        "n_jump": "none" if spec.n_jump is None else str(spec.n_jump),
-        "n_kink": "none" if spec.n_kink is None else str(spec.n_kink),
+        "n_jump": _opt(spec.n_jump, str),
+        "n_kink": _opt(spec.n_kink, str),
         "rho_jump": repr(result.rho_jump),
         "rho_kink": repr(result.rho_kink),
         "eta": repr(spec.level),
         "eta_marginal": repr(result.eta_marginal),
         "empirical_fa": repr(result.empirical_fa),
-        "fa_jump": opt(result.fa_jump),
-        "fa_kink": opt(result.fa_kink),
+        "fa_jump": _opt(result.fa_jump),
+        "fa_kink": _opt(result.fa_kink),
         "k": str(spec.k),
         "horizon": str(spec.horizon),
         "replications": str(spec.replications),
         "master_seed": str(spec.master_seed),
-        "noise": spec.noise.kind,
-        "sigma": repr(spec.noise.sigma),
-        "df": "none" if spec.noise.df is None else repr(spec.noise.df),
+        **_noise_to_kv(spec.noise),
         "standardize": str(spec.standardize).lower(),
+    }
+
+
+def truth_to_kv(theta: SignalParams, n: int, noise: NoiseSpec, seed: int) -> Dict[str, str]:
+    """The truth sidecar of ``simulate``: the scenario and its change index."""
+    return {
+        **{key: repr(getattr(theta, key)) for key in _SIGNAL_KEYS},
+        "n": str(n),
+        "change_index": str(change_index(theta, n)),
+        **_noise_to_kv(noise),
+        "seed": str(seed),
     }
 
 
 def write_series(path: str, values: Sequence[float]) -> None:
     """(index, value) CSV, indices from 1, with full-precision decimals."""
-    lines = [_header("data"), "index,value"]
-    lines += [f"{i},{repr(float(v))}" for i, v in enumerate(values, 1)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "data",
+           ["index,value", *(f"{i},{float(v)!r}" for i, v in enumerate(values, 1))])
 
 
 def _is_number(token: str) -> bool:
@@ -230,18 +313,17 @@ def _is_number(token: str) -> bool:
 
 
 def read_series(path: str) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Values (and times, for two-column files) from a data CSV.
+    """Values (and times, for two-column files) from a data CSV, or with
+    ``path`` "-" from standard input, decoded as the stream decodes.
 
     Accepts a single column of values or (time, value) pairs, with an
     optional header row and ``#`` comments.  Malformed rows raise
     FileFormatError with the offending line number.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise FileFormatError(str(exc), path=path) from exc
-    return parse_series(raw, path)
+    if path == "-":
+        return parse_series(sys.stdin.buffer.read(), "<stdin>", sys.stdin.encoding,
+                            sys.stdin.errors)
+    return parse_series(_read(path, "rb"), path)
 
 
 def parse_series(raw: Union[str, bytes], path: str = "<data>", encoding: Optional[str] = None,
@@ -345,14 +427,12 @@ def write_trace(path: str, series: np.ndarray, result: RunResult) -> None:
     if event is not None:
         alarm[-1] = "1," + str(event.kind)
     rho = f"{config.rho_jump!r},{config.rho_kink!r}"
-    lines = [_header("trace"),
-             "index,observation,residual,j_stat,k_stat,rho_jump,rho_kink,alarm,kind"]
+    lines = ["index,observation,residual,j_stat,k_stat,rho_jump,rho_kink,alarm,kind"]
     # a float's str is its shortest round-trip repr
     lines += [f"{index},{x},{resid},{j},{kk},{rho},{flag}" for index, x, resid, j, kk, flag
               in zip(range(k + 1, k + stop + 1), series[k:k + stop].tolist(),
                      result.residuals[:stop].tolist(), *stats, alarm)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "trace", lines)
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -20,6 +20,7 @@ from .detector import DetectorConfig
 from .experiments import (
     RobustnessTemplate,
     Scenario,
+    _ARL_CAP_FACTOR,
     _GAUSS,
     _delay_scenario,
     derive_seed,
@@ -104,8 +105,8 @@ def _mode_rows(
             config = cal.to_config()
             seed = derive_seed(master_seed, _MODE_ID[mode], row_idx)
             if arl:
-                value = _fmt(estimate_arl(config, _GAUSS, k, 10 * horizon, replications,
-                                          derive_seed(seed, 4)).arl, 6)
+                value = _fmt(estimate_arl(config, _GAUSS, k, _ARL_CAP_FACTOR * horizon,
+                                          replications, derive_seed(seed, 4)).arl, 6)
             else:
                 value = _fmt(estimate_metrics(_fa_scenario(
                     k, horizon, config, replications, derive_seed(seed, 3))).fa_prob, 2)

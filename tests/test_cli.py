@@ -16,7 +16,13 @@ from linewatch import (
     run,
 )
 from linewatch.cli import main
-from linewatch.fileformats import read_kv, read_series, write_kv, write_series
+from linewatch.fileformats import (
+    read_kv,
+    read_series,
+    scenario_params_from_kv,
+    write_kv,
+    write_series,
+)
 
 from oracles import step_run
 
@@ -203,6 +209,47 @@ def test_simulate_refuses_a_negative_seed_naming_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, message", [
+    ({"tau": "1.5"}, "tau must lie in (0, 1), got 1.5"),
+    ({"alpha_plus": "nan"}, "alpha_plus must be finite, got nan"),
+    ({"noise": "student_t", "df": "-1"}, "student_t noise needs finite df > 0, got -1.0"),
+    ({"sigma": "-1"}, "sigma must be finite and >= 0, got -1.0"),
+    ({"n": "0"}, "key 'n' must be >= 1, got 0"),
+    ({"sigmma": "2"}, "unknown key 'sigmma'"),
+], ids=["tau", "alpha-nan", "df-negative", "sigma-negative", "n-0", "unknown-key"])
+def test_bad_scenario_names_its_path_once(tmp_path, capsys, scenario, message):
+    scen = _write_scenario(tmp_path, **scenario)
+    out = tmp_path / "d.csv"
+    code = main(["simulate", "--scenario", scen, "--out", str(out)])
+    assert capsys.readouterr().err == f"error: {scen}: {message}\n"
+    assert code == 3
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_repeated_key_naming_its_line(tmp_path, capsys):
+    scen = _write_scenario(tmp_path)
+    with open(scen, "a") as fh:  # header and nine keys fill lines 1 to 10
+        fh.write("seed = 7\n")
+    out = tmp_path / "d.csv"
+    code = main(["simulate", "--scenario", scen, "--out", str(out)])
+    assert capsys.readouterr().err == f"error: {scen}: line 11: repeated key 'seed'\n"
+    assert code == 3
+    assert not out.exists()
+
+
+def test_truth_sidecar_reads_back_as_its_scenario(tmp_path, capsys):
+    for noise in ({"noise": "gaussian", "sigma": "0.5"}, {"noise": "student_t", "df": "3"}):
+        data = str(tmp_path / "d.csv")
+        scen = _write_scenario(tmp_path, **noise)
+        assert main(["simulate", "--scenario", scen, "--out", data]) == 0
+        truth = read_kv(data + ".truth")
+        change = truth.pop("change_index")
+        theta, n, noise_spec, seed = scenario_params_from_kv(truth)
+        assert scenario_params_from_kv(read_kv(scen)) == (theta, n, noise_spec, seed)
+        assert change == str(change_index(theta, n))
+    capsys.readouterr()
+
+
 def test_simulated_jumps_alarm_after_truth_index():
     # jump of two sigma shortly after the history: detection lands at or
     # after the change in nearly every replication
@@ -372,6 +419,42 @@ def test_bad_detect_config_names_its_path_once(tmp_path, capsys, key, value, mes
     code = main(["detect", "--input", data, "--config", cfg, "--k", "5"])
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
     assert code == 3
+
+
+def test_a_mistyped_threshold_key_is_refused_not_turned_off(tmp_path, capsys):
+    # rho_jmup used to leave rho_jump at inf, and a repeated rho_jump
+    # took the last line: both ran to exit 0 with the jump statistic
+    # other than the file meant
+    data = str(tmp_path / "jump.csv")
+    main(["simulate", "--scenario", _write_scenario(tmp_path), "--out", data])
+    capsys.readouterr()
+    cfg = _write_config(tmp_path, n_kink="none", rho_kink="inf")
+    assert main(["detect", "--input", data, "--config", cfg, "--k", "500"]) == 0
+    assert "kind: jump" in capsys.readouterr().out
+    typo = tmp_path / "typo.txt"
+    typo.write_text("n_jump = 2\nrho_jmup = 1.5\n")
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("n_jump = 2\nrho_jump = 1.5\nrho_jump = 90\n")
+    for path, message in ((typo, "unknown key 'rho_jmup'"),
+                          (repeated, "line 3: repeated key 'rho_jump'")):
+        code = main(["detect", "--input", data, "--config", str(path), "--k", "500"])
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n"
+        assert code == 3
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"rho_jump": "0.5"}, "unknown key 'rho_jump'"),
+    ({"replication": "50"}, "unknown key 'replication'"),
+], ids=["threshold", "typo"])
+def test_calibrate_spec_refuses_an_unknown_key(tmp_path, capsys, spec, message):
+    spec_path = _write_spec(tmp_path, **spec)
+    out_path = tmp_path / "cal.txt"
+    code = main(["calibrate", "--spec", spec_path, "--out", str(out_path)])
+    assert capsys.readouterr().err == f"error: {spec_path}: {message}\n"
+    assert code == 3
+    assert not out_path.exists()
 
 
 def test_exit_code_3_on_parse_errors(tmp_path, capsys):

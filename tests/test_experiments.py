@@ -18,8 +18,10 @@ from linewatch import (
     rate_check,
     robustness_study,
     simulate_null_maxima,
+    theorem_scale_config,
 )
-from linewatch import calibration, tables
+from linewatch import calibration, experiments, tables
+from linewatch.detector import _rate_bins
 from linewatch.engine import first_alarms
 from linewatch.experiments import Z95, derive_seed
 from linewatch.signal import eval_signal_array
@@ -241,6 +243,24 @@ def test_wrong_kind_counts_first_alarm_kinds(jump, kink_per_obs, code):
     rep = estimate_metrics(sc)
     assert rep.n_detected == post.sum()
     assert rep.n_wrong_kind == (kind[post] != code).sum()
+
+
+def test_rate_bins_give_rate_checks_bins_and_the_theorem_presets():
+    # rate_check's bins on the rates grid, from its own former formulas
+    # max(1, ceil(2 log n)) and max(1, ceil(0.35 n^(2/3) log(n)^(1/3)))
+    want = {1024: (14, 68), 2048: (16, 112), 4096: (17, 182), 8192: (19, 296),
+            16384: (20, 482), 32768: (21, 783), 65536: (23, 1269)}
+    assert tables._RATES_GRID == tuple(want)
+    for n, bins in want.items():
+        assert _rate_bins(n, *experiments._RATE_BIN_SCALE) == bins
+    config = theorem_scale_config(1e6, 1.0)
+    assert (config.n_jump, config.n_kink) == (6908, 160632)
+    for c in (0.25, 0.3, 0.5, 0.75, 0.9, 1.0):
+        for n in (2, 17, 1000, 99_999, 1e5, 3e5, 1e6, 1e7):
+            config = theorem_scale_config(n, c)
+            assert config.n_jump == math.ceil(1e3 * math.log(n) / (2.0 * c * c))
+            assert config.n_kink == math.ceil(
+                (300.0 / (c * c)) ** (1.0 / 3.0) * n ** (2.0 / 3.0) * math.log(n) ** (1.0 / 3.0))
 
 
 def test_rate_check_smoke_and_validation():

@@ -1,5 +1,7 @@
+import io
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -12,6 +14,7 @@ from linewatch import fileformats
 from linewatch.errors import FileFormatError
 from linewatch.fileformats import (
     _parse_rows,
+    calibration_spec_from_kv,
     calibration_to_kv,
     config_from_kv,
     format_table,
@@ -20,6 +23,7 @@ from linewatch.fileformats import (
     read_series,
     scenario_params_from_kv,
     write_kv,
+    write_report,
     write_series,
 )
 
@@ -38,6 +42,26 @@ def test_kv_malformed_line_reports_number(tmp_path):
     with pytest.raises(FileFormatError) as err:
         read_kv(path)
     assert err.value.line == 3
+
+
+def test_kv_repeated_key_reports_its_line(tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text("n_jump = 10\n\n# note\nn_jump = 12\n")
+    with pytest.raises(FileFormatError) as err:
+        read_kv(str(path))
+    assert err.value.line == 4
+    assert str(err.value) == f"{path}: line 4: repeated key 'n_jump'"
+
+
+@pytest.mark.parametrize("reader, kv, key", [
+    (config_from_kv, {"n_jump": "5", "rho_jmup": "1"}, "rho_jmup"),
+    (scenario_params_from_kv, {"tau": "0.5", "rho_jump": "1"}, "rho_jump"),
+    (calibration_spec_from_kv, {"k": "20", "change_index": "3"}, "change_index"),
+], ids=["config", "scenario", "spec"])
+def test_readers_refuse_a_key_they_do_not_know(reader, kv, key):
+    with pytest.raises(FileFormatError) as err:
+        reader(kv, "f.kv")
+    assert str(err.value) == f"f.kv: unknown key {key!r}"
 
 
 def test_config_from_kv_defaults_and_disable():
@@ -170,6 +194,23 @@ def test_read_series_reads_a_pipe_once():
     finally:
         os.close(read_end)
     assert values.tolist() == [1.5, 2.5] and times is None
+
+
+def test_read_series_reads_standard_input_for_a_dash(monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"time,value\n1,2.5\n2,oops\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    with pytest.raises(FileFormatError) as err:
+        read_series("-")
+    assert str(err.value) == "<stdin>: line 3: malformed row '2,oops'"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1,2.5\n2,3.5\n")))
+    values, times = read_series("-")
+    assert values.tolist() == [2.5, 3.5] and times.tolist() == [1.0, 2.0]
+
+
+def test_write_report_writes_its_header_then_one_line_per_row(tmp_path):
+    path = tmp_path / "report.csv"
+    write_report(str(path), ["mode", "N"], [["jump", "10"], ["both", "-"]])
+    assert path.read_text() == "# linewatch report v1\nmode,N\njump,10\nboth,-\n"
 
 
 @settings(max_examples=300, deadline=None)
