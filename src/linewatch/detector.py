@@ -21,6 +21,10 @@ order; ``step`` folds in one value in pure Python, ``extend`` a block on
 the batch kernel, bit for bit alike.  ``run`` extends a fresh state by a
 recorded series; ``multi_bin_run`` is a ``run`` at its first scale, whose
 residuals it folds into a fresh state for each further scale.
+
+``save_state`` writes a state as one fixed-size record, laid out by the
+one table ``_SNAP_FIELDS``; ``load_state`` accepts a record only if
+``save_state`` writes it back unchanged, byte for byte.
 """
 
 from __future__ import annotations
@@ -202,15 +206,16 @@ class DetectorState:
             start[0] = dataclasses.replace(bins)  # the bins the segment starts from
             return resid[None, t0:t0 + length]
 
-        (step,), (code,), (stat,) = segment_alarms(1, resid.size, config, segment, bins)
+        (step,), (code,) = segment_alarms(1, resid.size, config, segment, bins)
         event = None
         if code:  # the kernel's bins run to the end of the segment: replay up to the alarm
             bins = start[0]
-            batch_stats(resid[None, bins.t - self.t:step], config.n_jump, config.n_kink, bins)
+            stats = batch_stats(resid[None, bins.t - self.t:step], config.n_jump,
+                                config.n_kink, bins)
             kind, rho = ((ChangeKind.JUMP, config.rho_jump) if code == 1
                          else (ChangeKind.KINK, config.rho_kink))
             event = self.stopped = DetectionEvent(self.absolute_offset + bins.t, kind,
-                                                  float(stat), rho)
+                                                  abs(float(stats[code - 1][0, -1])), rho)
         self.t = bins.t
         self.jump, self.kink = (None if b is None else b[0].tolist()
                                 for b in (bins.jump, bins.kink))
@@ -342,135 +347,113 @@ def _rate_bins(n: float, jump_scale: float, kink_scale: float) -> Tuple[int, int
             max(1, math.ceil(kink_scale * n ** (2.0 / 3.0) * log_n ** (1.0 / 3.0))))
 
 
-# Snapshot format: fixed-size little-endian record so the serialized
-# size of a state is a constant independent of how many observations
-# it has absorbed, and floats round-trip bit-exactly.
+# Snapshot format (version LWSNAP01): one fixed-size little-endian
+# record, so the serialized size of a state is a constant independent of
+# how many observations it has absorbed, and floats round-trip
+# bit-exactly.  The table is the layout: (struct code, field name) in
+# record order.
 _SNAP_MAGIC = b"LWSNAP01"
-_SNAP_FMT = (
-    "<8s"  # magic
-    "qq"  # n_jump, n_kink (-1 = disabled)
-    "dd"  # rho_jump, rho_kink
-    "Bq"  # reserved time kind and unit: always zero (lines are fitted on indices)
-    "Bq"  # prechange kind (0 fit, 1 known), fit k
-    "dddddddd"  # alpha, beta, mean_t, mean_x, s_tt, s_tx, s_xx, resid_sd
-    "qq"  # t, absolute_offset
-    "Bqdd"  # stopped flag, event time, stat_value, threshold
-    "B"  # event kind (0 jump, 1 kink)
-    "qdddddd"  # jump bins: r = t mod N, s1, s2, s3, three zeros
-    "qdddddd"  # kink bins: r = t mod N, s1, s2, s3, w1, w2, w3
+_FIT_FIELDS = ("fit k", "alpha", "beta", "mean_t", "mean_x", "s_tt", "s_tx", "s_xx",
+               "resid_sd")
+_BIN_FIELDS = {stat: (f"{stat} bin position r",  # r = t mod N
+                      *(f"{stat} {slot}" for slot in ("s1", "s2", "s3", "w1", "w2", "w3")))
+               for stat in ("jump", "kink")}  # the jump bins leave w1..w3 at 0
+_SNAP_FIELDS = (
+    ("8s", "magic"),
+    ("q", "n_jump"), ("q", "n_kink"),  # -1 = disabled
+    ("d", "rho_jump"), ("d", "rho_kink"),
+    ("B", "time kind"), ("q", "time unit"),  # reserved: lines are fitted on indices
+    ("B", "prechange kind"),  # 0 fit, 1 known (alpha and beta only)
+    *zip("qdddddddd", _FIT_FIELDS),
+    ("q", "clock t"), ("q", "absolute offset"),
+    ("B", "stopped flag"), ("q", "event time"), ("d", "event stat"), ("d", "event threshold"),
+    ("B", "event kind"),  # 0 jump, 1 kink
+    *zip("qdddddd", _BIN_FIELDS["jump"]), *zip("qdddddd", _BIN_FIELDS["kink"]),
 )
+_SNAP_FMT = "<" + "".join(code for code, _ in _SNAP_FIELDS)
 SNAPSHOT_SIZE = struct.calcsize(_SNAP_FMT)
+_SNAP_NAMES = tuple(name for _, name in _SNAP_FIELDS)
+_SNAP_ZEROS = dict.fromkeys(_SNAP_NAMES, 0)  # what save_state writes in a field it does not set
 
 
 def save_state(state: DetectorState) -> bytes:
     """Serialize to the fixed-size binary snapshot (version LWSNAP01)."""
-    cfg = state.config
-    pc = state.prechange
-    if isinstance(pc, PrechangeFit):
-        pc_kind = 0
-        pc_vals = (pc.k, pc.alpha_hat, pc.beta_hat, pc.mean_t, pc.mean_x,
-                   pc.s_tt, pc.s_tx, pc.s_xx, pc.resid_sd)
+    cfg, line, event = state.config, state.prechange, state.stopped
+    fields = _SNAP_ZEROS.copy()
+    fields.update({
+        "magic": _SNAP_MAGIC,
+        "n_jump": -1 if cfg.n_jump is None else cfg.n_jump,
+        "n_kink": -1 if cfg.n_kink is None else cfg.n_kink,
+        "rho_jump": cfg.rho_jump, "rho_kink": cfg.rho_kink,
+        "clock t": state.t, "absolute offset": state.absolute_offset,
+    })
+    if isinstance(line, PrechangeFit):
+        fields.update(zip(_FIT_FIELDS, (line.k, line.alpha_hat, line.beta_hat, line.mean_t,
+                                        line.mean_x, line.s_tt, line.s_tx, line.s_xx,
+                                        line.resid_sd)))
     else:
-        pc_kind = 1
-        pc_vals = (0, pc.alpha, pc.beta, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    ev = state.stopped
-    event = ((1, ev.time, ev.stat_value, ev.threshold, int(ev.kind is ChangeKind.KINK))
-             if ev else (0, 0, 0.0, 0.0, 0))
-
-    def bin_vals(bins: Optional[List[float]], n: Optional[int]):
-        if bins is None:
-            return (0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return (state.t % n, *bins, *[0.0] * (6 - len(bins)))
-
-    return struct.pack(
-        _SNAP_FMT,
-        _SNAP_MAGIC,
-        -1 if cfg.n_jump is None else cfg.n_jump,
-        -1 if cfg.n_kink is None else cfg.n_kink,
-        cfg.rho_jump,
-        cfg.rho_kink,
-        0,
-        0,
-        pc_kind,
-        *pc_vals,
-        state.t,
-        state.absolute_offset,
-        *event,
-        *bin_vals(state.jump, cfg.n_jump),
-        *bin_vals(state.kink, cfg.n_kink),
-    )
-
-
-def _check_zeros(name: str, values: Sequence[float]) -> None:
-    """Reject a field that ``save_state`` writes as zeros (+0.0 for a
-    float) but that holds anything else, so that every snapshot
-    ``load_state`` accepts saves back to the same bytes."""
-    if any(v != 0 or math.copysign(1.0, v) < 0 for v in values):
-        raise ValueError(f"corrupt snapshot: {name} {tuple(values)} must be zero")
+        fields.update({"prechange kind": 1, "alpha": line.alpha, "beta": line.beta})
+    if event is not None:
+        fields.update({"stopped flag": 1, "event time": event.time,
+                       "event stat": event.stat_value, "event threshold": event.threshold,
+                       "event kind": int(event.kind is ChangeKind.KINK)})
+    for stat, bins, n in (("jump", state.jump, cfg.n_jump), ("kink", state.kink, cfg.n_kink)):
+        if bins is not None:
+            fields.update(zip(_BIN_FIELDS[stat], (state.t % n, *bins)))
+    return struct.pack(_SNAP_FMT, *fields.values())
 
 
 def load_state(blob: bytes) -> DetectorState:
     """Rebuild a DetectorState from ``save_state`` output.
 
-    Raises ValueError naming the first field that no state of this
-    configuration can hold, or that ``save_state`` would not write back
-    as it stands.
+    A snapshot is accepted only if ``save_state`` writes it back
+    unchanged, byte for byte.  Beyond that, the clock must not be
+    negative, a stopped detector's event must fall at offset + t, and
+    the bins, thresholds and a known line must pass the checks of
+    ``DetectorConfig`` and ``KnownPrechange``.  Raises ValueError naming
+    the first field that fails.
     """
     if len(blob) != SNAPSHOT_SIZE:
         raise ValueError(f"snapshot must be {SNAPSHOT_SIZE} bytes, got {len(blob)}")
-    fields = struct.unpack(_SNAP_FMT, blob)
-    if fields[0] != _SNAP_MAGIC:
+    fields = dict(zip(_SNAP_NAMES, struct.unpack(_SNAP_FMT, blob)))
+    if fields["magic"] != _SNAP_MAGIC:
         raise ValueError("bad snapshot magic; not a detector snapshot")
-    (_, nj, nk, rho_j, rho_k, ts_kind, ts_n, pc_kind, pc_k,
-     alpha, beta, mean_t, mean_x, s_tt, s_tx, s_xx, resid_sd,
-     t, offset, stopped, ev_time, ev_stat, ev_rho, ev_kind) = fields[:24]
-    jump_raw = fields[24:31]
-    kink_raw = fields[31:38]
-    _check_zeros("reserved time kind and time unit", (ts_kind, ts_n))
-    if pc_kind not in (0, 1):
-        raise ValueError(f"corrupt snapshot: prechange kind {pc_kind} is not 0 or 1")
+    t, offset = fields["clock t"], fields["absolute offset"]
     if t < 0:
         raise ValueError(f"corrupt snapshot: clock t = {t} is negative")
-    if stopped not in (0, 1):
-        raise ValueError(f"corrupt snapshot: stopped flag {stopped} is not 0 or 1")
-    if ev_kind not in (0, 1):
-        raise ValueError(f"corrupt snapshot: event kind {ev_kind} is not 0 or 1")
-    if not stopped:
-        _check_zeros("event fields of a running detector", (ev_time, ev_stat, ev_rho, ev_kind))
-    if pc_kind == 0:
-        pc: Union[PrechangeFit, KnownPrechange] = PrechangeFit(
-            alpha_hat=alpha, beta_hat=beta, k=pc_k,
-            mean_t=mean_t, mean_x=mean_x, s_tt=s_tt, s_tx=s_tx, s_xx=s_xx,
-            resid_sd=resid_sd,
-        )
+    bins = [None if fields[name] == -1 else fields[name] for name in ("n_jump", "n_kink")]
+    rho = fields["rho_jump"], fields["rho_kink"]
+    try:
+        config = DetectorConfig(*bins, *rho)
+    except ValueError as err:
+        raise ValueError(f"corrupt snapshot: n_jump, n_kink, rho_jump, rho_kink "
+                         f"{(*bins, *rho)}: {err}") from None
+    if fields["prechange kind"] == 0:
+        line: Union[PrechangeFit, KnownPrechange] = PrechangeFit(
+            *(fields[name] for name in ("alpha", "beta", "fit k", *_FIT_FIELDS[3:])))
     else:
-        _check_zeros("known line k and moments",
-                     (pc_k, mean_t, mean_x, s_tt, s_tx, s_xx, resid_sd))
-        pc = KnownPrechange(alpha=alpha, beta=beta)
-    config = DetectorConfig(  # -1 is off; other values below 1 fail here
-        None if nj == -1 else nj, None if nk == -1 else nk, rho_j, rho_k
-    )
-    state = DetectorState(config, pc, absolute_offset=offset)
+        line = KnownPrechange(fields["alpha"], fields["beta"])
+    state = DetectorState(config, line, absolute_offset=offset)
     state.t = t
-    for name, raw, n in (("jump", jump_raw, config.n_jump), ("kink", kink_raw, config.n_kink)):
-        if n is None:
-            _check_zeros(f"{name} bins of a disabled statistic", raw)
-        elif raw[0] != t % n:
-            raise ValueError(
-                f"corrupt snapshot: {name} bin position r = {raw[0]} is not t mod N = {t % n}"
-            )
-    _check_zeros("jump bin w slots", jump_raw[4:])
-    state.jump = None if state.jump is None else list(jump_raw[1:4])
-    state.kink = None if state.kink is None else list(kink_raw[1:])
-    if stopped:
-        if ev_time != offset + t:
-            raise ValueError(
-                f"corrupt snapshot: event time {ev_time} is not offset + t = {offset + t}"
-            )
+    if state.jump is not None:
+        state.jump = [fields[name] for name in _BIN_FIELDS["jump"][1:4]]
+    if state.kink is not None:
+        state.kink = [fields[name] for name in _BIN_FIELDS["kink"][1:]]
+    if fields["stopped flag"]:
+        if fields["event time"] != offset + t:
+            raise ValueError(f"corrupt snapshot: event time {fields['event time']} is not "
+                             f"absolute offset + clock t = {offset + t}")
         state.stopped = DetectionEvent(
-            time=ev_time,
-            kind=ChangeKind.KINK if ev_kind else ChangeKind.JUMP,
-            stat_value=ev_stat,
-            threshold=ev_rho,
-        )
+            fields["event time"], ChangeKind.KINK if fields["event kind"] else ChangeKind.JUMP,
+            fields["event stat"], fields["event threshold"])
+    saved = save_state(state)
+    if saved != blob:  # name the first field whose bytes differ
+        start = 0
+        for code, name in _SNAP_FIELDS:
+            end = start + struct.calcsize("<" + code)
+            if blob[start:end] != saved[start:end]:
+                written = struct.unpack_from("<" + code, saved, start)[0]
+                raise ValueError(f"corrupt snapshot: {name} {fields[name]!r} is not written "
+                                 f"back (save_state writes {written!r})")
+            start = end
     return state

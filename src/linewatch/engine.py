@@ -409,26 +409,20 @@ def segment_alarms(
     config: DetectorConfig,
     residuals: Callable[[int, int, np.ndarray], np.ndarray],
     bins: Optional[BatchBins] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(alarm step, kind, |statistic| at the alarm, NaN if none) per row
-    of ``rows`` streams of T steps, as ``batch_alarms`` gives on their
-    full-horizon statistics.  ``residuals`` is as for ``_segments``;
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(alarm step, kind) per row of ``rows`` streams of T steps, as
+    ``batch_alarms`` gives on their full-horizon statistics.  ``residuals`` is as for ``_segments``;
     a row leaves the loop at its first alarm, so later segments ask
     only for the rows not yet alarmed.  The rows start from the carried
     ``bins`` (advanced in place, as ``batch_stats`` advances them, and
     left with the rows not alarmed), or fresh without them."""
     alarm = np.full(rows, T + 1, dtype=np.int64)
     kind = np.zeros(rows, dtype=np.int8)
-    value = np.full(rows, np.nan)
     bins = BatchBins() if bins is None else bins
 
     def visit(t0, resid, active):
         j, kk = batch_stats(resid, config.n_jump, config.n_kink, bins)
         step, code = batch_alarms(j, kk, config.rho_jump, config.rho_kink)
-        for crossed, stat in ((1, j), (2, kk)):
-            at = np.flatnonzero(code == crossed)
-            if at.size:
-                value[active[at]] = np.abs(stat[at, step[at] - 1])
         hit = step <= resid.shape[1]
         alarm[active[hit]] = t0 + step[hit]
         kind[active[hit]] = code[hit]
@@ -436,7 +430,7 @@ def segment_alarms(
         return active[~hit]
 
     _segments(rows, T, residuals, visit)
-    return alarm, kind, value
+    return alarm, kind
 
 
 def segment_maxima(rows: int, T: int, pairs: Sequence[Tuple[Optional[int], Optional[int]]],
@@ -534,7 +528,7 @@ def first_alarms(
     their full-horizon statistics: ``replicate`` with the first-crossing
     reduction, so each row stops drawing and monitoring at its first
     alarm."""
-    alarm, kind, _ = replicate(
+    alarm, kind = replicate(
         noise, master_seed, replications, k, total,
         lambda rows, residuals: segment_alarms(rows, total - k, config, residuals),
         signal, standardize_first)

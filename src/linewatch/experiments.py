@@ -44,9 +44,11 @@ __all__ = [
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _GAUSS = NoiseSpec("gaussian", 1.0)
-# rate_check's design: false-alarm level per horizon, change location
-# (fraction of n), and per kind the bin-size constant and change size
+# rate_check's design: false-alarm level per horizon, history and
+# change location (fractions of n), and per kind the bin-size constant
+# and change size
 _RATE_FA_LEVEL = 0.1
+_RATE_HISTORY = 0.5
 _RATE_TAU = 0.75
 _RATE_BIN_SCALE = (2.0, 0.35)  # _rate_bins' jump and kink constants
 _RATE_MAGNITUDE = {ChangeKind.JUMP: 1.0, ChangeKind.KINK: 4.0}
@@ -240,14 +242,12 @@ class RateReport:
     """
 
     kind: ChangeKind
-    c: float
     points: Tuple[RatePoint, ...]
     slope: Optional[float]
     delay_over_log: Tuple[Optional[float], ...]
 
 
 def rate_check(
-    c: float,
     n_grid: Sequence[int],
     kind: Union[str, ChangeKind],
     replications: int,
@@ -262,7 +262,7 @@ def rate_check(
     with desk-scale constants (the theoretical constants exceed any
     tractable stream length).  Thresholds are Monte Carlo calibrated
     per horizon to a false-alarm level of 0.1 on the pre-change stretch,
-    the history is k = ceil(c * n), and the change (a jump of 1, or a
+    the history is k = ceil(n / 2), and the change (a jump of 1, or a
     slope change of 4 per unit fraction of n, 4/n per observation) sits
     at 3n/4.
     """
@@ -275,7 +275,7 @@ def rate_check(
 
     points: List[RatePoint] = []
     for n in n_grid:
-        k = math.ceil(c * n)
+        k = math.ceil(_RATE_HISTORY * n)
         change = math.ceil(tau * n)
         if change <= k + 1:
             raise ValueError(f"tau {tau} leaves no pre-change stretch for n={n}")
@@ -313,7 +313,7 @@ def rate_check(
         for p in points
     )
     return RateReport(
-        kind=kind, c=c, points=tuple(points), slope=slope,
+        kind=kind, points=tuple(points), slope=slope,
         delay_over_log=delay_over_log,
     )
 

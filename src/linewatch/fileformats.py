@@ -27,7 +27,11 @@ parentheses):
     replications        Monte Carlo sample size
     master_seed         integer seed (>= 0); block b of B replication
                         rows draws its stream (B, b) (``signal._stream``)
-    noise, sigma, df    noise kind and parameters
+    noise               gaussian (default) or student_t
+    sigma               scale of gaussian noise (default 1.0); a
+                        student_t file may give only 1.0
+    df                  degrees of freedom of student_t noise; a
+                        gaussian file may give only 'none'
     standardize         true/false
 
 A config takes the bin sizes and thresholds, a calibration spec every
@@ -206,9 +210,17 @@ def config_from_kv(kv: Dict[str, str], path: str = "<config>") -> DetectorConfig
 
 
 def noise_from_kv(kv: Dict[str, str], path: str = "<spec>") -> NoiseSpec:
+    """Noise of a scenario or spec; the key of the other kind is refused
+    unless it holds what ``NoiseSpec`` gives it (sigma 1.0, df none)."""
     kind = kv.get("noise", "gaussian")
     if kind == "student_t":
+        if _kv(kv, "sigma", path, float, default=1.0) != 1.0:
+            raise FileFormatError(f"key 'sigma' is for gaussian noise; student_t noise takes "
+                                  f"only 1.0, got {kv['sigma']!r}", path=path)
         return _located(NoiseSpec, path, kind, df=_kv(kv, "df", path, float))
+    if kv.get("df", "none").lower() != "none":
+        raise FileFormatError(f"key 'df' is for student_t noise; {kind} noise takes only "
+                              f"'none', got {kv['df']!r}", path=path)
     return _located(NoiseSpec, path, kind, sigma=_kv(kv, "sigma", path, float, default=1.0))
 
 

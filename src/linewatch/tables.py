@@ -179,7 +179,7 @@ def rates_table(
                "delay/log(n)", "detected", "slope"]
     rows: List[List[str]] = []
     for kind in ("jump", "kink"):
-        rep = rate_check(0.5, _RATES_GRID, kind, replications,
+        rep = rate_check(_RATES_GRID, kind, replications,
                          derive_seed(master_seed, _MODE_ID[kind]), calib_replications)
         for point, ratio in zip(rep.points, rep.delay_over_log):
             rows.append([

@@ -304,9 +304,9 @@ def test_07_type_discrimination():
 
 def test_08_phase_transition_rates():
     grid = [2**p for p in range(10, 17)]
-    kink = rate_check(0.5, grid, "kink", replications=200, master_seed=5150)
+    kink = rate_check(grid, "kink", replications=200, master_seed=5150)
     slope_ok = kink.slope is not None and 0.5 <= kink.slope <= 0.85
-    jump = rate_check(0.5, grid, "jump", replications=200, master_seed=5150)
+    jump = rate_check(grid, "jump", replications=200, master_seed=5150)
     ratios = [r for r in jump.delay_over_log if r is not None]
     spread = max(ratios) / min(ratios) if len(ratios) == len(grid) else math.inf
     jump_ok = spread < 2.0

@@ -457,6 +457,36 @@ def test_calibrate_spec_refuses_an_unknown_key(tmp_path, capsys, spec, message):
     assert not out_path.exists()
 
 
+_SIGMA_OF_T = "key 'sigma' is for gaussian noise; student_t noise takes only 1.0, got '50.0'"
+_DF_OF_GAUSSIAN = "key 'df' is for student_t noise; gaussian noise takes only 'none', got '7'"
+
+
+@pytest.mark.parametrize("command, noise, neutral, message", [
+    ("simulate", {"noise": "student_t", "df": "3", "sigma": "50.0"}, {"sigma": "1.0"},
+     _SIGMA_OF_T),
+    ("simulate", {"noise": "gaussian", "df": "7"}, {"df": "none"}, _DF_OF_GAUSSIAN),
+    ("calibrate", {"noise": "student_t", "df": "3", "sigma": "50.0"}, {"sigma": "1.0"},
+     _SIGMA_OF_T),
+    ("calibrate", {"noise": "gaussian", "df": "7"}, {"df": "none"}, _DF_OF_GAUSSIAN),
+], ids=["scenario-sigma", "scenario-df", "spec-sigma", "spec-df"])
+def test_a_noise_key_of_the_other_kind_is_refused(tmp_path, capsys, command, noise, neutral,
+                                                  message):
+    # such a key used to be ignored: a student_t scenario with sigma = 50
+    # wrote the same stream as with sigma = 1 and recorded sigma = 1.0
+    write = _write_scenario if command == "simulate" else _write_spec
+    out_path = tmp_path / "out.txt"
+    path = write(tmp_path, **noise)
+    code = main([command, "--" + ("scenario" if command == "simulate" else "spec"), path,
+                 "--out", str(out_path)])
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert code == 3
+    assert not out_path.exists()
+    path = write(tmp_path, **{**noise, **neutral})  # the value NoiseSpec gives the key
+    assert main([command, "--" + ("scenario" if command == "simulate" else "spec"), path,
+                 "--out", str(out_path)]) == 0
+    capsys.readouterr()
+
+
 def test_exit_code_3_on_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3,zebra\n")

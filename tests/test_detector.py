@@ -26,7 +26,7 @@ from linewatch import (
     StatSnapshot,
     theorem_scale_config,
 )
-from linewatch.detector import _SNAP_FMT, SNAPSHOT_SIZE
+from linewatch.detector import _SNAP_FIELDS, _SNAP_FMT, SNAPSHOT_SIZE
 from linewatch.engine import batch_stats
 
 from oracles import (
@@ -306,16 +306,16 @@ def test_load_state_rejects_corrupt_fields(index, corrupt, field):
 # Fields that save_state writes as constants: ({field index: value}
 # applied to the stopped snapshot above, the field the error must name).
 _CONSTANT_FIELDS = {
-    "jump_w1": ({28: 7.0}, "jump bin w slots"),
-    "jump_w3_negative_zero": ({30: -0.0}, "jump bin w slots"),
-    "disabled_kink_bins": ({2: -1}, "kink bins of a disabled statistic"),
+    "jump_w1": ({28: 7.0}, "jump w1 7.0"),
+    "jump_w3_negative_zero": ({30: -0.0}, "jump w3 -0.0"),
+    "disabled_kink_bins": ({2: -1}, "kink bin position r 2"),
     "disabled_jump_position": ({1: -1, 24: 1, **dict.fromkeys(range(25, 31), 0.0)},
-                               "jump bins of a disabled statistic"),
+                               "jump bin position r 1"),
     "n_jump_below_minus_one": ({1: -5}, "n_jump"),
-    "known_line_k": ({8: 3}, "known line k and moments"),
-    "known_line_s_xx": ({15: 0.5}, "known line k and moments"),
-    "running_event_fields": ({19: 0}, "event fields of a running detector"),
-    "reserved_time_fields": ({5: 1, 6: 400}, "reserved time kind and time unit"),
+    "known_line_k": ({8: 3}, "fit k 3"),
+    "known_line_s_xx": ({15: 0.5}, "s_xx 0.5"),
+    "running_event_fields": ({19: 0}, "event time 27"),
+    "reserved_time_fields": ({5: 1, 6: 400}, "time kind 1"),
 }
 
 
@@ -370,7 +370,8 @@ def test_every_snapshot_load_state_accepts_saves_back_to_its_bytes(data):
     blob = struct.pack(_SNAP_FMT, *fields)
     try:
         state = load_state(blob)
-    except ValueError:
+    except ValueError as err:
+        assert any(name in str(err) for _, name in _SNAP_FIELDS[1:]), err
         return
     assert save_state(state) == blob
 
@@ -460,7 +461,7 @@ def test_old_snapshot_resumes_with_the_same_bits():
 
 
 def test_fraction_time_snapshot_is_refused():
-    with pytest.raises(ValueError, match=r"reserved time kind and time unit \(1, 400\)"):
+    with pytest.raises(ValueError, match="time kind 1 is not written back"):
         load_state(_FRACTION_TIME_SNAPSHOT)
 
 

@@ -264,15 +264,15 @@ def test_rate_bins_give_rate_checks_bins_and_the_theorem_presets():
 
 
 def test_rate_check_smoke_and_validation():
-    rep = rate_check(0.5, [256, 512, 1024], "kink", replications=30,
+    rep = rate_check([256, 512, 1024], "kink", replications=30,
                      master_seed=3, calib_replications=100)
     assert len(rep.points) == 3
     assert rep.slope is not None
     assert all(p.bin_size >= 1 for p in rep.points)
     with pytest.raises(ValueError):
-        rate_check(0.5, [512, 256], "kink", 10, 0)
+        rate_check([512, 256], "kink", 10, 0)
     with pytest.raises(ValueError):
-        rate_check(0.5, [256], "kink", 10, 0)
+        rate_check([256], "kink", 10, 0)
 
 
 def test_estimate_metrics_true_kind_accuracy_fields():
